@@ -35,7 +35,6 @@ from .homcount import (
     ResourceLimitError,
     WeightedPattern,
     WeightedTarget,
-    cycle_density_spectral,
     cycle_hom_count,
     hom_count,
     hom_density,

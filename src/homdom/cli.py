@@ -19,9 +19,10 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from . import cones, constructions, formulas, ratlp, verifier
+from .cones import ConeError
 from .graphs import GraphError, SimpleGraph, decode_graph, encode_graph, from_shorthand
 from .homcount import ResourceLimitError, WeightedTarget
-from .ratlp import frac_to_str
+from .ratlp import LPError, frac_to_str
 
 DEFAULT_SEED = 7
 
@@ -278,7 +279,7 @@ def main(argv=None):
     )
     try:
         return args.func(args, config)
-    except (GraphError, ResourceLimitError, ValueError, OSError) as exc:
+    except (GraphError, ResourceLimitError, LPError, ConeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -15,8 +15,10 @@ import numpy as np
 from .graphs import GraphError, SimpleGraph, complete_graph, disjoint_union
 from .homcount import (
     ResourceLimitError,
+    WalkCounter,
     WeightedPattern,
     WeightedTarget,
+    _cycle_structure,
     closed_walk_counts_dense,
     hom_density,
     weighted_hom_density,
@@ -119,30 +121,28 @@ def _is_prime(p):
 def projective_plane(p):
     """The projective plane PG(2, p) for prime p.
 
-    Points are normalized homogeneous triples over F_p; lines are the
-    triples of dual coordinates, returned as tuples of incident point
-    indices. p^2+p+1 points and lines, p+1 points per line.
+    Points are normalized homogeneous triples over F_p, in the order
+    (1, x, y), (0, 1, y), (0, 0, 1); point (1, x, y) has index x*p + y and
+    (0, 1, y) has index p^2 + y. Lines are the triples of dual coordinates
+    in the same order, each returned as the ascending tuple of its incident
+    point indices. p^2+p+1 points and lines, p+1 points per line.
     """
     if not _is_prime(p):
         raise GraphError(f"{p} is not prime")
-    points = []
-    for x in range(p):
-        for y in range(p):
-            points.append((1, x, y))
-    for y in range(p):
-        points.append((0, 1, y))
-    points.append((0, 0, 1))
-    index = {pt: i for i, pt in enumerate(points)}
-    lines = []
-    for coef in points:  # dual coordinates run over the same normalized triples
-        a, b, c = coef
-        inc = tuple(
-            index[pt]
-            for pt in points
-            if (a * pt[0] + b * pt[1] + c * pt[2]) % p == 0
-        )
-        lines.append(inc)
-    return points, lines
+    points = [(1, x, y) for x in range(p) for y in range(p)]
+    points += [(0, 1, y) for y in range(p)] + [(0, 0, 1)]
+    return points, [_line(a, b, c, p) for a, b, c in points]
+
+
+def _line(a, b, c, p):
+    """Indices of the points of the line aX + bY + cZ = 0, ascending."""
+    if c:  # one point (1, x, y) per x, then the point (0, 1, -b/c)
+        ci = pow(c, -1, p)
+        return tuple(x * p + (-(a + b * x) * ci) % p for x in range(p)) + (p * p + (-b * ci) % p,)
+    if b:  # every (1, -a/b, y), then (0, 0, 1)
+        x = (-a * pow(b, -1, p)) % p
+        return tuple(range(x * p, x * p + p)) + (p * p + p,)
+    return tuple(range(p * p, p * p + p + 1))  # the line at infinity
 
 
 @dataclass(frozen=True)
@@ -189,13 +189,9 @@ def red_line_graph(spec, seed, num_lines=None):
         raise GraphError("red line count out of range")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, spec.p, spec.k])))
     chosen = rng.choice(len(lines), size=count, replace=False)
-    edges = set()
-    for li in chosen:
-        pts = lines[li]
-        for i in range(len(pts)):
-            for j in range(i + 1, len(pts)):
-                edges.add((min(pts[i], pts[j]), max(pts[i], pts[j])))
-    return SimpleGraph(n, frozenset(edges))
+    pts = np.array([lines[li] for li in chosen])  # each row ascending
+    i, j = np.triu_indices(pts.shape[1], 1)
+    return SimpleGraph(n, frozenset(zip(pts[:, i].ravel().tolist(), pts[:, j].ravel().tolist())))
 
 
 # ---------------------------------------------------------------------------
@@ -226,8 +222,7 @@ def bipartite_power_target(i, n, mode="weighted", seed=0, max_vertices=50_000):
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, i, n])))
     block = rng.random((part, part)) < 1.0 / n ** i
     us, vs = np.nonzero(block)
-    edges = frozenset((int(u), int(part + v)) for u, v in zip(us, vs))
-    return SimpleGraph(2 * part, edges)
+    return SimpleGraph(2 * part, frozenset(zip(us.tolist(), (vs + part).tolist())))
 
 
 # ---------------------------------------------------------------------------
@@ -337,6 +332,10 @@ class ScalingFamily:
 
     def build(self, size):
         p = self.params
+        needs = {"path_blowup": "klm", "projective": "k", "bipartite_power": "i"}
+        missing = [key for key in needs.get(self.kind, "") if key not in p]
+        if missing:
+            raise GraphError(f"family {self.kind!r} needs parameter(s) {', '.join(missing)}")
         if self.kind == "path_blowup":
             pattern = path_blowup_pattern(p["k"], p["l"], p["m"])
             return instantiate_weighted(pattern, size)
@@ -361,10 +360,9 @@ def log_fraction(x):
     return math.log(x.numerator) - math.log(x.denominator)
 
 
-def _density(pattern_graph, target, dense_cycle_cache=None):
-    """t(H, T) for simple or weighted targets; exact Fraction when feasible."""
-    from .homcount import _cycle_structure  # local import to avoid cycle
-
+def _density(pattern_graph, target, cache=None):
+    """t(H, T) for simple or weighted targets; exact Fraction when feasible.
+    Calls on one large target that pass the same ``cache`` share its walk kernel."""
     if isinstance(target, WeightedTarget):
         return weighted_hom_density(pattern_graph, target)
     if target.n <= 64:
@@ -374,13 +372,10 @@ def _density(pattern_graph, target, dense_cycle_cache=None):
     if cyc is None and not (pattern_graph.n == 2 and pattern_graph.num_edges == 1):
         raise ResourceLimitError("large target: only cycle/edge patterns supported")
     m = 2 if pattern_graph.n == 2 else pattern_graph.n
-    if dense_cycle_cache is not None and m in dense_cycle_cache:
-        cnt = dense_cycle_cache[m]
-    else:
-        cnt = closed_walk_counts_dense(target.adjacency_matrix(np.float64), [m])[0]
-        if dense_cycle_cache is not None:
-            dense_cycle_cache[m] = cnt
-    return Fraction(cnt, target.n ** m)
+    cache = {} if cache is None else cache
+    if "walks" not in cache:
+        cache["walks"] = WalkCounter(target.adjacency_matrix(np.float32))
+    return Fraction(cache["walks"].closed(m), target.n ** m)
 
 
 def estimate_ratio(g, h, family, sizes):
@@ -408,11 +403,7 @@ def estimate_ratio(g, h, family, sizes):
 
 
 def exponent_vector_estimate(target, cycle_lengths, scale):
-    """log t(C_m, T)/log(scale) per cycle length, via exact dense traces."""
-    adj = target.adjacency_matrix(np.float64)
-    counts = closed_walk_counts_dense(adj, cycle_lengths)
-    out = []
-    for m, cnt in zip(cycle_lengths, counts):
-        t = Fraction(cnt, target.n ** m)
-        out.append(log_fraction(t) / math.log(scale))
-    return out
+    """log t(C_m, T)/log(scale) per cycle length, via exact closed walk counts."""
+    counts = closed_walk_counts_dense(target.adjacency_matrix(np.float32), cycle_lengths)
+    return [log_fraction(Fraction(cnt, target.n ** m)) / math.log(scale)
+            for m, cnt in zip(cycle_lengths, counts)]

@@ -87,9 +87,10 @@ class SimpleGraph:
 
     def adjacency_matrix(self, dtype=np.int64):
         a = np.zeros((self.n, self.n), dtype=dtype)
-        for u, v in self.edges:
-            a[u, v] = 1
-            a[v, u] = 1
+        uv = np.fromiter(itertools.chain.from_iterable(self.edges), dtype=np.intp,
+                         count=2 * len(self.edges)).reshape(-1, 2)
+        a[uv[:, 0], uv[:, 1]] = 1
+        a[uv[:, 1], uv[:, 0]] = 1
         return a
 
     def components(self):

@@ -1,13 +1,14 @@
 """Exact homomorphism counting and densities.
 
 All counts are exact Python integers; densities are exact Fractions.
-The only floating-point entry points are ``cycle_density_spectral`` (an
-estimate, never used in validity verdicts) and the dense trace counter,
-which stays exact because every intermediate value is an integer below
-2**53 (guard-checked).
+The walk kernel ``WalkCounter`` stays exact on BLAS by choosing each
+product's arithmetic from the entry bound A^k[i, j] <= D^(k-1), D the
+maximum degree: float32 below 2**24, float64 below 2**53, Python ints
+above. Sums of entries run in int64, or in Python ints if it could overflow.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -376,111 +377,137 @@ def _weighted_brute(h, w):
 # walk-based counts: paths, cycles, rooted cycles
 # ---------------------------------------------------------------------------
 
-def _int_matmul(a, b):
-    n = len(a)
-    bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+def _exact(x, wide):
+    """Integer-valued array ``x`` as int64, or as Python ints when ``wide``."""
+    if x.dtype.kind == "f":
+        x = np.rint(x).astype(np.int64)
+    return x.astype(object if wide else np.int64, copy=False)
 
 
-def _int_matpow(a, k):
-    n = len(a)
-    result = [[int(i == j) for j in range(n)] for i in range(n)]
-    base = [list(r) for r in a]
-    while k:
-        if k & 1:
-            result = _int_matmul(result, base)
-        base = _int_matmul(base, base)
-        k >>= 1
-    return result
+def _narrowest(x, bound):
+    """Non-negative integer array ``x`` in the narrowest dtype whose matrix
+    products stay exact while every result entry is below ``bound``."""
+    if bound < 2 ** 24:
+        return x.astype(np.float32, copy=False)
+    if bound < 2 ** 53:
+        return x.astype(np.float64, copy=False)
+    return _exact(x, True)
 
 
-def _adj_int(t):
-    a = [[0] * t.n for _ in range(t.n)]
-    for u, v in t.edges:
-        a[u][v] = 1
-        a[v][u] = 1
-    return a
+def _exact_sum(bound, *arrays):
+    """Exact sum of the entrywise product of non-negative integer arrays,
+    given a bound on it: in int64 unless that could overflow, a few rows at
+    a time so that the integer copies stay small."""
+    wide = bound >= 2 ** 63
+    return sum(int(math.prod(_exact(x[r:r + 256], wide) for x in arrays).sum())
+               for r in range(0, len(arrays[0]), 256))
+
+
+class _PowerChain:
+    """Memoised powers of a symmetric non-negative integer matrix P.
+
+    P^k counts walks of ``step * k`` steps in a graph of maximum degree
+    ``degree``, so its entries are at most ``degree ** (step * k - 1)``.
+    Each product runs in the narrowest exact arithmetic for that bound:
+    the factors are non-negative, so every partial sum of a float GEMM is
+    bounded by the final entry.
+    """
+
+    def __init__(self, base, degree, step):
+        self.powers = {1: base}
+        self.degree = degree
+        self.step = step
+
+    def bound(self, k):
+        return self.degree ** (self.step * k - 1)
+
+    def __getitem__(self, k):
+        if k < 1:
+            raise GraphError("need a walk length >= 1")
+        p = self.powers.get(k)
+        if p is None:
+            bound = self.bound(k)
+            x = _narrowest(self[k // 2], bound)
+            # P^k is symmetric, so a square is x @ x.T, which BLAS runs as a SYRK
+            p = x @ (x.T if k % 2 == 0 else _narrowest(self[k - k // 2], bound))
+            self.powers[k] = p
+        return p
+
+    def trace(self, k):
+        """tr(P^k) as the entrywise sum of P^(k//2) * P^(k - k//2), k >= 2."""
+        lo = k // 2
+        return _exact_sum(len(self[1]) * self.bound(k), self[lo], self[k - lo])
+
+
+class WalkCounter:
+    """Exact walk statistics of one simple target from a shared power chain.
+
+    Built from the target's 0/1 adjacency matrix A. Every statistic reuses
+    the powers of A that earlier ones built, so tr(A^3) and tr(A^4) share
+    the single product A^2. On a bipartite target, closed walks use the
+    half-size block M = B B^T of A^2 instead: tr(A^(2j)) = 2 tr(M^j), and
+    there are no odd closed walks.
+    """
+
+    def __init__(self, adj):
+        a = np.asarray(adj, dtype=np.float32)
+        self.num_edges = int(np.count_nonzero(a)) // 2
+        self.full = _PowerChain(a, int(a.sum(axis=1).max(initial=0)), 1)
+
+    @functools.cached_property
+    def half(self):
+        """The chain of M = B B^T (entries <= D, exact in float32) if the
+        target is bipartite, else None."""
+        a = self.full[1]
+        colour = np.where(a.any(axis=1), -1, 0).astype(np.int8)
+        while (todo := np.flatnonzero(colour < 0)).size:
+            frontier, c = todo[:1], 0
+            while frontier.size:
+                colour[frontier] = c
+                reach = a[frontier].any(axis=0)
+                if (colour[reach] == c).any():
+                    return None
+                frontier, c = np.flatnonzero(reach & (colour < 0)), 1 - c
+        small, large = sorted((np.flatnonzero(colour == 0), np.flatnonzero(colour == 1)), key=len)
+        b = a[np.ix_(small, large)]
+        return _PowerChain(b @ b.T, self.full.degree, 2)
+
+    def closed(self, m):
+        """tr(A^m), the number of closed walks of length m >= 1."""
+        if m < 1:
+            raise GraphError("need m >= 1")
+        if m <= 2:
+            return 2 * self.num_edges if m == 2 else 0
+        if self.half is not None:
+            return 0 if m % 2 else 2 * self.half.trace(m // 2)
+        return self.full.trace(m)
+
+    def total(self, m):
+        """1^T A^m 1, the number of walks of length m >= 1."""
+        am = self.full[m]
+        return _exact_sum(len(am) * self.full.degree ** m, am)
+
+    def entries(self, k, rows, cols):
+        """The entries A^k[rows[i], cols[i]] for k >= 1, as Python ints."""
+        return [int(x) for x in self.full[k][rows, cols].tolist()]
 
 
 def path_hom_count(m, t):
     """hom(P_m, T) = 1^T A^m 1, exact big integer."""
-    if m < 1:
-        raise GraphError("need m >= 1")
-    if t.n == 0:
-        return 0
-    am = _int_matpow(_adj_int(t), m)
-    return sum(sum(row) for row in am)
+    return WalkCounter(t.adjacency_matrix(np.float32)).total(m)
 
 
 def cycle_hom_count(m, t):
     """hom(C_m, T) = tr(A^m), exact big integer (m >= 3)."""
     if m < 3:
         raise GraphError("cycle_hom_count needs m >= 3")
-    if t.n == 0:
-        return 0
-    am = _int_matpow(_adj_int(t), m)
-    return sum(am[i][i] for i in range(t.n))
-
-
-def closed_walk_count(m, t):
-    """tr(A^m) for m >= 1; equals hom(C_m, T) for m >= 3 and 2e(T) at m=2."""
-    if m < 1:
-        raise GraphError("need m >= 1")
-    am = _int_matpow(_adj_int(t), m)
-    return sum(am[i][i] for i in range(t.n))
-
-
-def cycle_density_spectral(m, t):
-    """Float estimate of t(C_m, T) via dense symmetric eigendecomposition.
-
-    Relative error is bounded by roughly 1e-6 * n * max|lambda|^m; intended
-    for targets up to ~10^4 vertices. Feeds exponent estimates only, never
-    inequality verdicts.
-    """
-    if t.n == 0:
-        raise GraphError("empty target")
-    lam = np.linalg.eigvalsh(t.adjacency_matrix(dtype=np.float64))
-    return float(np.sum(lam ** m) / t.n ** m)
-
-
-_EXACT_FLOAT_LIMIT = 2 ** 53
+    return WalkCounter(t.adjacency_matrix(np.float32)).closed(m)
 
 
 def closed_walk_counts_dense(adj, lengths):
-    """Exact tr(A^m) for several m via float64 matrix products.
-
-    Every intermediate entry is an integer; the result is exact as long as
-    all values stay below 2**53, which is guard-checked. Suitable for the
-    large construction targets where python-int matrix powers are too slow.
-    """
-    a = np.asarray(adj, dtype=np.float64)
-    n = a.shape[0]
-    powers = {1: a}
-
-    def power(m):
-        if m in powers:
-            return powers[m]
-        half = m // 2
-        p = power(half) @ power(m - half)
-        if p.max(initial=0.0) >= _EXACT_FLOAT_LIMIT:
-            raise ResourceLimitError("dense walk counting exceeded exact float range")
-        powers[m] = p
-        return p
-
-    out = {}
-    for m in sorted(set(lengths)):
-        if m < 1:
-            raise GraphError("need m >= 1")
-        lo = m // 2
-        hi = m - lo
-        if lo == 0:
-            val = float(np.trace(power(m)))
-        else:
-            val = float(np.sum(power(lo) * power(hi)))  # tr(A^lo A^hi), A symmetric
-        if val >= _EXACT_FLOAT_LIMIT:
-            raise ResourceLimitError("dense walk counting exceeded exact float range")
-        out[m] = int(round(val))
-    return [out[m] for m in lengths]
+    """Exact tr(A^m) for each m >= 1 in ``lengths``, from one power chain."""
+    walks = WalkCounter(adj)
+    return [walks.closed(m) for m in lengths]
 
 
 def rooted_cycle_hom(a, t, root_edge):
@@ -490,8 +517,7 @@ def rooted_cycle_hom(a, t, root_edge):
     u, v = root_edge
     if not t.has_edge(u, v):
         raise GraphError(f"root {root_edge} is not an edge of the target")
-    am = _int_matpow(_adj_int(t), a - 1)
-    return am[v][u]
+    return WalkCounter(t.adjacency_matrix(np.float32)).entries(a - 1, [v], [u])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -105,6 +105,19 @@ class TestConstructCommand:
         assert code == 2 and "error" in err
 
 
+class TestErrorExits:
+    @pytest.mark.parametrize("argv, message", [
+        (("lp", "--kr", "1"), "need i >= 2"),
+        (("cone", "--even", "1"), "need k >= 2"),
+        (("construct", "--family", "path_blowup", "--size", "10"),
+         "family 'path_blowup' needs parameter(s) k, l, m"),
+    ])
+    def test_bad_input_exit_2(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n" and "Traceback" not in err
+
+
 class TestConeCommand:
     def test_even(self, capsys):
         code, out, _ = run(capsys, "cone", "--even", "3")

@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -66,20 +67,33 @@ class TestPathBlowupPattern:
             instantiate_weighted(path_blowup_pattern(1, 1, 1), 1)
 
 
+def projective_plane_by_scan(p):
+    """Oracle: every line as the scan of all points for incidence."""
+    points = [(1, x, y) for x in range(p) for y in range(p)]
+    points += [(0, 1, y) for y in range(p)] + [(0, 0, 1)]
+    lines = [tuple(i for i, pt in enumerate(points)
+                   if (a * pt[0] + b * pt[1] + c * pt[2]) % p == 0)
+             for a, b, c in points]
+    return points, lines
+
+
 class TestProjectivePlane:
-    @pytest.mark.parametrize("p", [2, 3, 5])
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
     def test_axioms(self, p):
         points, lines = projective_plane(p)
         n = p * p + p + 1
         assert len(points) == n and len(lines) == n
         assert all(len(line) == p + 1 for line in lines)
         # every pair of points lies on exactly one line
-        for a, b in itertools.combinations(range(n), 2):
-            count = sum(1 for line in lines if a in line and b in line)
-            assert count == 1
+        pairs = Counter(pair for line in lines for pair in itertools.combinations(line, 2))
+        assert len(pairs) == n * (n - 1) // 2 and set(pairs.values()) == {1}
         # every point lies on exactly p+1 lines
-        for a in range(n):
-            assert sum(1 for line in lines if a in line) == p + 1
+        incidences = Counter(a for line in lines for a in line)
+        assert len(incidences) == n and set(incidences.values()) == {p + 1}
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+    def test_matches_incidence_scan(self, p):
+        assert projective_plane(p) == projective_plane_by_scan(p)
 
     def test_non_prime(self):
         with pytest.raises(GraphError):

@@ -9,6 +9,7 @@ from homdom.graphs import (
     GraphError,
     SimpleGraph,
     blowup,
+    complete_bipartite,
     complete_graph,
     cycle_graph,
     disjoint_union,
@@ -19,9 +20,9 @@ from homdom.graphs import (
 )
 from homdom.homcount import (
     ResourceLimitError,
+    WalkCounter,
     WeightedPattern,
     WeightedTarget,
-    cycle_density_spectral,
     cycle_hom_count,
     hom_count,
     hom_count_blowup,
@@ -154,15 +155,6 @@ class TestWalkCounting:
                 t = random_graph(rng, rng.randint(1, 6))
                 assert cycle_hom_count(m, t) == hom_count(cycle_graph(m), t)
 
-    def test_spectral_agrees(self):
-        k3 = complete_graph(3)
-        assert abs(cycle_density_spectral(4, k3) - 18 / 81) < 1e-9
-        rng = random.Random(13)
-        for _ in range(10):
-            t = random_graph(rng, 6)
-            exact = hom_density(cycle_graph(4), t)
-            assert abs(cycle_density_spectral(4, t) - float(exact)) < 1e-8
-
 
 class TestRootedCycles:
     def test_k3(self):
@@ -184,6 +176,90 @@ class TestRootedCycles:
     def test_non_edge_root(self):
         with pytest.raises(GraphError):
             rooted_cycle_hom(3, cycle_graph(4), (0, 2))
+
+
+def int_matmul(a, b):
+    bt = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+
+
+def int_matpow(a, k):
+    """Oracle: A^k by square-and-multiply on Python ints."""
+    result = [[int(i == j) for j in range(len(a))] for i in range(len(a))]
+    base = [list(r) for r in a]
+    while k:
+        if k & 1:
+            result = int_matmul(result, base)
+        base = int_matmul(base, base)
+        k >>= 1
+    return result
+
+
+def int_adjacency(t):
+    return [[int(t.has_edge(u, v)) for v in range(t.n)] for u in range(t.n)]
+
+
+class TestWalkCounter:
+    def test_matches_integer_oracle(self):
+        rng = random.Random(31)
+        for _ in range(30):
+            t = random_graph(rng, rng.randint(0, 8), rng.random())
+            walks = WalkCounter(t.adjacency_matrix())
+            a = int_adjacency(t)
+            rows, cols = zip(*itertools.product(range(t.n), repeat=2)) if t.n else ((), ())
+            for m in range(1, 9):
+                am = int_matpow(a, m)
+                assert walks.closed(m) == sum(am[i][i] for i in range(t.n))
+                assert walks.total(m) == sum(map(sum, am))
+                assert walks.entries(m, rows, cols) == [am[i][j] for i, j in zip(rows, cols)]
+                assert type(walks.closed(m)) is int and type(walks.total(m)) is int
+
+    @pytest.mark.parametrize("n, m, dtype", [
+        (5, 8, np.float32),   # entries of A^4 <= 4^3
+        (9, 18, np.float64),  # entries of A^9 <= 8^8 = 2^24
+        (9, 38, object),      # entries of A^19 <= 8^18 = 2^54
+    ])
+    def test_complete_graph_tiers(self, n, m, dtype):
+        walks = WalkCounter(complete_graph(n).adjacency_matrix())
+        d = n - 1
+        assert walks.closed(m) == d ** m + d * (-1) ** m
+        assert walks.full.powers[m - m // 2].dtype == dtype
+        assert walks.total(m) == n * d ** m
+        off, diag = (d ** m - (-1) ** m) // n, (d ** m + d * (-1) ** m) // n
+        assert walks.entries(m, [0, 0, n - 1], [1, 0, n - 1]) == [off, diag, diag]
+
+    @pytest.mark.parametrize("a, b, m, dtype", [
+        (3, 4, 8, np.float32),   # entries of M^2 = A^4 <= 4^3
+        (7, 7, 20, np.float64),  # entries of M^5 = A^10 <= 7^9 > 2^24
+        (7, 7, 38, object),      # entries of M^10 = A^20 <= 7^19 > 2^53
+    ])
+    def test_complete_bipartite_tiers(self, a, b, m, dtype):
+        walks = WalkCounter(complete_bipartite(a, b).adjacency_matrix())
+        assert walks.closed(m) == 2 * (a * b) ** (m // 2) and walks.closed(m + 1) == 0
+        j = m // 2
+        assert walks.half.powers[j - j // 2].dtype == dtype
+        assert len(walks.half.powers[1]) == min(a, b)
+
+    def test_bipartite_half_block(self):
+        rng = random.Random(32)
+        for _ in range(10):
+            left, right = rng.randint(1, 6), rng.randint(1, 6)
+            label = list(range(left + right))
+            rng.shuffle(label)
+            edges = [(label[u], label[left + v]) for u in range(left) for v in range(right)
+                     if rng.random() < 0.5]
+            t = SimpleGraph(left + right + 2, frozenset(edges))  # two isolated vertices
+            walks = WalkCounter(t.adjacency_matrix())
+            assert walks.half is not None
+            a = int_adjacency(t)
+            for m in range(1, 11):
+                am = int_matpow(a, m)
+                assert walks.closed(m) == sum(am[i][i] for i in range(t.n))
+                if m % 2:
+                    assert walks.closed(m) == 0
+        assert WalkCounter(cycle_graph(5).adjacency_matrix()).half is None
+        odd = disjoint_union(cycle_graph(4), complete_graph(3))
+        assert WalkCounter(odd.adjacency_matrix()).half is None
 
 
 class TestWeightedTargets:
