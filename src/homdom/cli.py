@@ -21,7 +21,7 @@ from fractions import Fraction
 from . import cones, constructions, formulas, ratlp, verifier
 from .cones import ConeError
 from .graphs import GraphError, SimpleGraph, decode_graph, encode_graph, from_shorthand
-from .homcount import ResourceLimitError, WeightedTarget
+from .homcount import ResourceLimitError
 from .ratlp import LPError, frac_to_str
 
 DEFAULT_SEED = 7
@@ -157,14 +157,13 @@ def cmd_construct(args, config):
 def cmd_cone(args, config):
     if args.even is not None:
         cone = cones.even_cycle_cone(args.even)
-        payload = json.loads(cones.cone_to_json(cone))
-        payload["rays_ok"] = cones.verify_rays(cone)["all_member"]
-        payload["equality"] = cones.cone_equals_hull(cone)
+        equality = cones.cone_equals_hull(cone)
     else:
         cone = cones.all_cycle_cone(args.all, literal_text=args.literal_text)
-        payload = json.loads(cones.cone_to_json(cone))
-        payload["rays_ok"] = cones.hull_subset_of_cone(cone)
-        payload["equality"] = "conjectured (hull-in-cone inclusion reported only)"
+        equality = "conjectured (hull-in-cone inclusion reported only)"
+    payload = json.loads(cones.cone_to_json(cone))
+    payload["rays_ok"] = cones.verify_rays(cone)["all_member"]
+    payload["equality"] = equality
     _emit(config, payload, args.out)
     return 0
 

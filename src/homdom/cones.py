@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ratlp import LPError, frac_to_str, make_lp, solve_lp
+from .ratlp import frac_to_str, make_lp, solve_lp
 
 _ZERO = Fraction(0)
 
@@ -291,11 +291,6 @@ def cone_equals_hull(cone):
         if not in_conical_hull(ext, cone.rays):
             return False
     return True
-
-
-def hull_subset_of_cone(cone):
-    """The one provable inclusion for the conjectured cone."""
-    return verify_rays(cone)["all_member"]
 
 
 def constraint_matrix_determinant(cone):

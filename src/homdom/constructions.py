@@ -18,7 +18,6 @@ from .homcount import (
     WalkCounter,
     WeightedPattern,
     WeightedTarget,
-    _cycle_structure,
     closed_walk_counts_dense,
     hom_density,
     weighted_hom_density,
@@ -368,8 +367,8 @@ def _density(pattern_graph, target, cache=None):
     if target.n <= 64:
         return hom_density(pattern_graph, target)
     # big simple targets: only walk-countable patterns are supported
-    cyc = _cycle_structure(pattern_graph)
-    if cyc is None and not (pattern_graph.n == 2 and pattern_graph.num_edges == 1):
+    is_edge = pattern_graph.n == 2 and pattern_graph.num_edges == 1
+    if not (pattern_graph.is_cycle() or is_edge):
         raise ResourceLimitError("large target: only cycle/edge patterns supported")
     m = 2 if pattern_graph.n == 2 else pattern_graph.n
     cache = {} if cache is None else cache

@@ -13,14 +13,13 @@ from fractions import Fraction
 
 from .graphs import (
     GraphError,
-    SimpleGraph,
     cycle_graph,
     isomorphic,
     k4_minus_e,
     path_graph,
     triangle_pendant,
 )
-from .homcount import _cycle_structure, _path_structure, hom_count
+from .homcount import hom_count
 from .ratlp import frac_to_str, make_lp, solve_lp
 
 
@@ -336,7 +335,7 @@ def _even_cycle_lengths(g):
         sub = g.subgraph(comp)
         if sub.n == 2 and sub.num_edges == 1:
             lengths.append(2)
-        elif _cycle_structure(sub) is not None and sub.n % 2 == 0:
+        elif sub.is_cycle() and sub.n % 2 == 0:
             lengths.append(sub.n)
         else:
             return None
@@ -348,15 +347,13 @@ def _exact_rule(g, h):
     if isomorphic(g, h):
         return Fraction(1), "identical"
 
-    gp = _path_structure(g)
-    hp = _path_structure(h)
-    if gp is not None and hp is not None and g.num_edges >= 1 and h.num_edges >= 1:
+    if g.is_path() and h.is_path() and g.num_edges >= 1 and h.num_edges >= 1:
         return path_exponent(g.num_edges, h.num_edges), "path-formula"
 
     gc = 2 if (g.n == 2 and g.num_edges == 1) else (
-        g.n if _cycle_structure(g) is not None else None)
+        g.n if g.is_cycle() else None)
     hc = 2 if (h.n == 2 and h.num_edges == 1) else (
-        h.n if _cycle_structure(h) is not None else None)
+        h.n if h.is_cycle() else None)
     if gc is not None and gc % 2 == 0 and hc is not None:
         return even_cycle_exponent(gc // 2, hc), "even-cycle-formula"
     if gc is not None and gc % 2 == 0 and hc is None and h.n <= 12:
@@ -430,9 +427,7 @@ def dispatch_exponent(g, h, harvest=False):
     upper = None
     prov = list(prov_prefix)
 
-    gcyc = _cycle_structure(g0)
-    hcyc = _cycle_structure(h0)
-    if gcyc is not None and hcyc is not None and g0.n % 2 == 1 and h0.n % 2 == 1 \
+    if g0.is_cycle() and h0.is_cycle() and g0.n % 2 == 1 and h0.n % 2 == 1 \
             and g0.n > h0.n:
         lo, up = odd_cycle_bounds((g0.n - 1) // 2, (h0.n - 1) // 2)
         lower, upper = lo, up

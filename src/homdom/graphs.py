@@ -16,6 +16,7 @@ Vertex numbering conventions are frozen (tests depend on them):
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass, field
@@ -58,32 +59,29 @@ class SimpleGraph:
     def has_edge(self, u, v):
         return (min(u, v), max(u, v)) in self.edges
 
-    def degree(self, v):
-        return sum(1 for e in self.edges if v in e)
-
-    def neighbors(self, v):
-        out = set()
-        for a, b in self.edges:
-            if a == v:
-                out.add(b)
-            elif b == v:
-                out.add(a)
-        return out
-
-    def adjacency_lists(self):
+    @functools.cached_property
+    def _structure(self):
+        """Neighbour sets, neighbour bitmasks and degrees, built once."""
         adj = [set() for _ in range(self.n)]
         for a, b in self.edges:
             adj[a].add(b)
             adj[b].add(a)
-        return adj
+        return (tuple(map(frozenset, adj)), tuple(sum(1 << w for w in s) for s in adj),
+                tuple(map(len, adj)))
+
+    def degree(self, v):
+        return self._structure[2][v]
+
+    def neighbors(self, v):
+        return self._structure[0][v]
+
+    def adjacency_lists(self):
+        """Neighbourhoods as a fresh list of frozensets."""
+        return list(self._structure[0])
 
     def adjacency_masks(self):
         """Neighborhoods as bitmasks (bit v set iff v is a neighbor)."""
-        adj = [0] * self.n
-        for a, b in self.edges:
-            adj[a] |= 1 << b
-            adj[b] |= 1 << a
-        return adj
+        return list(self._structure[1])
 
     def adjacency_matrix(self, dtype=np.int64):
         a = np.zeros((self.n, self.n), dtype=dtype)
@@ -115,11 +113,16 @@ class SimpleGraph:
     def is_connected(self):
         return self.n <= 1 or len(self.components()) == 1
 
-    def is_forest(self):
-        return self.num_edges == self.n - len(self.components())
-
     def is_tree(self):
         return self.is_connected() and self.num_edges == self.n - 1
+
+    def is_path(self):
+        """A path, a single vertex included."""
+        return self.is_tree() and all(d <= 2 for d in self._structure[2])
+
+    def is_cycle(self):
+        """A cycle on at least 3 vertices."""
+        return self.n >= 3 and self.is_connected() and all(d == 2 for d in self._structure[2])
 
     def subgraph(self, vertices):
         """Induced subgraph, relabeled to 0..len(vertices)-1 in given order."""
@@ -398,15 +401,22 @@ def canonical_form(g):
 
 
 def _canonical_ints(n):
-    """Canonical integer for every labeled graph on n vertices (vectorized)."""
+    """Canonical integer for every labeled graph on n vertices (vectorized).
+
+    Each permutation maps every byte of a graph's bitstring through a
+    256-entry table of that byte's permuted bits; the images OR together.
+    """
     npairs = n * (n - 1) // 2
-    total = 1 << npairs
-    arr = np.arange(total, dtype=np.int64)
-    bits = ((arr[:, None] >> np.arange(npairs)) & 1).astype(np.int64)
-    pow2 = (np.int64(1) << np.arange(npairs)).astype(np.int64)
+    arr = np.arange(1 << npairs, dtype=np.int64)
+    chunks = [(arr >> (8 * k)) & 255 for k in range((npairs + 7) // 8)]
+    byte_bits = (np.arange(256)[:, None] >> np.arange(8)) & 1
     best = arr.copy()
     for src in _perm_tables(n):
-        y = bits[:, src] @ pow2
+        dst = np.zeros(8 * len(chunks), dtype=np.int64)
+        dst[src] = np.int64(1) << np.arange(npairs)   # source bit -> its image
+        y = np.zeros_like(arr)
+        for k, chunk in enumerate(chunks):
+            y |= (byte_bits @ dst[8 * k:8 * k + 8])[chunk]
         np.minimum(best, y, out=best)
     return best
 

@@ -1,6 +1,12 @@
 """Exact homomorphism counting and densities.
 
 All counts are exact Python integers; densities are exact Fractions.
+One engine counts hom(H, T) by variable elimination: the vertices of H
+are summed out one at a time along a min-fill order, each by a single
+``np.einsum`` over the factors that contain it, for a whole stack of
+targets of one order at once. It runs in int64 while the a priori bound
+on every intermediate entry fits, on Python ints above. A plan that needs
+more work than the caller allows falls back to a budgeted backtracker.
 The walk kernel ``WalkCounter`` stays exact on BLAS by choosing each
 product's arithmetic from the entry bound A^k[i, j] <= D^(k-1), D the
 maximum degree: float32 below 2**24, float64 below 2**53, Python ints
@@ -24,8 +30,105 @@ class ResourceLimitError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# hom counts for simple targets
+# the counting engine: variable elimination along a min-fill order
 # ---------------------------------------------------------------------------
+
+_LETTERS = "abcdefghijklmnopqrstuvwxyABCDEFGHIJKLMNOPQRSTUVWXYZ"  # "z" is the batch axis
+_MAX_ENTRIES = 1 << 18  # entries of one intermediate factor, batch axis included
+_PAIRWISE_WORK = 1 << 16  # multiply-adds from which a step is split into pairwise products
+
+
+def _fill(nbrs, x):
+    """Edges that eliminating x adds between its neighbours."""
+    return sum(1 for a, b in itertools.combinations(nbrs[x], 2) if b not in nbrs[a])
+
+
+@functools.lru_cache(maxsize=1024)
+def _plan(h, weighted):
+    """Elimination plan of H: (steps per connected component with an edge,
+    number of isolated vertices).
+
+    A step is (einsum subscripts, operands, width). An operand is -1 for
+    the edge matrix M, -2 for the vertex weights u (only when
+    ``weighted``) or the index of an earlier step of the component, whose
+    output is the factor that summed that step's vertex out. Width is the
+    number of H vertices the step's einsum ranges over.
+    """
+    plans, isolated = [], 0
+    for comp in h.components():
+        sub = h.subgraph(comp)
+        if sub.n == 1:
+            isolated += 1
+            continue
+        live = [(-1, e) for e in sorted(sub.edges)]
+        if weighted:
+            live += [(-2, (v,)) for v in range(sub.n)]
+        nbrs = {v: set(s) for v, s in enumerate(sub.adjacency_lists())}
+        steps = []
+        while nbrs:
+            x = min(nbrs, key=lambda v: (_fill(nbrs, v), len(nbrs[v]), v))
+            used = [f for f in live if x in f[1]]
+            live = [f for f in live if x not in f[1]]
+            union = sorted({v for _, scope in used for v in scope})
+            out = tuple(v for v in union if v != x)
+            letter = dict(zip(union, _LETTERS))
+            subs = ",".join("z" + "".join(letter[v] for v in scope) for _, scope in used)
+            steps.append((f"{subs}->z{''.join(letter[v] for v in out)}",
+                          tuple(ref for ref, _ in used), len(union)))
+            live.append((len(steps) - 1, out))
+            for a in nbrs[x]:
+                nbrs[a] |= nbrs[x] - {a}
+                nbrs[a].discard(x)
+            del nbrs[x]
+        plans.append(tuple(steps))
+    return tuple(plans), isolated
+
+
+def _eliminate(h, m, u=None, max_steps=None):
+    """sum over maps phi: V(H) -> [n] of prod_v u[phi(v)] * prod_{ab in E(H)}
+    m[phi(a), phi(b)], for each target of a stack: ``m`` (B, n, n) and ``u``
+    (B, n) non-negative integers, u None meaning all ones (then the sum is
+    hom(H, T)). Returns B Python ints, or None when the plan needs more
+    than ``max_steps`` multiply-adds per target or a factor larger than
+    the entry cap.
+
+    Every intermediate entry is a partial sum of the final one, so all of
+    them are at most (sum u)^v(H) * (max m)^e(H); the pass runs in int64
+    below 2**63 and on Python ints above.
+    """
+    plans, isolated = _plan(h, u is not None)
+    b, n = len(m), m.shape[-1]
+    widths = [w for steps in plans for _, _, w in steps]
+    if max_steps is not None and sum(n ** w for w in widths) > max_steps:
+        return None
+    peak = max((n ** (w - 1) for w in widths), default=1)
+    if peak > _MAX_ENTRIES:
+        return None
+    if u is None:
+        sums = [n] * b
+        bound = n ** h.n
+    else:
+        sums = [int(s) for s in u.sum(axis=1)]
+        bound = max(sums, default=0) ** h.n * int(m.max(initial=0)) ** h.num_edges
+    dtype = np.int64 if bound < 2 ** 63 else object
+    m = m.astype(dtype, copy=False)
+    u = None if u is None else u.astype(dtype, copy=False)
+    counts = [s ** isolated for s in sums]
+    chunk = max(1, _MAX_ENTRIES // peak)
+    for lo in range(0, b, chunk):
+        ops = {-1: m[lo:lo + chunk], -2: None if u is None else u[lo:lo + chunk]}
+        for steps in plans:
+            for k, (subs, refs, width) in enumerate(steps):
+                # a large product of three or more factors runs faster as a
+                # chain of pairwise products, none larger than an operand or
+                # the output; each factor is used once, so drop it once consumed
+                pairwise = len(refs) > 2 and len(ops[-1]) * n ** width >= _PAIRWISE_WORK
+                ops[k] = np.einsum(subs, *(ops.pop(r) if r >= 0 else ops[r] for r in refs),
+                                   optimize="greedy" if pairwise else False)
+            for i, x in enumerate(ops.pop(len(steps) - 1).tolist(), lo):
+                counts[i] *= x
+    return counts
+
 
 def _bfs_order(g, comp):
     """BFS order of one component starting from a max-degree vertex."""
@@ -43,106 +146,63 @@ def _bfs_order(g, comp):
     return order
 
 
-def _hom_count_tree(h, t_adj_sets, nt):
-    """Hom count of a tree by leaf-elimination DP, O(v(H) * e(T))."""
-    order = _bfs_order(h, list(range(h.n)))
-    pos = {v: i for i, v in enumerate(order)}
-    adj = h.adjacency_lists()
-    parent = {order[0]: None}
-    for v in order[1:]:
-        parent[v] = min((w for w in adj[v] if pos[w] < pos[v]), key=pos.get)
-    table = {v: [1] * nt for v in range(h.n)}
-    for v in reversed(order):
-        p = parent[v]
-        if p is None:
-            continue
-        tv = table[v]
-        acc = [0] * nt
-        for a in range(nt):
-            s = 0
-            for b in t_adj_sets[a]:
-                s += tv[b]
-            acc[a] = s
-        tp = table[p]
-        for a in range(nt):
-            tp[a] *= acc[a]
-    return sum(table[order[0]])
-
-
-class _Budget:
-    __slots__ = ("left",)
-
-    def __init__(self, limit):
-        self.left = limit
-
-    def spend(self, k=1):
-        if self.left is None:
-            return
-        self.left -= k
-        if self.left < 0:
-            raise ResourceLimitError("hom counting work ceiling exceeded")
-
-
-def _hom_count_connected(h, order, t_masks, nt, budget):
-    """Backtracking over a BFS order with bitmask candidate pruning."""
-    pos = {v: i for i, v in enumerate(order)}
-    adj = h.adjacency_lists()
-    earlier = [[pos[w] for w in adj[v] if pos[w] < pos[v]] for v in order]
-    full = (1 << nt) - 1
-    images = [0] * len(order)
-    popcount = int.bit_count if hasattr(int, "bit_count") else lambda x: bin(x).count("1")
-
-    def rec(i):
-        if i == len(order):
-            return 1
-        mask = full
-        for j in earlier[i]:
-            mask &= t_masks[images[j]]
-            if not mask:
-                return 0
-        budget.spend(popcount(mask))
-        if i == len(order) - 1:
-            return popcount(mask)
-        total = 0
-        m = mask
-        while m:
-            b = m & -m
-            images[i] = b.bit_length() - 1
-            total += rec(i + 1)
-            m ^= b
-        return total
-
-    return rec(0)
-
-
-def hom_count(h, t, max_steps=None):
-    """Number of adjacency-preserving maps V(H) -> V(T), exact.
-
-    Factorizes over components of H; trees use a DP fast path, other
-    components use pruned backtracking. ``max_steps`` caps the total
-    number of candidate expansions and raises ResourceLimitError when
-    exceeded (never returns a wrong number).
-    """
-    if h.n == 0:
-        return 1
-    if t.n == 0:
-        return 0
-    budget = _Budget(max_steps)
-    t_masks = t.adjacency_masks()
-    t_adj_sets = [sorted(t.neighbors(v)) for v in range(t.n)]
+def _backtrack(h, adj, max_steps):
+    """hom(H, T) from T's adjacency matrix, backtracking over a BFS order of
+    each component of H with bitmask candidate pruning. Raises
+    ResourceLimitError once more than ``max_steps`` candidates are expanded."""
+    nt = len(adj)
+    t_masks = [sum(1 << int(j) for j in np.flatnonzero(row)) for row in adj]
+    left = math.inf if max_steps is None else max_steps
     total = 1
     for comp in h.components():
-        sub = h.subgraph(comp)
-        if sub.num_edges == 0:
-            total *= t.n
-        elif sub.is_tree():
-            total *= _hom_count_tree(sub, t_adj_sets, t.n)
-        else:
-            order = _bfs_order(sub, list(range(sub.n)))
-            total *= _hom_count_connected(sub, order, t_masks, t.n, budget)
+        order = _bfs_order(h, comp)
+        pos = {v: i for i, v in enumerate(order)}
+        earlier = [[pos[w] for w in h.neighbors(v) if pos[w] < pos[v]] for v in order]
+        images = [0] * len(order)
+
+        def rec(i):
+            nonlocal left
+            mask = (1 << nt) - 1
+            for j in earlier[i]:
+                mask &= t_masks[images[j]]
+            left -= mask.bit_count()
+            if left < 0:
+                raise ResourceLimitError("hom counting work ceiling exceeded")
+            if i == len(order) - 1:
+                return mask.bit_count()
+            count = 0
+            while mask:
+                b = mask & -mask
+                images[i] = b.bit_length() - 1
+                count += rec(i + 1)
+                mask ^= b
+            return count
+
+        total *= rec(0) if len(comp) > 1 else nt
         if total == 0:
             return 0
     return total
+
+
+def hom_counts(h, adjs, max_steps=None):
+    """hom(H, T) for every target of a (B, n, n) stack of 0/1 adjacency
+    matrices of one order, in one elimination pass.
+
+    When the plan needs more than ``max_steps`` multiply-adds per target,
+    or a factor past the entry cap, each target is counted by the
+    backtracker instead, which raises ResourceLimitError once it has
+    expanded ``max_steps`` candidates (never returning a wrong number).
+    """
+    counts = _eliminate(h, adjs, max_steps=max_steps)
+    if counts is None:
+        counts = [_backtrack(h, a, max_steps) for a in adjs]
+    return counts
+
+
+def hom_count(h, t, max_steps=None):
+    """Number of adjacency-preserving maps V(H) -> V(T), exact; ``max_steps``
+    bounds the work as in ``hom_counts``."""
+    return hom_counts(h, t.adjacency_matrix()[None], max_steps)[0]
 
 
 def hom_density(h, t, max_steps=None):
@@ -171,8 +231,7 @@ def hom_count_blowup(h, multiplicities, t):
     total = 1
     adj = h.adjacency_lists()
     for comp in h.components():
-        order = _bfs_order(h.subgraph(comp), list(range(len(comp))))
-        order = [comp[i] for i in order]
+        order = _bfs_order(h, comp)
         pos = {v: i for i, v in enumerate(order)}
         chosen = [0] * len(order)  # union bitmask of images per placed class
 
@@ -256,121 +315,24 @@ class WeightedTarget:
         return cls(tuple(Fraction(1) for _ in range(t.n)), tuple(map(tuple, dens)))
 
 
-def _path_structure(h):
-    """If H is a path, its vertex order along the walk, else None."""
-    if not h.is_connected() or h.num_edges != h.n - 1:
-        return None
-    degs = [h.degree(v) for v in range(h.n)]
-    if h.n == 1:
-        return [0]
-    if any(d > 2 for d in degs) or degs.count(1) != 2:
-        return None
-    start = degs.index(1)
-    adj = h.adjacency_lists()
-    order = [start]
-    prev = None
-    while len(order) < h.n:
-        nxt = [w for w in adj[order[-1]] if w != prev]
-        prev = order[-1]
-        order.append(nxt[0])
-    return order
-
-
-def _cycle_structure(h):
-    """If H is a cycle (n >= 3), a vertex order around it, else None."""
-    if h.n < 3 or not h.is_connected() or h.num_edges != h.n:
-        return None
-    if any(h.degree(v) != 2 for v in range(h.n)):
-        return None
-    adj = h.adjacency_lists()
-    order = [0]
-    prev = None
-    while len(order) < h.n:
-        nxt = [w for w in adj[order[-1]] if w != prev]
-        prev = order[-1]
-        order.append(nxt[0])
-    return order
-
-
-def _transfer_path_density(m, w):
-    """t(P_m, W) by transfer matrix, exact, O(m q^2)."""
-    q = w.num_classes
-    total = w.total_weight
-    u = [wt / total for wt in w.weights]
-    vec = list(u)
-    for _ in range(m):
-        nxt = [Fraction(0)] * q
-        for a in range(q):
-            va = vec[a]
-            if va == 0:
-                continue
-            row = w.density[a]
-            for b in range(q):
-                if row[b]:
-                    nxt[b] += va * row[b] * u[b]
-        vec = nxt
-    return sum(vec)
-
-
-def _transfer_cycle_density(m, w):
-    """t(C_m, W) = trace((K D)^m), exact."""
-    q = w.num_classes
-    total = w.total_weight
-    d = [wt / total for wt in w.weights]
-    mat = [[w.density[a][b] * d[b] for b in range(q)] for a in range(q)]
-    acc = [[Fraction(int(a == b)) for b in range(q)] for a in range(q)]
-    for _ in range(m):
-        acc = [
-            [sum(acc[i][k] * mat[k][j] for k in range(q)) for j in range(q)]
-            for i in range(q)
-        ]
-    return sum(acc[i][i] for i in range(q))
-
-
-def weighted_hom_density(h, w, max_maps=10 ** 7):
+def weighted_hom_density(h, w):
     """Exact homomorphism density of H in a step-graphon target.
 
-    Paths and cycles go through the transfer matrix; anything else is a
-    brute-force sum over q^{v(H)} class assignments with a work guard.
+    With u = weights / total weight and K the density matrix, scaled to
+    integers by the least common denominators D_u of u and D_K of K, the
+    engine sums prod u * prod K over all class assignments in integers;
+    dividing by D_u^v(H) * D_K^e(H) gives the density.
     """
-    if h.n == 0:
-        return Fraction(1)
-    q = w.num_classes
-    total = Fraction(1)
-    for comp in h.components():
-        sub = h.subgraph(comp)
-        p = _path_structure(sub)
-        if p is not None:
-            total *= _transfer_path_density(sub.num_edges, w)
-            continue
-        c = _cycle_structure(sub)
-        if c is not None:
-            total *= _transfer_cycle_density(sub.n, w)
-            continue
-        if q ** sub.n > max_maps:
-            raise ResourceLimitError("weighted density brute force too large")
-        total *= _weighted_brute(sub, w)
-    return total
-
-
-def _weighted_brute(h, w):
-    q = w.num_classes
-    total_w = w.total_weight
-    u = [wt / total_w for wt in w.weights]
-    edges = sorted(h.edges)
-    acc = Fraction(0)
-    for phi in itertools.product(range(q), repeat=h.n):
-        term = Fraction(1)
-        for v in range(h.n):
-            term *= u[phi[v]]
-        for a, b in edges:
-            d = w.density[phi[a]][phi[b]]
-            if d == 0:
-                term = Fraction(0)
-                break
-            term *= d
-        acc += term
-    return acc
+    total = w.total_weight
+    u = [x / total for x in w.weights]
+    du = math.lcm(*(x.denominator for x in u))
+    dk = math.lcm(*(d.denominator for row in w.density for d in row))
+    uu = np.array([[int(x * du) for x in u]], dtype=object)
+    kk = np.array([[[int(d * dk) for d in row] for row in w.density]], dtype=object)
+    count = _eliminate(h, kk, uu)
+    if count is None:
+        raise ResourceLimitError("weighted density elimination too large")
+    return Fraction(count[0], du ** h.n * dk ** h.num_edges)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ at the intended scale (a few hundred rows).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 
@@ -406,10 +406,6 @@ def check_kr_certificate(i):
 def frac_to_str(x):
     x = Fraction(x)
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
-def str_to_frac(s):
-    return Fraction(s)
 
 
 def lp_to_json(p):

@@ -30,6 +30,7 @@ from homdom.graphs import (
     triangle_pendant,
     unlabel,
 )
+from homdom.graphs import _canonical_ints, _graph_to_int
 
 
 def count_triangles(g):
@@ -173,6 +174,67 @@ class TestEnumerationAndCanonical:
     def test_canonical_cap(self):
         with pytest.raises(GraphError):
             canonical_form(SimpleGraph(9, frozenset()))
+
+    def test_canonical_ints_match_canonical_form(self):
+        # the byte-table sweep gives every labelled graph the minimum image
+        # over all permutations, the integer that canonical_form spells out
+        rng = random.Random(13)
+        for n in range(7):
+            canon = _canonical_ints(n)
+            npairs = n * (n - 1) // 2
+            xs = range(1 << npairs) if n <= 4 else rng.sample(range(1 << npairs), 40)
+            for x in xs:
+                g = SimpleGraph(n, frozenset(
+                    p for i, p in enumerate(itertools.combinations(range(n), 2)) if x >> i & 1))
+                assert _graph_to_int(g) == x
+                bits = canonical_form(g).split(":")[1]
+                assert canon[x] == sum(1 << i for i, b in enumerate(bits) if b == "1")
+
+
+class TestCachedStructure:
+    def test_matches_edge_scan(self):
+        rng = random.Random(17)
+        for _ in range(20):
+            n = rng.randint(0, 9)
+            g = SimpleGraph(n, frozenset(
+                p for p in itertools.combinations(range(n), 2) if rng.random() < 0.4))
+            for v in range(n):
+                nbrs = {b if a == v else a for a, b in g.edges if v in (a, b)}
+                assert g.neighbors(v) == nbrs
+                assert g.degree(v) == len(nbrs)
+                assert g.adjacency_lists()[v] == nbrs
+                assert g.adjacency_masks()[v] == sum(1 << w for w in nbrs)
+
+    def test_callers_cannot_corrupt_the_cache(self):
+        g = cycle_graph(4)
+        adj = g.adjacency_lists()
+        adj[0] = {2}
+        g.adjacency_masks()[0] = 0
+        with pytest.raises(AttributeError):
+            g.neighbors(0).add(2)
+        assert g.neighbors(0) == {1, 3} and g.adjacency_lists()[0] == {1, 3}
+        assert g.adjacency_masks()[0] == 0b1010 and g.degree(0) == 2
+        assert g == cycle_graph(4) and hash(g) == hash(cycle_graph(4))
+
+
+class TestShapeRecognisers:
+    def test_paths_and_cycles(self):
+        rng = random.Random(19)
+        for m in range(1, 8):
+            perm = list(range(m + 1))
+            rng.shuffle(perm)
+            assert path_graph(m).relabeled(perm).is_path()
+            assert not path_graph(m).is_cycle()
+        for m in range(3, 8):
+            perm = list(range(m))
+            rng.shuffle(perm)
+            assert cycle_graph(m).relabeled(perm).is_cycle()
+            assert not cycle_graph(m).is_path()
+        assert SimpleGraph(1).is_path() and complete_graph(2).is_path()
+        assert not complete_graph(2).is_cycle() and not SimpleGraph(0).is_path()
+        for g in (star_graph(3), SimpleGraph(3), disjoint_union(path_graph(1), path_graph(1)),
+                  disjoint_union(cycle_graph(3), cycle_graph(3))):
+            assert not g.is_path() and not g.is_cycle()
 
 
 class TestIO:

@@ -32,7 +32,10 @@ from homdom.homcount import (
     tropical_tree_exponent,
     weighted_hom_density,
 )
+from homdom import homcount
+from homdom.homcount import _backtrack, hom_counts
 from homdom.constructions import path_blowup_pattern
+from homdom.verifier import CorpusSpec, _corpus_densities, build_corpus
 
 
 def hom_count_brute(h, t):
@@ -61,6 +64,11 @@ class TestHomCount:
 
     def test_empty_pattern(self):
         assert hom_count(SimpleGraph(0, frozenset()), complete_graph(3)) == 1
+        assert hom_count(SimpleGraph(0, frozenset()), SimpleGraph(0, frozenset())) == 1
+
+    def test_empty_target(self):
+        assert hom_count(SimpleGraph(2, frozenset()), SimpleGraph(0, frozenset())) == 0
+        assert hom_count(complete_graph(2), SimpleGraph(0, frozenset())) == 0
 
     def test_against_brute_force(self):
         rng = random.Random(2)
@@ -283,29 +291,108 @@ class TestWeightedTargets:
             for h in patterns:
                 assert weighted_hom_density(h, w) == hom_density(h, t)
 
-    def test_transfer_matches_brute(self):
-        # paths/cycles take the transfer-matrix fast path; force the brute
-        # path through a non-path pattern and compare on a 3-class target
+    def test_matches_brute_force(self):
+        # the engine against a q^v(H) sum over class assignments, on seeded
+        # random step graphons and patterns with isolated vertices and
+        # several components
         rng = random.Random(31)
-        weights = tuple(Fraction(rng.randint(1, 5)) for _ in range(3))
-        dens = [[Fraction(0)] * 3 for _ in range(3)]
-        for i in range(3):
-            for j in range(i, 3):
-                d = Fraction(rng.randint(0, 4), 4)
-                dens[i][j] = dens[j][i] = d
-        w = WeightedTarget(weights, tuple(map(tuple, dens)))
-        for h in (path_graph(3), cycle_graph(4), cycle_graph(5), k4_minus_e()):
-            brute = Fraction(0)
-            total = sum(weights)
-            adj = h.adjacency_lists()
-            for phi in itertools.product(range(3), repeat=h.n):
-                term = Fraction(1)
-                for v in range(h.n):
-                    term *= Fraction(weights[phi[v]], total)
-                for a, b in h.edges:
-                    term *= dens[phi[a]][phi[b]]
-                brute += term
-            assert weighted_hom_density(h, w) == brute
+        for _ in range(40):
+            q = rng.randint(1, 4)
+            weights = tuple(Fraction(rng.randint(1, 9), rng.randint(1, 4)) for _ in range(q))
+            dens = [[Fraction(0)] * q for _ in range(q)]
+            for i in range(q):
+                for j in range(i, q):
+                    dens[i][j] = dens[j][i] = Fraction(rng.randint(0, 6), 6)
+            w = WeightedTarget(weights, tuple(map(tuple, dens)))
+            h = random_graph(rng, rng.randint(0, 5), rng.random())
+            assert weighted_hom_density(h, w) == weighted_density_brute(h, w)
+        w = WeightedTarget((Fraction(1), Fraction(2), Fraction(3)),
+                           ((0, Fraction(1, 2), 1), (Fraction(1, 2), Fraction(1, 3), 0),
+                            (1, 0, Fraction(1, 4))))
+        for h in (path_graph(3), cycle_graph(4), cycle_graph(5), k4_minus_e(),
+                  complete_graph(4), disjoint_union(cycle_graph(3), SimpleGraph(2))):
+            assert weighted_hom_density(h, w) == weighted_density_brute(h, w)
+
+
+def weighted_density_brute(h, w):
+    """Oracle: t(H, W) as a sum over all q^v(H) class assignments."""
+    q = w.num_classes
+    u = [x / w.total_weight for x in w.weights]
+    total = Fraction(0)
+    for phi in itertools.product(range(q), repeat=h.n):
+        term = Fraction(1)
+        for v in range(h.n):
+            term *= u[phi[v]]
+        for a, b in h.edges:
+            term *= w.density[phi[a]][phi[b]]
+        total += term
+    return total
+
+
+class TestEliminationEngine:
+    def test_matches_backtracker(self):
+        rng = random.Random(41)
+        for _ in range(150):
+            h = random_graph(rng, rng.randint(1, 6), rng.random())
+            if rng.random() < 0.3:
+                h = disjoint_union(h, random_graph(rng, rng.randint(1, 3)))
+            t = random_graph(rng, rng.randint(1, 9), rng.random())
+            want = _backtrack(h, t.adjacency_matrix(), None)
+            assert hom_count(h, t) == want
+            if h.n <= 4 and t.n <= 5:
+                assert want == hom_count_brute(h, t)
+
+    def test_batched_matches_single(self):
+        rng = random.Random(42)
+        for n in (1, 4, 7):
+            targets = [random_graph(rng, n, rng.random()) for _ in range(12)]
+            adjs = np.stack([t.adjacency_matrix() for t in targets])
+            for _ in range(6):
+                h = random_graph(rng, rng.randint(0, 5), 0.6)
+                assert hom_counts(h, adjs) == [hom_count(h, t) for t in targets]
+
+    def test_corpus_densities_match_single(self):
+        corpus = build_corpus(CorpusSpec(exhaustive_n=4, gnp_count=10, gnp_n=7))
+        for h in (cycle_graph(3), k4_minus_e(), disjoint_union(path_graph(2), SimpleGraph(1))):
+            got = _corpus_densities(h, corpus, None)
+            assert got == [hom_density(h, t) for _, t in corpus]
+
+    def test_beyond_int64(self):
+        # 9^22 >= 2**63 forces the Python-int pass; both counts exceed int64
+        k9 = complete_graph(9)
+        assert hom_count(path_graph(21), k9) == 9 * 8 ** 21 > 2 ** 63
+        assert hom_count(cycle_graph(22), k9) == 8 ** 22 + 8 > 2 ** 63
+        stack = np.stack([k9.adjacency_matrix()] * 3)
+        assert hom_counts(path_graph(21), stack) == [9 * 8 ** 21] * 3
+
+    @pytest.fixture
+    def fallbacks(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _backtrack(*args)
+
+        monkeypatch.setattr(homcount, "_backtrack", counted)
+        return calls
+
+    def test_max_steps_falls_back_to_backtracker(self, fallbacks):
+        # the plan for C4 on 40 vertices costs about 2 * 40^3 multiply-adds;
+        # the backtracker needs far fewer on a sparse target and finishes
+        t = disjoint_union(cycle_graph(20), cycle_graph(20))
+        assert hom_count(cycle_graph(4), t) == cycle_hom_count(4, t) and not fallbacks
+        assert hom_count(cycle_graph(4), t, max_steps=10 ** 4) == cycle_hom_count(4, t)
+        assert len(fallbacks) == 1
+        with pytest.raises(ResourceLimitError):
+            hom_count(cycle_graph(4), t, max_steps=50)
+        with pytest.raises(ResourceLimitError):
+            hom_counts(complete_graph(4), np.stack([complete_graph(30).adjacency_matrix()] * 2),
+                       max_steps=10)
+
+    def test_entry_cap_falls_back_to_backtracker(self, fallbacks):
+        # K5 on 100 vertices needs a factor of 100^4 entries, past the cap
+        t = disjoint_union(complete_graph(5), SimpleGraph(95))
+        assert hom_count(complete_graph(5), t) == 120 and len(fallbacks) == 1
 
 
 class TestClassicalInequalities:

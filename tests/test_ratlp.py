@@ -18,7 +18,6 @@ from homdom.ratlp import (
     solution_to_json,
     solve_lp,
     frac_to_str,
-    str_to_frac,
 )
 
 
@@ -154,7 +153,6 @@ class TestJSON:
     def test_fraction_strings(self):
         assert frac_to_str(Fraction(3, 2)) == "3/2"
         assert frac_to_str(Fraction(4)) == "4"
-        assert str_to_frac("7/3") == Fraction(7, 3)
 
     def test_lp_roundtrip(self):
         lp = kr_lp(3)
