@@ -12,6 +12,7 @@ skipped targets (result incomplete).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -60,6 +61,14 @@ def parse_graph_arg(text):
     return decode_graph(stripped, "graph6")
 
 
+def parse_fraction(text):
+    """A rational from "p/q" or decimal text."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError as exc:
+        raise GraphError(f"zero denominator in {text!r}") from exc
+
+
 def parse_corpus_spec(text):
     """key=value CSV, e.g. 'exhaustive_n=6,gnp_count=200,gnp_n=10,
     gnp_p=1/2,gnp_seed=7,constructions=1'."""
@@ -72,7 +81,7 @@ def parse_corpus_spec(text):
             if key in ("exhaustive_n", "gnp_count", "gnp_n", "gnp_seed"):
                 kwargs[key] = int(val)
             elif key == "gnp_p":
-                kwargs["gnp_p"] = Fraction(val)
+                kwargs["gnp_p"] = parse_fraction(val)
             elif key == "dedup":
                 kwargs["dedup"] = val not in ("0", "false", "False")
             elif key == "constructions":
@@ -128,7 +137,7 @@ def cmd_verify(args, config):
     g = parse_graph_arg(args.g)
     h = parse_graph_arg(args.h)
     corpus = verifier.build_corpus(parse_corpus_spec(args.corpus_spec))
-    report = verifier.check_inequality(g, h, Fraction(args.c), corpus,
+    report = verifier.check_inequality(g, h, parse_fraction(args.c), corpus,
                                        max_steps=config.max_hom_steps)
     _emit(config, json.loads(report.to_json()), args.out)
     return report.exit_code
@@ -265,9 +274,14 @@ def build_parser():
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser():
+    """The parser, built on the first main call and reused after it."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     config = RunConfig(
         command=args.command,
         seed=_effective_seed(args),

@@ -20,7 +20,7 @@ from .graphs import (
     triangle_pendant,
 )
 from .homcount import hom_count
-from .ratlp import frac_to_str, make_lp, solve_lp
+from .ratlp import LPError, frac_to_str
 
 
 @dataclass(frozen=True)
@@ -187,19 +187,94 @@ def odd_cycle_bounds(k, ell):
 # fractional matchings and the subset/cover rules
 # ---------------------------------------------------------------------------
 
+def _double_cover_matching(adj):
+    """Maximum matching of the bipartite double cover H x K_2.
+
+    Left copy v is joined to right copy u' for every edge uv of H. Each
+    free left vertex in turn looks for an augmenting path by breadth-first
+    search. Returns mate, where mate[v] = u when v is matched to u' and -1
+    when v is free.
+    """
+    n = len(adj)
+    mate = [-1] * n
+    owner = [-1] * n   # owner[u] = v when v is matched to u'
+    for root in range(n):
+        came_from = {}  # right vertex -> the left vertex that reached it
+        frontier = [root]
+        end = -1
+        while frontier and end < 0:
+            nxt = []
+            for v in frontier:
+                for u in adj[v]:
+                    if u in came_from:
+                        continue
+                    came_from[u] = v
+                    if owner[u] < 0:
+                        end = u
+                        break
+                    nxt.append(owner[u])
+                if end >= 0:
+                    break
+            frontier = nxt
+        while end >= 0:   # flip the path's edges in and out of the matching
+            v = came_from[end]
+            mate[v], owner[end], end = end, v, mate[v]
+    return mate
+
+
+def _konig_cover(adj, mate):
+    """(left, right) membership of the Konig vertex cover of the double
+    cover built from mate: the left vertices that no alternating path from
+    a free left vertex reaches, and the right vertices that one does."""
+    n = len(adj)
+    owner = [-1] * n
+    for v, u in enumerate(mate):
+        if u >= 0:
+            owner[u] = v
+    left = [u < 0 for u in mate]   # reached from a free left vertex
+    right = [False] * n
+    stack = [v for v in range(n) if left[v]]
+    while stack:
+        v = stack.pop()
+        for u in adj[v]:
+            if not right[u]:
+                right[u] = True
+                w = owner[u]
+                if w >= 0 and not left[w]:
+                    left[w] = True
+                    stack.append(w)
+    return [not r for r in left], right
+
+
 def fractional_matching(h):
-    """nu*(H) by exact LP: max sum x_e, x >= 0, sum_{e at v} x_e <= 1."""
-    edges = sorted(h.edges)
-    if not edges:
+    """nu*(H), half the size of a maximum matching M of the bipartite
+    double cover H x K_2 (Scheinerman-Ullman, Fractional Graph Theory, ch. 2).
+
+    The value is certified exactly by LP duality: x_e = ([uv' in M] +
+    [vu' in M])/2 is a fractional matching of H, y_v = ([v in K] + [v' in
+    K])/2 for the Konig cover K of the double cover is a fractional vertex
+    cover, and their totals agree. LPError when they do not.
+    """
+    if not h.edges:
         raise GraphError("H has no edges")
-    rows = []
-    for v in range(h.n):
-        row = [Fraction(1) if v in e else Fraction(0) for e in edges]
-        rows.append((row, "<=", Fraction(1)))
-    lp = make_lp("max", [1] * len(edges), rows, nonneg=True)
-    sol = solve_lp(lp)
-    assert sol.status == "optimal"
-    return sol.optimum
+    adj = h.adjacency_lists()
+    mate = _double_cover_matching(adj)
+    cover_left, cover_right = _konig_cover(adj, mate)
+    # twice x and twice y, so that every check is on integers
+    x2 = {(u, v): (mate[u] == v) + (mate[v] == u) for u, v in h.edges}
+    y2 = [a + b for a, b in zip(cover_left, cover_right)]
+    load = [0] * h.n
+    for (u, v), xe in x2.items():
+        load[u] += xe
+        load[v] += xe
+        if y2[u] + y2[v] < 2:
+            raise LPError(f"fractional cover misses edge {(u, v)}")
+    if max(load) > 2:
+        raise LPError("fractional matching overloads a vertex")
+    total = sum(x2.values())
+    if total != sum(y2):
+        raise LPError(f"matching {total}/2 and cover {sum(y2)}/2 differ")
+    return Fraction(total, 2)
 
 
 def edge_exponent(h):

@@ -443,7 +443,22 @@ def enumerate_graphs(n, dedup=False):
 
 
 def isomorphic(g, h):
-    return g.n == h.n and canonical_form(g) == canonical_form(h)
+    """Whether g and h are isomorphic.
+
+    Cheap invariants decide first: orders, edge counts and sorted degree
+    sequences that differ give False, and equal edge sets give True. Only
+    the remaining pairs pay for canonical_form. Equal orders above
+    MAX_CANONICAL_N are refused before any invariant is looked at.
+    """
+    if g.n != h.n:
+        return False
+    if g.n > MAX_CANONICAL_N:
+        raise GraphError(f"canonical form capped at n={MAX_CANONICAL_N}")
+    if g.num_edges != h.num_edges or sorted(g._structure[2]) != sorted(h._structure[2]):
+        return False
+    if g.edges == h.edges:
+        return True
+    return canonical_form(g) == canonical_form(h)
 
 
 # ---------------------------------------------------------------------------
@@ -466,6 +481,10 @@ def encode_graph(g, fmt):
     raise GraphError(f"unknown format {fmt!r}")
 
 
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _decode_edge_json(text):
     try:
         data = json.loads(text)
@@ -473,11 +492,13 @@ def _decode_edge_json(text):
         edges = data["edges"]
     except (json.JSONDecodeError, KeyError, TypeError) as exc:
         raise GraphError(f"malformed graph JSON: {exc}") from exc
-    if not isinstance(n, int):
+    if not _is_int(n):
         raise GraphError("n must be an integer")
+    if not isinstance(edges, list):
+        raise GraphError("edges must be a list")
     seen = set()
     for e in edges:
-        if len(e) != 2:
+        if not (isinstance(e, list) and len(e) == 2 and all(map(_is_int, e))):
             raise GraphError(f"bad edge {e}")
         key = (min(e), max(e))
         if key in seen:

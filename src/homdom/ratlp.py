@@ -2,8 +2,9 @@
 
 A small dense two-phase simplex over Fraction with Bland's anti-cycling
 rule. Every optimal solve returns a dual vector and is self-checked by
-exact strong duality before being handed back; performance is irrelevant
-at the intended scale (a few hundred rows).
+exact strong duality before being handed back. Pivots touch only the
+columns where the pivot row is nonzero, since most entries of these
+programs stay zero.
 """
 from __future__ import annotations
 
@@ -111,35 +112,37 @@ def _simplex_canonical(c, arows, b):
         basis.append(n + i if sign[i] > 0 else n + m + art.index(i))
 
     def pivot(r, col):
-        piv = rows[r][col]
-        inv = _ONE / piv
-        rows[r] = [v * inv for v in rows[r]]
+        inv = _ONE / rows[r][col]
+        prow = rows[r] = [v * inv if v else v for v in rows[r]]
         rhs[r] *= inv
-        prow = rows[r]
         pb = rhs[r]
+        # the other rows change only where the pivot row is nonzero
+        support = [j for j, p in enumerate(prow) if p]
         for rr in range(m):
             if rr == r:
                 continue
-            f = rows[rr][col]
+            row = rows[rr]
+            f = row[col]
             if f:
-                rows[rr] = [a - f * p for a, p in zip(rows[rr], prow)]
+                for j in support:
+                    row[j] -= f * prow[j]
                 rhs[rr] -= f * pb
         basis[r] = col
 
     def run_phase(cost, allowed):
         # maximize cost.x restricted to allowed columns; Bland's rule
         while True:
-            # reduced costs: cost_j - cB . column_j
-            red = None
+            # reduced costs: cost_j - cB . column_j, over the basic rows
+            # whose cost is nonzero
+            basic = set(basis)
+            priced = [(cost[basis[r]], rows[r]) for r in range(m) if cost[basis[r]]]
             enter = -1
             for j in range(total):
-                if not allowed[j] or j in basis_set():
+                if not allowed[j] or j in basic:
                     continue
-                zj = sum(cost[basis[r]] * rows[r][j] for r in range(m))
-                rc = cost[j] - zj
+                rc = cost[j] - sum(cb * row[j] for cb, row in priced)
                 if rc > 0:
                     enter = j
-                    red = rc
                     break  # Bland: first improving index
             if enter < 0:
                 return "optimal"
@@ -155,9 +158,6 @@ def _simplex_canonical(c, arows, b):
             if leave < 0:
                 return "unbounded"
             pivot(leave, enter)
-
-    def basis_set():
-        return set(basis)
 
     if art:
         cost1 = [_ZERO] * total

@@ -17,6 +17,7 @@ import numpy as np
 from .constructions import behrend_graph, log_fraction, red_line_graph, simple_family
 from .constructions import ProjectivePlaneSpec
 from .graphs import (
+    GraphError,
     SimpleGraph,
     cycle_with_chord,
     encode_graph,
@@ -183,6 +184,8 @@ def _corpus_densities(pattern, corpus, max_steps):
 def check_inequality(g, h, c, corpus, max_steps=2 * 10 ** 8):
     """Exact check of t(G,T) >= t(H,T)^c over every corpus target."""
     c = Fraction(c)
+    if c < 0:
+        raise GraphError(f"exponent c must be nonnegative, got {c}")
     p, q = c.numerator, c.denominator
     report = VerificationReport({
         "kind": "domination",

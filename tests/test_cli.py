@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from homdom import cli
 from homdom.cli import main, parse_corpus_spec, parse_graph_arg
 from homdom.graphs import complete_graph, cycle_graph, k4_minus_e, path_graph
 
@@ -55,6 +56,79 @@ class TestExponentCommand:
         assert code == 0
         doc = json.loads(out)["result"]
         assert doc["lower"] == "15/7" and doc["upper"] == "11/5"
+
+
+class TestIsomorphismCost:
+    # results as printed before isomorphic checked invariants first
+    RESULTS = {
+        ("P3", "C8"): {"lower": "1/2", "upper": "1/2", "exact": False, "provenance": [
+            "simple-lower", "crude-upper", "subgraph-upper",
+            "composition(path-formula*even-cycle-formula)",
+            "composition(path-formula*kruskal-katona)",
+            "composition(kruskal-katona*even-cycle-formula)"]},
+        ("P7", "C3"): {"lower": "7/2", "upper": "48/13", "exact": False, "provenance": [
+            "simple-lower", "crude-upper",
+            "composition(path-formula*even-cycle-formula)",
+            "composition(path-formula*p2-path-cover)",
+            "composition(kruskal-katona*even-cycle-formula)"]},
+    }
+
+    def test_no_canonical_form_on_eight_vertices(self, capsys, monkeypatch):
+        # the composition catalog holds C8 and P7; invariants must settle
+        # every isomorphism test against them
+        from homdom import graphs
+        orders = []
+        real = graphs.canonical_form
+
+        def counted(g):
+            orders.append(g.n)
+            return real(g)
+
+        monkeypatch.setattr(graphs, "canonical_form", counted)
+        for (g, h), want in self.RESULTS.items():
+            code, out, _ = run(capsys, "exponent", "--g", g, "--h", h)
+            assert code == 0 and json.loads(out)["result"] == want
+        assert 8 not in orders
+
+
+class TestParserReuse:
+    """main builds its parser once; no call may see state from an earlier one."""
+
+    def fresh(self, capsys, *argv):
+        cli._parser.cache_clear()
+        return run(capsys, *argv)
+
+    @pytest.mark.parametrize("first, second", [
+        (("exponent", "--harvest", "--g", "C5", "--h", "C3"),
+         ("exponent", "--g", "C5", "--h", "C3")),
+        (("exponent", "--g", "C5", "--h", "C3"),
+         ("exponent", "--harvest", "--g", "C5", "--h", "C3")),
+        (("--seed", "5", "exponent", "--g", "P2", "--h", "P3"),
+         ("exponent", "--g", "P2", "--h", "P3")),
+        (("lp", "--kr", "2"), ("cone", "--even", "2")),
+    ])
+    def test_consecutive_calls(self, capsys, first, second):
+        want = self.fresh(capsys, *second)
+        run(capsys, *first)
+        assert run(capsys, *second) == want
+
+    def test_bad_argument_then_good(self, capsys):
+        want = self.fresh(capsys, "exponent", "--g", "P5", "--h", "P13")
+        with pytest.raises(SystemExit) as exc:
+            main(["exponent", "--g", "P5"])
+        assert exc.value.code == 2
+        assert "--h" in capsys.readouterr().err
+        assert run(capsys, "exponent", "--g", "P5", "--h", "P13") == want
+
+    def test_built_once(self, monkeypatch, capsys):
+        cli._parser.cache_clear()
+        calls = []
+        real = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: calls.append(1) or real())
+        for _ in range(3):
+            run(capsys, "exponent", "--g", "P2", "--h", "P3")
+        assert calls == [1]
+        cli._parser.cache_clear()
 
 
 class TestVerifyCommand:
@@ -111,6 +185,16 @@ class TestErrorExits:
         (("cone", "--even", "1"), "need k >= 2"),
         (("construct", "--family", "path_blowup", "--size", "10"),
          "family 'path_blowup' needs parameter(s) k, l, m"),
+        (("verify", "--g", "C4", "--h", "K2", "--c", "-1"),
+         "exponent c must be nonnegative, got -1"),
+        (("verify", "--g", "C4", "--h", "K2", "--c", "1/0"),
+         "zero denominator in '1/0'"),
+        (("verify", "--g", "C4", "--h", "K2", "--c", "1",
+          "--corpus-spec", "gnp_count=1,gnp_p=1/0"), "zero denominator in '1/0'"),
+        (("exponent", "--g", '{"n":2,"edges":[[0,1.0]]}', "--h", "K3"),
+         "bad edge [0, 1.0]"),
+        (("exponent", "--g", '{"n":true,"edges":[]}', "--h", "K3"),
+         "n must be an integer"),
     ])
     def test_bad_input_exit_2(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)

@@ -191,6 +191,61 @@ class TestEnumerationAndCanonical:
                 assert canon[x] == sum(1 << i for i, b in enumerate(bits) if b == "1")
 
 
+def random_graph(rng, n, p=0.5):
+    return SimpleGraph(n, frozenset(
+        e for e in itertools.combinations(range(n), 2) if rng.random() < p))
+
+
+def shuffled(rng, g):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return g.relabeled(perm)
+
+
+class TestIsomorphic:
+    """isomorphic decides on invariants where it can; canonical_form is the oracle."""
+
+    def agrees(self, g, h):
+        want = g.n == h.n and canonical_form(g) == canonical_form(h)
+        assert isomorphic(g, h) == want == isomorphic(h, g)
+        return want
+
+    def test_seeded_relabelled_pairs(self):
+        rng = random.Random(23)
+        verdicts = []
+        for n in range(8):
+            for _ in range(12 if n < 7 else 1):
+                g = random_graph(rng, n)
+                assert self.agrees(g, shuffled(rng, g))
+                # same order and edge count, often not isomorphic
+                other = SimpleGraph(n, frozenset(rng.sample(
+                    list(itertools.combinations(range(n), 2)), g.num_edges)))
+                verdicts.append(self.agrees(g, other))
+                verdicts.append(self.agrees(g, shuffled(rng, random_graph(rng, n))))
+        assert True in verdicts and False in verdicts
+
+    def test_same_degree_sequence_not_isomorphic(self):
+        two_triangles = disjoint_union(cycle_graph(3), cycle_graph(3))
+        assert not self.agrees(cycle_graph(6), two_triangles)
+        prism = SimpleGraph(6, cycle_graph(3).edges | {(3, 4), (4, 5), (3, 5)}
+                            | {(0, 3), (1, 4), (2, 5)})
+        assert not self.agrees(complete_bipartite(3, 3), prism)
+        rng = random.Random(29)
+        assert self.agrees(shuffled(rng, prism), prism)
+        assert self.agrees(shuffled(rng, cycle_graph(6)), cycle_graph(6))
+
+    def test_equal_orders_past_the_cap_raise(self):
+        for g, h in ((path_graph(8), path_graph(8)), (cycle_graph(9), path_graph(8)),
+                     (SimpleGraph(12), complete_graph(12))):
+            with pytest.raises(GraphError, match="canonical form capped at n=8"):
+                isomorphic(g, h)
+
+    def test_different_orders_are_not_isomorphic(self):
+        for a, b in ((1, 2), (7, 8), (8, 9), (9, 10), (3, 40)):
+            assert not isomorphic(SimpleGraph(a), SimpleGraph(b))
+            assert not isomorphic(path_graph(a), path_graph(b))
+
+
 class TestCachedStructure:
     def test_matches_edge_scan(self):
         rng = random.Random(17)
@@ -265,3 +320,9 @@ class TestIO:
             decode_graph('{"n":2,"edges":[[0,0]]}', "edge_json")
         with pytest.raises(GraphError):
             decode_graph('{"n":2,"edges":[[0,5]]}', "edge_json")
+        for text in ('{"n":true,"edges":[]}', '{"n":2.0,"edges":[[0,1]]}',
+                     '{"n":2,"edges":[[0,1.0]]}', '{"n":2,"edges":[[false,true]]}',
+                     '{"n":2,"edges":[[0,1,1]]}', '{"n":2,"edges":5}',
+                     '{"n":2,"edges":[5]}'):
+            with pytest.raises(GraphError):
+                decode_graph(text, "edge_json")

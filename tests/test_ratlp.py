@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from homdom.graphs import SimpleGraph, complete_graph, cycle_graph, enumerate_graphs
+from homdom import formulas
 from homdom.formulas import fractional_matching
+from homdom.graphs import GraphError, SimpleGraph, cycle_graph, enumerate_graphs, star_graph
 from homdom.ratlp import (
     LPError,
     LPProblem,
@@ -99,30 +100,64 @@ class TestBasicSolves:
             make_lp("max", [1], [([1], "<", 1)])
 
 
-class TestFractionalMatchingLP:
-    def test_half_integral_small(self):
-        # nu* is half-integral on every graph with <= 6 vertices
-        for g in enumerate_graphs(6, dedup=True):
-            if g.num_edges == 0:
-                continue
-            nu = fractional_matching(g)
-            assert (2 * nu).denominator == 1
+def lp_fractional_matching(h):
+    """nu*(H) by the exact LP: max sum x_e, x >= 0, sum_{e at v} x_e <= 1."""
+    edges = sorted(h.edges)
+    rows = [([1 if v in e else 0 for e in edges], "<=", 1) for v in range(h.n)]
+    sol = solve_lp(make_lp("max", [1] * len(edges), rows))
+    assert sol.status == "optimal"
+    return sol.optimum
 
-    def test_half_integral_sampled_7(self):
+
+class TestFractionalMatchingLP:
+    """fractional_matching reads nu* off a matching of the double cover;
+    the LP it replaced stays here as the oracle."""
+
+    def test_matches_lp_oracle_small(self):
+        for n in range(2, 7):
+            for g in enumerate_graphs(n, dedup=True):
+                if g.num_edges == 0:
+                    continue
+                nu = fractional_matching(g)
+                assert nu == lp_fractional_matching(g), g
+                assert (2 * nu).denominator == 1
+
+    def test_matches_lp_oracle_random(self):
         rng = random.Random(77)
         for _ in range(40):
+            n = rng.randint(7, 10)
+            p = rng.choice([0.15, 0.3, 0.5])
             edges = frozenset(
-                p for p in itertools.combinations(range(7), 2)
-                if rng.random() < 0.4
-            )
-            if not edges:
-                continue
-            nu = fractional_matching(SimpleGraph(7, edges))
-            assert (2 * nu).denominator == 1
+                e for e in itertools.combinations(range(n), 2) if rng.random() < p
+            ) or frozenset([(0, 1)])
+            g = SimpleGraph(n, edges)
+            assert fractional_matching(g) == lp_fractional_matching(g), g
 
     def test_odd_cycle_value(self):
         assert fractional_matching(cycle_graph(5)) == Fraction(5, 2)
         assert fractional_matching(cycle_graph(7)) == Fraction(7, 2)
+
+    def test_no_edges(self):
+        with pytest.raises(GraphError):
+            fractional_matching(SimpleGraph(3))
+
+    def test_certificate_rejects_a_smaller_matching(self, monkeypatch):
+        real = formulas._double_cover_matching
+
+        def drop_one(adj):
+            mate = real(adj)
+            mate[next(v for v, u in enumerate(mate) if u >= 0)] = -1
+            return mate
+
+        monkeypatch.setattr(formulas, "_double_cover_matching", drop_one)
+        with pytest.raises(LPError, match="differ"):
+            fractional_matching(cycle_graph(5))
+
+    def test_certificate_rejects_an_overloaded_vertex(self, monkeypatch):
+        # every leaf of the star K_{1,3} matched to the centre's copy
+        monkeypatch.setattr(formulas, "_double_cover_matching", lambda adj: [1, 0, 0, 0])
+        with pytest.raises(LPError, match="overloads"):
+            fractional_matching(star_graph(3))
 
 
 class TestKRFamily:
