@@ -38,7 +38,6 @@ from .homcount import (
     cycle_hom_count,
     hom_count,
     hom_density,
-    path_hom_count,
     rooted_cycle_hom,
     tropical_tree_exponent,
     weighted_hom_density,

@@ -33,8 +33,6 @@ class RunConfig:
     command: str
     seed: int
     max_hom_steps: int
-    max_lp_dim: int
-    max_vertices: int
     out: str
 
 
@@ -197,7 +195,7 @@ def cmd_estimate(args, config):
     kind, _, params = args.family.partition(":")
     fam = constructions.ScalingFamily(kind, parse_params(params), seed=config.seed)
     sizes = [int(s) for s in args.sizes.split(",")]
-    result = constructions.estimate_ratio(g, h, fam, sizes)
+    result = constructions.estimate_ratio(g, h, fam, sizes, max_steps=config.max_hom_steps)
     payload = {
         "family": args.family,
         "ratios": [{"size": s, "ratio": r} for s, r in result["ratios"]],
@@ -219,9 +217,11 @@ def build_parser():
                     "constructions, cones, LPs, and corpus verification.",
     )
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    parser.add_argument("--max-hom-steps", type=int, default=2 * 10 ** 8)
-    parser.add_argument("--max-lp-dim", type=int, default=ratlp.MAX_LP_DIM)
-    parser.add_argument("--max-vertices", type=int, default=50_000)
+    parser.add_argument(
+        "--max-hom-steps", type=int, default=2 * 10 ** 8,
+        help="work ceiling of each exact hom count; it does not bound the "
+             "walk counts of cycles and K2 on targets of more than 64 vertices",
+    )
     parser.add_argument("--out", default="")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -286,8 +286,6 @@ def main(argv=None):
         command=args.command,
         seed=_effective_seed(args),
         max_hom_steps=args.max_hom_steps,
-        max_lp_dim=args.max_lp_dim,
-        max_vertices=args.max_vertices,
         out=args.out,
     )
     try:

@@ -15,12 +15,10 @@ import numpy as np
 from .graphs import GraphError, SimpleGraph, complete_graph, disjoint_union
 from .homcount import (
     ResourceLimitError,
-    WalkCounter,
     WeightedPattern,
     WeightedTarget,
     closed_walk_counts_dense,
     hom_density,
-    weighted_hom_density,
 )
 
 
@@ -300,13 +298,12 @@ def behrend_triangle_hom_count(n):
 def simple_family(kind, n):
     """The named elementary scaling families.
 
-    half_clique and clique_plus_isolated both mean K_n plus n isolated
-    vertices (the same construction appears under both names); two_cliques
-    is two disjoint copies of K_n; single_edge is one edge on n vertices.
+    clique_plus_isolated is K_n plus n isolated vertices; two_cliques is
+    two disjoint copies of K_n; single_edge is one edge on n vertices.
     """
     if n < 2:
         raise GraphError("need n >= 2")
-    if kind in ("half_clique", "clique_plus_isolated"):
+    if kind == "clique_plus_isolated":
         g = complete_graph(n)
         return SimpleGraph(2 * n, g.edges)
     if kind == "two_cliques":
@@ -344,7 +341,7 @@ class ScalingFamily:
         if self.kind == "bipartite_power":
             mode = p.get("mode", "random")
             return bipartite_power_target(p["i"], size, mode=mode, seed=self.seed)
-        if self.kind in ("half_clique", "two_cliques", "clique_plus_isolated", "single_edge"):
+        if self.kind in ("two_cliques", "clique_plus_isolated", "single_edge"):
             return simple_family(self.kind, size)
         if self.kind == "behrend":
             return behrend_graph(size)
@@ -359,37 +356,19 @@ def log_fraction(x):
     return math.log(x.numerator) - math.log(x.denominator)
 
 
-def _density(pattern_graph, target, cache=None):
-    """t(H, T) for simple or weighted targets; exact Fraction when feasible.
-    Calls on one large target that pass the same ``cache`` share its walk kernel."""
-    if isinstance(target, WeightedTarget):
-        return weighted_hom_density(pattern_graph, target)
-    if target.n <= 64:
-        return hom_density(pattern_graph, target)
-    # big simple targets: only walk-countable patterns are supported
-    is_edge = pattern_graph.n == 2 and pattern_graph.num_edges == 1
-    if not (pattern_graph.is_cycle() or is_edge):
-        raise ResourceLimitError("large target: only cycle/edge patterns supported")
-    m = 2 if pattern_graph.n == 2 else pattern_graph.n
-    cache = {} if cache is None else cache
-    if "walks" not in cache:
-        cache["walks"] = WalkCounter(target.adjacency_matrix(np.float32))
-    return Fraction(cache["walks"].closed(m), target.n ** m)
-
-
-def estimate_ratio(g, h, family, sizes):
+def estimate_ratio(g, h, family, sizes, max_steps=None):
     """Per-size log-density ratios log t(G,T)/log t(H,T) for a family.
 
     Returns a dict with the (size, ratio) list, the last value as the
     (deliberately naive) extrapolation, and a monotone-trend flag. Raises
-    if any instantiation has t(H,T) outside (0, 1).
+    if any instantiation has t(H,T) outside (0, 1); ``max_steps`` bounds
+    the work of each density as in ``hom_density``.
     """
     ratios = []
     for size in sorted(sizes):
         target = family.build(size)
-        cache = {}
-        tg = _density(g, target, cache)
-        th = _density(h, target, cache)
+        tg = hom_density(g, target, max_steps)
+        th = hom_density(h, target, max_steps)
         if not (0 < th < 1):
             raise GraphError(f"degenerate family: t(H,T)={th} at size {size}")
         if tg == 0:

@@ -7,16 +7,19 @@ are summed out one at a time along a min-fill order, each by a single
 targets of one order at once. It runs in int64 while the a priori bound
 on every intermediate entry fits, on Python ints above. A plan that needs
 more work than the caller allows falls back to a budgeted backtracker.
-The walk kernel ``WalkCounter`` stays exact on BLAS by choosing each
-product's arithmetic from the entry bound A^k[i, j] <= D^(k-1), D the
-maximum degree: float32 below 2**24, float64 below 2**53, Python ints
-above. Sums of entries run in int64, or in Python ints if it could overflow.
+Cycles and K2 on targets of more than 64 vertices are counted instead
+by the target's walk kernel ``WalkCounter``, which stays exact on BLAS by
+choosing each product's arithmetic from the entry bound
+A^k[i, j] <= D^(k-1), D the maximum degree: float32 below 2**24, float64
+below 2**53, Python ints above. Sums of entries run in int64, or in
+Python ints if it could overflow.
 """
 from __future__ import annotations
 
 import functools
 import itertools
 import math
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -200,13 +203,23 @@ def hom_counts(h, adjs, max_steps=None):
 
 
 def hom_count(h, t, max_steps=None):
-    """Number of adjacency-preserving maps V(H) -> V(T), exact; ``max_steps``
-    bounds the work as in ``hom_counts``."""
+    """Number of adjacency-preserving maps V(H) -> V(T), exact.
+
+    A cycle or K2 on a target of more than 64 vertices is counted by the
+    target's walk kernel, which ``max_steps`` does not bound; every other
+    pair by elimination, with ``max_steps`` bounding the work as in
+    ``hom_counts``.
+    """
+    if t.n > _WALK_MIN_ORDER and (h.is_cycle() or (h.n == 2 and h.num_edges == 1)):
+        return _walks(t).closed(h.n)
     return hom_counts(h, t.adjacency_matrix()[None], max_steps)[0]
 
 
 def hom_density(h, t, max_steps=None):
-    """t(H,T) = hom(H,T) / v(T)^v(H), exact."""
+    """t(H, T), exact, for a simple target (hom(H,T) / v(T)^v(H)) or a
+    step-graphon ``WeightedTarget``; ``max_steps`` bounds the work."""
+    if isinstance(t, WeightedTarget):
+        return weighted_hom_density(h, t, max_steps)
     if t.n == 0:
         raise GraphError("empty target")
     return Fraction(hom_count(h, t, max_steps=max_steps), t.n ** h.n)
@@ -315,13 +328,15 @@ class WeightedTarget:
         return cls(tuple(Fraction(1) for _ in range(t.n)), tuple(map(tuple, dens)))
 
 
-def weighted_hom_density(h, w):
+def weighted_hom_density(h, w, max_steps=None):
     """Exact homomorphism density of H in a step-graphon target.
 
     With u = weights / total weight and K the density matrix, scaled to
     integers by the least common denominators D_u of u and D_K of K, the
     engine sums prod u * prod K over all class assignments in integers;
-    dividing by D_u^v(H) * D_K^e(H) gives the density.
+    dividing by D_u^v(H) * D_K^e(H) gives the density. Raises
+    ResourceLimitError when the plan needs more than ``max_steps``
+    multiply-adds or a factor past the entry cap.
     """
     total = w.total_weight
     u = [x / total for x in w.weights]
@@ -329,7 +344,7 @@ def weighted_hom_density(h, w):
     dk = math.lcm(*(d.denominator for row in w.density for d in row))
     uu = np.array([[int(x * du) for x in u]], dtype=object)
     kk = np.array([[[int(d * dk) for d in row] for row in w.density]], dtype=object)
-    count = _eliminate(h, kk, uu)
+    count = _eliminate(h, kk, uu, max_steps)
     if count is None:
         raise ResourceLimitError("weighted density elimination too large")
     return Fraction(count[0], du ** h.n * dk ** h.num_edges)
@@ -444,19 +459,22 @@ class WalkCounter:
             return 0 if m % 2 else 2 * self.half.trace(m // 2)
         return self.full.trace(m)
 
-    def total(self, m):
-        """1^T A^m 1, the number of walks of length m >= 1."""
-        am = self.full[m]
-        return _exact_sum(len(am) * self.full.degree ** m, am)
-
     def entries(self, k, rows, cols):
         """The entries A^k[rows[i], cols[i]] for k >= 1, as Python ints."""
         return [int(x) for x in self.full[k][rows, cols].tolist()]
 
 
-def path_hom_count(m, t):
-    """hom(P_m, T) = 1^T A^m 1, exact big integer."""
-    return WalkCounter(t.adjacency_matrix(np.float32)).total(m)
+_WALK_MIN_ORDER = 64  # hom_count counts cycles and K2 by walks on larger targets
+_walk_counters = weakref.WeakKeyDictionary()
+
+
+def _walks(t):
+    """The walk kernel of simple target ``t``: one per target, shared by
+    every count on it (so C4 then C3 build A^2 once) and freed with it."""
+    walks = _walk_counters.get(t)
+    if walks is None:
+        walks = _walk_counters[t] = WalkCounter(t.adjacency_matrix(np.float32))
+    return walks
 
 
 def cycle_hom_count(m, t):

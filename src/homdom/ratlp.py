@@ -423,12 +423,20 @@ def lp_to_json(p):
     )
 
 
+def _key(d, key):
+    """``d[key]`` for a JSON object ``d``, else LPError naming the key."""
+    if not isinstance(d, dict) or key not in d:
+        raise LPError(f"LP JSON: missing key {key!r}")
+    return d[key]
+
+
 def lp_from_json(text):
     d = json.loads(text)
     return make_lp(
-        d["sense"],
-        [Fraction(c) for c in d["objective"]],
-        [([Fraction(c) for c in r["coeffs"]], r["rel"], Fraction(r["rhs"])) for r in d["rows"]],
+        _key(d, "sense"),
+        [Fraction(c) for c in _key(d, "objective")],
+        [([Fraction(c) for c in _key(r, "coeffs")], _key(r, "rel"), Fraction(_key(r, "rhs")))
+         for r in _key(d, "rows")],
         nonneg=[bool(b) for b in d.get("nonneg", [True] * len(d["objective"]))],
         names=tuple(d.get("names", ())),
     )

@@ -195,11 +195,24 @@ class TestErrorExits:
          "bad edge [0, 1.0]"),
         (("exponent", "--g", '{"n":true,"edges":[]}', "--h", "K3"),
          "n must be an integer"),
+        (("--max-hom-steps", "1000", "estimate", "--g", "K4", "--h", "K3",
+          "--family", "projective:k=2", "--sizes", "11"), "hom counting work ceiling exceeded"),
     ])
     def test_bad_input_exit_2(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert err == f"error: {message}\n" and "Traceback" not in err
+
+    @pytest.mark.parametrize("text, key", [
+        ("{}", "sense"),
+        ('{"sense": "max", "objective": [1], "rows": [{"coeffs": [1], "rhs": 1}]}', "rel"),
+    ])
+    def test_lp_file_missing_key(self, capsys, tmp_path, text, key):
+        f = tmp_path / "lp.json"
+        f.write_text(text)
+        code, out, err = run(capsys, "lp", "--file", str(f))
+        assert code == 2 and out == ""
+        assert err == f"error: LP JSON: missing key {key!r}\n"
 
 
 class TestConeCommand:
@@ -243,8 +256,20 @@ class TestEstimateCommand:
         assert len(doc["ratios"]) == 3
         assert doc["monotone"] is True
 
+    def test_large_target_any_pattern(self, capsys):
+        # K4-e on the 133-vertex red-line target is counted by elimination
+        code, out, _ = run(capsys, "estimate", "--g", "K4-e", "--h", "K3",
+                           "--family", "projective:k=2", "--sizes", "11")
+        assert code == 0
+        ratio = json.loads(out)["result"]["ratios"][0]
+        assert ratio["size"] == 11 and 1 < ratio["ratio"] < 2
+
 
 class TestConfigPlumbing:
+    def test_config_header(self, capsys):
+        _, out, _ = run(capsys, "exponent", "--g", "K2", "--h", "K3")
+        assert list(json.loads(out)["config"]) == ["command", "seed", "max_hom_steps", "out"]
+
     def test_seed_env_override(self, capsys, monkeypatch):
         monkeypatch.setenv("HOMDOM_SEED", "123")
         _, out, _ = run(capsys, "exponent", "--g", "K2", "--h", "K3")

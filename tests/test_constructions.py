@@ -171,16 +171,18 @@ class TestBehrend:
 
 
 class TestSimpleFamilies:
-    def test_alias(self):
-        assert simple_family("half_clique", 5) == simple_family(
-            "clique_plus_isolated", 5)
+    def test_no_half_clique_alias(self):
+        with pytest.raises(GraphError):
+            simple_family("half_clique", 5)
+        with pytest.raises(GraphError):
+            ScalingFamily("half_clique").build(5)
 
     def test_shapes(self):
         g = simple_family("two_cliques", 4)
         assert g.n == 8 and g.num_edges == 12
         g = simple_family("single_edge", 6)
         assert g.n == 6 and g.num_edges == 1
-        g = simple_family("half_clique", 4)
+        g = simple_family("clique_plus_isolated", 4)
         assert g.n == 8 and g.num_edges == 6
 
     def test_single_edge_cycle_density(self):

@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -27,14 +29,13 @@ from homdom.homcount import (
     hom_count,
     hom_count_blowup,
     hom_density,
-    path_hom_count,
     rooted_cycle_hom,
     tropical_tree_exponent,
     weighted_hom_density,
 )
 from homdom import homcount
 from homdom.homcount import _backtrack, hom_counts
-from homdom.constructions import path_blowup_pattern
+from homdom.constructions import ProjectivePlaneSpec, path_blowup_pattern, red_line_graph
 from homdom.verifier import CorpusSpec, _corpus_densities, build_corpus
 
 
@@ -154,7 +155,7 @@ class TestWalkCounting:
         k3 = complete_graph(3)
         assert cycle_hom_count(3, k3) == 6
         assert cycle_hom_count(4, k3) == 18
-        assert path_hom_count(2, complete_graph(2)) == 2
+        assert hom_count(path_graph(2), complete_graph(2)) == 2
 
     def test_cycle_matches_hom_count(self):
         rng = random.Random(12)
@@ -218,9 +219,8 @@ class TestWalkCounter:
             for m in range(1, 9):
                 am = int_matpow(a, m)
                 assert walks.closed(m) == sum(am[i][i] for i in range(t.n))
-                assert walks.total(m) == sum(map(sum, am))
                 assert walks.entries(m, rows, cols) == [am[i][j] for i, j in zip(rows, cols)]
-                assert type(walks.closed(m)) is int and type(walks.total(m)) is int
+                assert type(walks.closed(m)) is int
 
     @pytest.mark.parametrize("n, m, dtype", [
         (5, 8, np.float32),   # entries of A^4 <= 4^3
@@ -232,7 +232,6 @@ class TestWalkCounter:
         d = n - 1
         assert walks.closed(m) == d ** m + d * (-1) ** m
         assert walks.full.powers[m - m // 2].dtype == dtype
-        assert walks.total(m) == n * d ** m
         off, diag = (d ** m - (-1) ** m) // n, (d ** m + d * (-1) ** m) // n
         assert walks.entries(m, [0, 0, n - 1], [1, 0, n - 1]) == [off, diag, diag]
 
@@ -393,6 +392,72 @@ class TestEliminationEngine:
         # K5 on 100 vertices needs a factor of 100^4 entries, past the cap
         t = disjoint_union(complete_graph(5), SimpleGraph(95))
         assert hom_count(complete_graph(5), t) == 120 and len(fallbacks) == 1
+
+
+class TestWalkRouting:
+    """hom_count sends cycles and K2 on targets of more than 64 vertices to
+    the walk kernel and every other pair to elimination."""
+
+    def test_matches_elimination_across_switch(self):
+        rng = random.Random(61)
+        patterns = [cycle_graph(m) for m in range(3, 7)] + [path_graph(m) for m in range(1, 6)]
+        for n in (60, 64, 65, 70):
+            t = random_graph(rng, n, rng.uniform(0.05, 0.3))
+            adj = t.adjacency_matrix()[None]
+            for h in patterns:
+                assert hom_count(h, t) == hom_counts(h, adj)[0], (n, h)
+
+    def test_long_paths_stay_on_elimination(self, monkeypatch):
+        # a path with two or more edges needs no n x n matrix product: it is
+        # counted by elimination, and no walk kernel is built for it
+        def no_kernel(adj):
+            raise AssertionError("walk kernel built for a path")
+
+        t = random_graph(random.Random(62), 70, 0.2)
+        adj = t.adjacency_matrix()[None]
+        monkeypatch.setattr(homcount, "WalkCounter", no_kernel)
+        for m in range(2, 14):
+            h = path_graph(m)
+            assert hom_count(h, t) == hom_counts(h, adj)[0], m
+
+    def test_red_line_k4e_matches_backtracker(self):
+        t = red_line_graph(ProjectivePlaneSpec(11, 2), seed=1)
+        assert t.n == 133
+        h = k4_minus_e()
+        assert hom_density(h, t) == Fraction(_backtrack(h, t.adjacency_matrix(), None), t.n ** 4)
+
+    def test_one_shared_kernel_freed_with_target(self, monkeypatch):
+        built, dtypes = [], []
+
+        class Counted(WalkCounter):
+            def __init__(self, adj):
+                super().__init__(adj)
+                built.append(weakref.ref(self))
+
+        matrix = SimpleGraph.adjacency_matrix
+
+        def adjacency_matrix(self, dtype=np.int64):
+            dtypes.append(dtype)
+            return matrix(self, dtype)
+
+        monkeypatch.setattr(homcount, "WalkCounter", Counted)
+        monkeypatch.setattr(SimpleGraph, "adjacency_matrix", adjacency_matrix)
+        t = red_line_graph(ProjectivePlaneSpec(11, 2), seed=1)
+        c4 = hom_count(cycle_graph(4), t)
+        c3 = hom_count(cycle_graph(3), t)
+        a = matrix(t, np.int64)
+        assert (c4, c3) == (int(np.trace(np.linalg.matrix_power(a, 4))),
+                            int(np.trace(np.linalg.matrix_power(a, 3))))
+        assert len(built) == 1 and dtypes == [np.float32]
+        del t
+        gc.collect()
+        assert built[0]() is None
+
+    def test_weighted_target(self):
+        w = WeightedTarget((1, 2, 3), ((0, Fraction(1, 2), 1), (Fraction(1, 2), 1, 0), (1, 0, 0)))
+        assert hom_density(k4_minus_e(), w) == weighted_hom_density(k4_minus_e(), w)
+        with pytest.raises(ResourceLimitError):
+            hom_density(k4_minus_e(), w, max_steps=10)
 
 
 class TestClassicalInequalities:

@@ -71,6 +71,10 @@ class TestCorpus:
         assert "behrend(30)" in tags
         assert "single_edge(8)" in tags
 
+    def test_constructions_distinct(self):
+        targets = [t for _, t in build_corpus(CorpusSpec(include_constructions=True))]
+        assert len(set(targets)) == len(targets)
+
 
 class TestCrossPower:
     def test_exact_verdicts(self):
@@ -119,13 +123,18 @@ class TestCheckInequality:
         assert doc["num_targets"] == len(self.corpus)
 
     def test_skip_policy(self):
-        # an oversized simple target cannot be densified exactly: skipped,
-        # exit code 4
+        # K4 on a target past the work ceiling cannot be densified exactly:
+        # skipped, exit code 4
         big = simple_family("two_cliques", 40)  # 80 vertices
         corpus = Corpus((("big", big),))
-        report = check_inequality(complete_graph(3), complete_graph(2),
+        report = check_inequality(complete_graph(4), complete_graph(2),
                                   1, corpus, max_steps=10)
         assert report.skipped and report.exit_code == 4
+        # cycles and paths on more than 64 vertices are walk counts, which
+        # the ceiling does not bound
+        report = check_inequality(complete_graph(3), complete_graph(2),
+                                  3, corpus, max_steps=10)
+        assert not report.skipped and report.exit_code == 0
 
 
 class TestRatioCertifiedLower:
