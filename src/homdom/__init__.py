@@ -7,7 +7,6 @@ tropicalization cones, and corpus-based inequality verification.
 
 from .graphs import (
     GraphError,
-    PartiallyLabeledGraph,
     SimpleGraph,
     blowup,
     canonical_form,
@@ -21,15 +20,12 @@ from .graphs import (
     encode_graph,
     enumerate_graphs,
     from_shorthand,
-    glue,
     isomorphic,
     k4_minus_e,
-    named_graph,
     path_graph,
     star_graph,
     tensor_product,
     triangle_pendant,
-    unlabel,
 )
 from .homcount import (
     ResourceLimitError,
@@ -38,7 +34,6 @@ from .homcount import (
     cycle_hom_count,
     hom_count,
     hom_density,
-    rooted_cycle_hom,
     tropical_tree_exponent,
     weighted_hom_density,
 )
@@ -89,7 +84,6 @@ from .verifier import (
     check_inequality,
     gnp_graph,
     search_problem6,
-    tensor_amplify,
 )
 
 __version__ = "0.1.0"

@@ -22,6 +22,9 @@ from .graphs import (
 from .homcount import hom_count
 from .ratlp import LPError, frac_to_str
 
+MAX_SEARCH_N = 12  # largest H of the Hamiltonian-cycle and path-cover searches
+MAX_KK_N = 10  # largest H of the Kruskal-Katona all-subsets check
+
 
 @dataclass(frozen=True)
 class ExponentBound:
@@ -134,11 +137,11 @@ def even_cycle_exponent(k, ell):
     return Fraction(4 * k * (k - 1), 2 * k * ell - 2 * k - ell)
 
 
-def is_hamiltonian(h, max_n=12):
+def is_hamiltonian(h):
     """Brute-force Hamiltonian cycle search (small graphs only)."""
     n = h.n
-    if n > max_n:
-        raise GraphError("Hamiltonicity search capped at 12 vertices")
+    if n > MAX_SEARCH_N:
+        raise GraphError(f"Hamiltonicity search capped at {MAX_SEARCH_N} vertices")
     if n < 3:
         return False
     adj = h.adjacency_lists()
@@ -312,24 +315,24 @@ def has_subgraph(host, pattern):
     return place(0)
 
 
-def kk_exponent(g, h, max_n=10):
+def kk_exponent(g, h):
     """C(G,H) = v(G)/v(H) when every v(G)-subset of V(H) contains a copy
     of G (Kruskal-Katona regime). None when the hypothesis fails."""
     if g.n > h.n:
         return None
-    if h.n > max_n:
-        raise GraphError("all-subsets check capped at 10 vertices")
+    if h.n > MAX_KK_N:
+        raise GraphError(f"all-subsets check capped at {MAX_KK_N} vertices")
     for subset in itertools.combinations(range(h.n), g.n):
         if not has_subgraph(h.subgraph(list(subset)), g):
             return None
     return Fraction(g.n, h.n)
 
 
-def has_path_cover(h, max_n=12):
+def has_path_cover(h):
     """Can V(H) be partitioned into vertex-disjoint paths of >= 2 edges
     whose edges all lie in H? Exhaustive search, small graphs only."""
-    if h.n > max_n:
-        raise GraphError("path-cover search capped at 12 vertices")
+    if h.n > MAX_SEARCH_N:
+        raise GraphError(f"path-cover search capped at {MAX_SEARCH_N} vertices")
     adj = h.adjacency_lists()
     covered = [False] * h.n
 
@@ -431,7 +434,7 @@ def _exact_rule(g, h):
         h.n if h.is_cycle() else None)
     if gc is not None and gc % 2 == 0 and hc is not None:
         return even_cycle_exponent(gc // 2, hc), "even-cycle-formula"
-    if gc is not None and gc % 2 == 0 and hc is None and h.n <= 12:
+    if gc is not None and gc % 2 == 0 and hc is None and h.n <= MAX_SEARCH_N:
         if 2 * (gc // 2) >= h.n and is_hamiltonian(h):
             return hamiltonian_exponent(gc // 2, h), "hamiltonian-target"
 
@@ -444,12 +447,12 @@ def _exact_rule(g, h):
         if isomorphic(g, triangle_pendant()):
             return Fraction(3, 2), "pendant-triangle-vs-triangle"
 
-    if isomorphic(g, path_graph(2)) and h.n <= 12:
+    if isomorphic(g, path_graph(2)) and h.n <= MAX_SEARCH_N:
         val = p2_exponent(h)
         if val is not None:
             return val, "p2-path-cover"
 
-    if h.n <= 10 and g.n <= h.n:
+    if h.n <= MAX_KK_N and g.n <= h.n:
         val = kk_exponent(g, h)
         if val is not None:
             return val, "kruskal-katona"
@@ -551,7 +554,7 @@ def _harvested_lower(g, h):
     ratio floor (rational just below the measured float), and certifies it
     by exact cross-powering on the witnessing target.
     """
-    from .constructions import ScalingFamily, estimate_ratio
+    from .constructions import ScalingFamily
     from .verifier import ratio_certified_lower
 
     best = None

@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,6 +69,27 @@ class SimpleGraph:
         return (tuple(map(frozenset, adj)), tuple(sum(1 << w for w in s) for s in adj),
                 tuple(map(len, adj)))
 
+    @functools.cached_property
+    def _components(self):
+        """Vertex sets of the connected components, each sorted, built once."""
+        adj = self._structure[0]
+        seen = [False] * self.n
+        comps = []
+        for s in range(self.n):
+            if seen[s]:
+                continue
+            stack, comp = [s], []
+            seen[s] = True
+            while stack:
+                v = stack.pop()
+                comp.append(v)
+                for w in adj[v]:
+                    if not seen[w]:
+                        seen[w] = True
+                        stack.append(w)
+            comps.append(tuple(sorted(comp)))
+        return tuple(comps)
+
     def degree(self, v):
         return self._structure[2][v]
 
@@ -92,26 +113,11 @@ class SimpleGraph:
         return a
 
     def components(self):
-        adj = self.adjacency_lists()
-        seen = [False] * self.n
-        comps = []
-        for s in range(self.n):
-            if seen[s]:
-                continue
-            stack, comp = [s], []
-            seen[s] = True
-            while stack:
-                v = stack.pop()
-                comp.append(v)
-                for w in adj[v]:
-                    if not seen[w]:
-                        seen[w] = True
-                        stack.append(w)
-            comps.append(sorted(comp))
-        return comps
+        """Connected components as a tuple of sorted vertex tuples."""
+        return self._components
 
     def is_connected(self):
-        return self.n <= 1 or len(self.components()) == 1
+        return self.n <= 1 or len(self._components) == 1
 
     def is_tree(self):
         return self.is_connected() and self.num_edges == self.n - 1
@@ -133,23 +139,6 @@ class SimpleGraph:
     def relabeled(self, perm):
         """Apply the permutation old -> perm[old] to the vertex labels."""
         return SimpleGraph(self.n, frozenset((perm[a], perm[b]) for a, b in self.edges))
-
-
-@dataclass(frozen=True)
-class PartiallyLabeledGraph:
-    """A simple graph with an injective partial labeling by positive integers."""
-
-    graph: SimpleGraph
-    labels: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        for v, lab in self.labels.items():
-            if not (0 <= v < self.graph.n):
-                raise GraphError(f"labeled vertex {v} out of range")
-            if lab < 1:
-                raise GraphError("labels must be positive integers")
-        if len(set(self.labels.values())) != len(self.labels):
-            raise GraphError("labels must be injective")
 
 
 # ---------------------------------------------------------------------------
@@ -212,33 +201,6 @@ def star_graph(m):
     if m < 1:
         raise GraphError("star needs at least one leaf")
     return SimpleGraph(m + 1, frozenset((0, j) for j in range(1, m + 1)))
-
-
-def single_edge_plus_isolated(n):
-    """Graph on n vertices with exactly one edge {0, 1}."""
-    if n < 2:
-        raise GraphError("need n >= 2")
-    return SimpleGraph(n, frozenset([(0, 1)]))
-
-
-_NAMED = {
-    "path": path_graph,
-    "cycle": cycle_graph,
-    "complete": complete_graph,
-    "complete_bipartite": complete_bipartite,
-    "K4_minus_e": k4_minus_e,
-    "triangle_pendant": triangle_pendant,
-    "cycle_with_chord": cycle_with_chord,
-    "chorded_fan": chorded_fan,
-    "star": star_graph,
-    "single_edge_plus_isolated": single_edge_plus_isolated,
-}
-
-
-def named_graph(kind, *params):
-    if kind not in _NAMED:
-        raise GraphError(f"unknown graph kind {kind!r}")
-    return _NAMED[kind](*params)
 
 
 def from_shorthand(text):
@@ -311,34 +273,6 @@ def blowup(g, multiplicities):
             for jj in range(multiplicities[v]):
                 edges.add((offset[u] + j, offset[v] + jj))
     return SimpleGraph(total, frozenset(edges))
-
-
-def glue(l1, l2):
-    """Glue two partially labeled graphs along equal labels."""
-    g1, g2 = l1.graph, l2.graph
-    label_to_v1 = {lab: v for v, lab in l1.labels.items()}
-    mapping2 = {}
-    extra = []
-    for v in range(g2.n):
-        lab = l2.labels.get(v)
-        if lab is not None and lab in label_to_v1:
-            mapping2[v] = label_to_v1[lab]
-        else:
-            mapping2[v] = g1.n + len(extra)
-            extra.append(v)
-    n = g1.n + len(extra)
-    edges = set(g1.edges)
-    edges.update((mapping2[a], mapping2[b]) for a, b in g2.edges)
-    labels = dict(l1.labels)
-    for v in extra:
-        lab = l2.labels.get(v)
-        if lab is not None:
-            labels[mapping2[v]] = lab
-    return PartiallyLabeledGraph(SimpleGraph(n, frozenset(edges)), labels)
-
-
-def unlabel(l):
-    return l.graph
 
 
 # ---------------------------------------------------------------------------

@@ -210,7 +210,7 @@ def hom_count(h, t, max_steps=None):
     pair by elimination, with ``max_steps`` bounding the work as in
     ``hom_counts``.
     """
-    if t.n > _WALK_MIN_ORDER and (h.is_cycle() or (h.n == 2 and h.num_edges == 1)):
+    if t.n > WALK_MIN_ORDER and (h.is_cycle() or (h.n == 2 and h.num_edges == 1)):
         return _walks(t).closed(h.n)
     return hom_counts(h, t.adjacency_matrix()[None], max_steps)[0]
 
@@ -351,7 +351,7 @@ def weighted_hom_density(h, w, max_steps=None):
 
 
 # ---------------------------------------------------------------------------
-# walk-based counts: paths, cycles, rooted cycles
+# walk-based counts: cycles and single entries of powers
 # ---------------------------------------------------------------------------
 
 def _exact(x, wide):
@@ -464,7 +464,7 @@ class WalkCounter:
         return [int(x) for x in self.full[k][rows, cols].tolist()]
 
 
-_WALK_MIN_ORDER = 64  # hom_count counts cycles and K2 by walks on larger targets
+WALK_MIN_ORDER = 64  # hom_count counts cycles and K2 by walks on larger targets
 _walk_counters = weakref.WeakKeyDictionary()
 
 
@@ -488,16 +488,6 @@ def closed_walk_counts_dense(adj, lengths):
     """Exact tr(A^m) for each m >= 1 in ``lengths``, from one power chain."""
     walks = WalkCounter(adj)
     return [walks.closed(m) for m in lengths]
-
-
-def rooted_cycle_hom(a, t, root_edge):
-    """Homomorphisms of C_a sending the labeled adjacent pair to (u, v)."""
-    if a < 3:
-        raise GraphError("need a >= 3")
-    u, v = root_edge
-    if not t.has_edge(u, v):
-        raise GraphError(f"root {root_edge} is not an edge of the target")
-    return WalkCounter(t.adjacency_matrix(np.float32)).entries(a - 1, [v], [u])[0]
 
 
 # ---------------------------------------------------------------------------

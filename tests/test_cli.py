@@ -156,6 +156,15 @@ class TestSearchP6Command:
         assert code == 0
         assert json.loads(out)["result"]["ok"] is True
 
+    def test_step_ceiling_skips(self, capsys):
+        code, out, _ = run(capsys, "--max-hom-steps", "10", "search-p6", "--i", "2",
+                           "--j", "1", "--corpus-spec", "exhaustive_n=4")
+        assert code == 4
+        doc = json.loads(out)["result"]
+        assert doc["skipped"] and doc["complete"] is False and doc["ok"] is True
+        assert doc["skipped"][0]["reason"] == "hom counting work ceiling exceeded"
+        assert doc["num_targets"] == 18
+
 
 class TestConstructCommand:
     def test_behrend(self, capsys):

@@ -5,7 +5,6 @@ import pytest
 
 from homdom.graphs import (
     GraphError,
-    PartiallyLabeledGraph,
     SimpleGraph,
     blowup,
     canonical_form,
@@ -19,16 +18,12 @@ from homdom.graphs import (
     encode_graph,
     enumerate_graphs,
     from_shorthand,
-    glue,
     isomorphic,
     k4_minus_e,
-    named_graph,
     path_graph,
-    single_edge_plus_isolated,
     star_graph,
     tensor_product,
     triangle_pendant,
-    unlabel,
 )
 from homdom.graphs import _canonical_ints, _graph_to_int
 
@@ -68,11 +63,8 @@ class TestNamedGraphs:
         assert triangle_pendant().n == 4 and triangle_pendant().num_edges == 4
         assert complete_bipartite(2, 3).num_edges == 6
         assert star_graph(4).num_edges == 4
-        g = single_edge_plus_isolated(5)
-        assert g.n == 5 and g.num_edges == 1
 
     def test_named_dispatch_and_shorthand(self):
-        assert named_graph("complete", 4) == complete_graph(4)
         assert from_shorthand("K4-e") == k4_minus_e()
         assert from_shorthand("C5") == cycle_graph(5)
         assert from_shorthand("P13") == path_graph(13)
@@ -110,41 +102,6 @@ class TestAlgebra:
     def test_blowup_all_ones(self):
         for g in enumerate_graphs(4, dedup=True):
             assert isomorphic(blowup(g, [1] * g.n), g)
-
-    def test_glue_square(self):
-        # two paths of length 2 glued at both endpoints form a 4-cycle
-        p = path_graph(2)
-        l1 = PartiallyLabeledGraph(p, {0: 1, 2: 2})
-        l2 = PartiallyLabeledGraph(p, {0: 1, 2: 2})
-        assert isomorphic(unlabel(glue(l1, l2)), cycle_graph(4))
-
-    def test_glue_identity_and_path(self):
-        l = PartiallyLabeledGraph(complete_graph(3), {0: 1})
-        empty = PartiallyLabeledGraph(SimpleGraph(0, frozenset()), {})
-        assert unlabel(glue(l, empty)) == complete_graph(3)
-        k2a = PartiallyLabeledGraph(complete_graph(2), {0: 1})
-        k2b = PartiallyLabeledGraph(complete_graph(2), {0: 1})
-        assert isomorphic(unlabel(glue(k2a, k2b)), path_graph(2))
-
-    def test_glue_associative_commutative(self):
-        rng = random.Random(5)
-        for _ in range(10):
-            parts = []
-            for _ in range(3):
-                n = rng.randint(2, 3)
-                edges = frozenset(
-                    p for p in itertools.combinations(range(n), 2) if rng.random() < 0.6
-                )
-                # two labels from a pool of four keep every glue result small
-                labs = rng.sample([1, 2, 3, 4], 2)
-                verts = rng.sample(range(n), 2)
-                labels = dict(zip(verts, labs))
-                parts.append(PartiallyLabeledGraph(SimpleGraph(n, edges), labels))
-            a, b, c = parts
-            abc = unlabel(glue(glue(a, b), c))
-            acb = unlabel(glue(glue(a, c), b))
-            bca = unlabel(glue(glue(b, c), a))
-            assert isomorphic(abc, acb) and isomorphic(abc, bca)
 
 
 class TestEnumerationAndCanonical:
@@ -271,6 +228,36 @@ class TestCachedStructure:
         assert g.adjacency_masks()[0] == 0b1010 and g.degree(0) == 2
         assert g == cycle_graph(4) and hash(g) == hash(cycle_graph(4))
 
+
+    def test_components_match_union_find(self):
+        rng = random.Random(31)
+        for _ in range(30):
+            n = rng.randint(0, 10)
+            g = SimpleGraph(n, frozenset(
+                p for p in itertools.combinations(range(n), 2) if rng.random() < 0.2))
+            root = list(range(n))
+
+            def find(v):
+                while root[v] != v:
+                    v = root[v]
+                return v
+
+            for a, b in g.edges:
+                root[find(a)] = find(b)
+            want = {}
+            for v in range(n):
+                want.setdefault(find(v), []).append(v)
+            assert g.components() == tuple(sorted(tuple(c) for c in want.values()))
+            assert g.is_connected() == (n <= 1 or len(want) == 1)
+
+    def test_components_built_once_and_immutable(self):
+        g = disjoint_union(path_graph(2), cycle_graph(3))
+        comps = g.components()
+        assert comps == ((0, 1, 2), (3, 4, 5)) and g.components() is comps
+        with pytest.raises((AttributeError, TypeError)):
+            comps[0].append(7)
+        with pytest.raises(TypeError):
+            comps[0][0] = 7
 
 class TestShapeRecognisers:
     def test_paths_and_cycles(self):

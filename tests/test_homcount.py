@@ -29,7 +29,6 @@ from homdom.homcount import (
     hom_count,
     hom_count_blowup,
     hom_density,
-    rooted_cycle_hom,
     tropical_tree_exponent,
     weighted_hom_density,
 )
@@ -166,25 +165,23 @@ class TestWalkCounting:
 
 
 class TestRootedCycles:
+    """Homomorphisms of C_a sending one labelled edge to (u, v) number
+    A^(a-1)[v, u], the entries that check_eq_main sums."""
+
     def test_k3(self):
-        k3 = complete_graph(3)
-        assert rooted_cycle_hom(3, k3, (0, 1)) == 1
-        assert rooted_cycle_hom(4, k3, (0, 1)) == 3
+        walks = WalkCounter(complete_graph(3).adjacency_matrix())
+        assert walks.entries(2, [1], [0]) == [1]
+        assert walks.entries(3, [1], [0]) == [3]
 
     def test_partition_identity(self):
         rng = random.Random(21)
         for a in (3, 4, 5):
             for _ in range(6):
                 t = random_graph(rng, 5)
-                total = sum(
-                    rooted_cycle_hom(a, t, (u, v)) + rooted_cycle_hom(a, t, (v, u))
-                    for u, v in t.edges
-                )
-                assert total == cycle_hom_count(a, t)
-
-    def test_non_edge_root(self):
-        with pytest.raises(GraphError):
-            rooted_cycle_hom(3, cycle_graph(4), (0, 2))
+                walks = WalkCounter(t.adjacency_matrix())
+                us, vs = zip(*t.edges) if t.edges else ((), ())
+                total = sum(walks.entries(a - 1, vs, us)) + sum(walks.entries(a - 1, us, vs))
+                assert total == hom_count(cycle_graph(a), t)
 
 
 def int_matmul(a, b):

@@ -10,9 +10,10 @@ from homdom.graphs import (
     encode_graph,
     path_graph,
 )
-from homdom.homcount import hom_density
+from homdom import homcount
+from homdom.homcount import WALK_MIN_ORDER, WalkCounter, hom_density
 from homdom.constructions import simple_family
-from homdom.formulas import even_cycle_exponent, odd_cycle_bounds, path_exponent
+from homdom.formulas import odd_cycle_bounds, path_exponent
 from homdom.verifier import (
     GNP_CONTRACT,
     Corpus,
@@ -20,12 +21,10 @@ from homdom.verifier import (
     build_corpus,
     check_eq_main,
     check_inequality,
-    cross_power_holds,
     gnp_graph,
     problem6_exponents,
     ratio_certified_lower,
     search_problem6,
-    tensor_amplify,
 )
 
 
@@ -74,16 +73,6 @@ class TestCorpus:
     def test_constructions_distinct(self):
         targets = [t for _, t in build_corpus(CorpusSpec(include_constructions=True))]
         assert len(set(targets)) == len(targets)
-
-
-class TestCrossPower:
-    def test_exact_verdicts(self):
-        assert cross_power_holds(Fraction(1, 4), Fraction(1, 2), 2)
-        # t_h < 1, so shrinking c below the critical 2 breaks the inequality
-        assert not cross_power_holds(Fraction(1, 4), Fraction(1, 2),
-                                     Fraction(2) - Fraction(1, 100))
-        assert cross_power_holds(Fraction(1, 8), Fraction(1, 4),
-                                 Fraction(3, 2))
 
 
 class TestCheckInequality:
@@ -155,19 +144,20 @@ class TestRatioCertifiedLower:
                                      cycle_graph(4)) is None
 
 
-class TestTensorAmplify:
-    def test_constant_slack_and_materialized(self):
-        out = tensor_amplify(cycle_graph(4), complete_graph(2),
-                             even_cycle_exponent(2, 2), complete_graph(3))
-        slacks = out["slacks"]
-        assert len(slacks) == 5
-        assert all(abs(s - slacks[0]) < 1e-9 for s in slacks)
-        assert out["materialized_square_ok"] is True
-
-    def test_needs_positive_density(self):
-        with pytest.raises(ValueError):
-            tensor_amplify(complete_graph(3), complete_graph(2), 1,
-                           complete_graph(2))
+def problem6_walk_oracle(i, j, corpus):
+    """Per-target verdicts and the least slack (first target on ties) of
+    the problem-6 inequality, from closed-walk counts tr(A^m)."""
+    e1, e2, e3 = problem6_exponents(i, j)
+    verdicts, least = [], None
+    for tag, t in corpus:
+        walks = WalkCounter(t.adjacency_matrix())
+        c2j, c_hi, c_lo = (walks.closed(m) for m in (2 * j, 2 * i + 1, 2 * i - 1))
+        slack = (Fraction(c2j ** e1 * c_hi ** e2, t.n ** (2 * j * e1 + (2 * i + 1) * e2))
+                 - Fraction(c_lo ** e3, t.n ** ((2 * i - 1) * e3)))
+        verdicts.append({"target": tag, "verdict": "ok" if slack >= 0 else "violation"})
+        if least is None or slack < least[0]:
+            least = (slack, tag, encode_graph(t, "graph6"))
+    return verdicts, {"target": least[1], "slack": str(least[0]), "witness": least[2]}
 
 
 class TestProblem6:
@@ -184,6 +174,39 @@ class TestProblem6:
             report = search_problem6(i, j, corpus)
             assert report.ok, (i, j, report.violations)
             assert not report.skipped
+
+    @pytest.mark.parametrize("i,j", [(2, 1), (3, 1), (3, 2)])
+    def test_matches_walk_oracle(self, i, j):
+        # dense G(8, 1/2) targets have a positive least slack; the sparser
+        # mixed-order corpus has ties at zero, where the first target counts
+        dense = build_corpus(CorpusSpec(gnp_count=20, gnp_n=8, gnp_seed=41))
+        sparse = Corpus(build_corpus(CorpusSpec(exhaustive_n=3)).entries + build_corpus(
+            CorpusSpec(gnp_count=20, gnp_n=6, gnp_p=Fraction(2, 5), gnp_seed=43)).entries)
+        reports = [search_problem6(i, j, corpus) for corpus in (dense, sparse)]
+        assert Fraction(reports[0].min_slack["slack"]) > 0
+        for corpus, report in zip((dense, sparse), reports):
+            assert not report.skipped
+            assert (report.results, report.min_slack) == problem6_walk_oracle(i, j, corpus)
+
+    def test_step_ceiling_skips(self):
+        corpus = build_corpus(CorpusSpec(exhaustive_n=4))
+        report = search_problem6(2, 1, corpus, max_steps=10)
+        assert report.skipped and report.exit_code == 4
+        assert len(report.results) + len(report.skipped) == len(corpus)
+        assert {s["reason"] for s in report.skipped} == {"hom counting work ceiling exceeded"}
+
+    def test_large_targets_counted_by_walks(self, monkeypatch):
+        # targets of more than WALK_MIN_ORDER vertices are not stacked for
+        # elimination: hom_density counts their cycles by walks, so a small
+        # ceiling neither skips them nor sends them to the backtracker
+        def no_backtrack(*args):
+            raise AssertionError("backtracker called")
+
+        monkeypatch.setattr(homcount, "_backtrack", no_backtrack)
+        corpus = build_corpus(CorpusSpec(gnp_count=2, gnp_n=WALK_MIN_ORDER + 6, gnp_seed=5))
+        report = search_problem6(2, 1, corpus, max_steps=10)
+        assert not report.skipped
+        assert (report.results, report.min_slack) == problem6_walk_oracle(2, 1, corpus)
 
     def test_weighted_targets_skipped(self):
         from homdom.homcount import WeightedTarget
