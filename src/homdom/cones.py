@@ -245,23 +245,24 @@ def _kernel_basis(rows, dim):
 def extreme_rays_from_halfspaces(cone):
     """Extreme rays of {y : Ay >= 0}, assuming the cone is pointed.
 
-    Enumerates tight subsets whose kernel is one-dimensional and keeps the
-    kernel direction (or its negation) that satisfies all halfspaces.
-    Deduplicates up to positive scaling. Exact; feasible at dim <= 10.
+    Enumerates the subsets of dim - 1 rows whose kernel is one-dimensional
+    (a larger tight set of rank dim - 1 contains such a subset with the
+    same kernel) and keeps the kernel direction (or its negation) that
+    satisfies all halfspaces. Deduplicates up to positive scaling. Exact;
+    feasible at dim <= 10.
     """
     if cone.dim > MAX_HULL_DIM:
         raise ConeError("dimension cap for hull computation")
     rows = cone.halfspaces
     found = {}
-    for size in range(cone.dim - 1, len(rows) + 1):
-        for subset in itertools.combinations(range(len(rows)), size):
-            kern = _kernel_basis([rows[i] for i in subset], cone.dim)
-            if len(kern) != 1:
-                continue
-            v = kern[0]
-            for cand in (v, tuple(-x for x in v)):
-                if all(s >= 0 for s in cone.evaluate(cand)) and any(x != 0 for x in cand):
-                    found[_normalize_ray(cand)] = cand
+    for subset in itertools.combinations(range(len(rows)), cone.dim - 1):
+        kern = _kernel_basis([rows[i] for i in subset], cone.dim)
+        if len(kern) != 1:
+            continue
+        v = kern[0]
+        for cand in (v, tuple(-x for x in v)):
+            if all(s >= 0 for s in cone.evaluate(cand)) and any(x != 0 for x in cand):
+                found[_normalize_ray(cand)] = cand
     return list(found.values())
 
 
@@ -284,13 +285,13 @@ def in_conical_hull(point, rays):
 
 def cone_equals_hull(cone):
     """Both inclusions, exactly: listed rays inside the halfspace cone, and
-    every extreme ray of the halfspace system inside the hull of the list."""
+    every extreme ray of the halfspace system inside the hull of the list.
+    Once every listed ray is in the cone, an extreme ray is in their
+    conical hull iff it is a positive multiple of one of them."""
     if not verify_rays(cone)["all_member"]:
         return False
-    for ext in extreme_rays_from_halfspaces(cone):
-        if not in_conical_hull(ext, cone.rays):
-            return False
-    return True
+    listed = {_normalize_ray(r) for r in cone.rays if any(x != 0 for x in r)}
+    return all(_normalize_ray(ext) in listed for ext in extreme_rays_from_halfspaces(cone))
 
 
 def constraint_matrix_determinant(cone):

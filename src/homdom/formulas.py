@@ -19,7 +19,7 @@ from .graphs import (
     path_graph,
     triangle_pendant,
 )
-from .homcount import hom_count
+from .homcount import hom_exists
 from .ratlp import LPError, frac_to_str
 
 MAX_SEARCH_N = 12  # largest H of the Hamiltonian-cycle and path-cover searches
@@ -67,7 +67,7 @@ def _exact(value, rule):
 
 def exists_exponent(g, h):
     """C(G,H) exists iff some homomorphism G -> H exists."""
-    return hom_count(g, h) > 0
+    return hom_exists(g, h)
 
 
 def crude_upper(g, h):
@@ -393,6 +393,12 @@ def subgraph_equal_nu(g, h):
 # the dispatcher
 # ---------------------------------------------------------------------------
 
+def _without_isolated(g):
+    """G minus its isolated vertices, or G itself when it has none."""
+    keep = [v for v in range(g.n) if g.degree(v)]
+    return g if len(keep) == g.n else g.subgraph(keep)
+
+
 def _component_power(g):
     """(base graph, multiplicity) when all components are isomorphic."""
     comps = g.components()
@@ -482,8 +488,9 @@ def _composition_catalog():
 def dispatch_exponent(g, h, harvest=False):
     """Best available ExponentBound, with a provenance trail.
 
-    Priority: nonexistence; union-power rewriting C(G^a, H^b) =
-    (a/b) C(G,H); exact closed forms; otherwise bounds (odd-cycle pair
+    Priority: nonexistence; isolated vertices dropped (densities ignore
+    them), with C = 0 for an edgeless G; union-power rewriting C(G^a, H^b)
+    = (a/b) C(G,H); exact closed forms; otherwise bounds (odd-cycle pair
     bounds, the simple lower bound, the crude upper bound, depth-2
     compositions through a small catalog). harvest=True additionally runs
     the lower-bound constructions (slow; numeric ratios floor-approximated).
@@ -491,10 +498,14 @@ def dispatch_exponent(g, h, harvest=False):
     if not exists_exponent(g, h):
         return ExponentBound(exists=False, exact=True, provenance=("nonexistent",))
 
-    g0, a = _component_power(g)
-    h0, b = _component_power(h)
+    g1, h1 = _without_isolated(g), _without_isolated(h)
+    prov_prefix = () if g1 is g and h1 is h else ("isolated-vertices-dropped",)
+    if not g1.edges:
+        return ExponentBound(Fraction(0), Fraction(0), True, prov_prefix + ("edgeless-g",))
+    g0, a = _component_power(g1)
+    h0, b = _component_power(h1)
     scale = Fraction(a, b)
-    prov_prefix = () if scale == 1 else ("union-power",)
+    prov_prefix += () if scale == 1 else ("union-power",)
 
     rule = _exact_rule(g0, h0)
     if rule is not None:
@@ -527,7 +538,7 @@ def dispatch_exponent(g, h, harvest=False):
         prov.append("subgraph-upper")
 
     for mid in _composition_catalog():
-        if hom_count(g0, mid) == 0 or hom_count(mid, h0) == 0:
+        if not exists_exponent(g0, mid) or not exists_exponent(mid, h0):
             continue
         left = _exact_rule(g0, mid)
         right = _exact_rule(mid, h0)

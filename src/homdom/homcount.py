@@ -149,10 +149,12 @@ def _bfs_order(g, comp):
     return order
 
 
-def _backtrack(h, adj, max_steps):
+def _backtrack(h, adj, max_steps, first=False):
     """hom(H, T) from T's adjacency matrix, backtracking over a BFS order of
     each component of H with bitmask candidate pruning. Raises
-    ResourceLimitError once more than ``max_steps`` candidates are expanded."""
+    ResourceLimitError once more than ``max_steps`` candidates are expanded.
+    With ``first``, each component stops at its first map: the result is
+    then positive iff hom(H, T) is."""
     nt = len(adj)
     t_masks = [sum(1 << int(j) for j in np.flatnonzero(row)) for row in adj]
     left = math.inf if max_steps is None else max_steps
@@ -174,7 +176,7 @@ def _backtrack(h, adj, max_steps):
             if i == len(order) - 1:
                 return mask.bit_count()
             count = 0
-            while mask:
+            while mask and not (first and count):
                 b = mask & -mask
                 images[i] = b.bit_length() - 1
                 count += rec(i + 1)
@@ -193,13 +195,35 @@ def hom_counts(h, adjs, max_steps=None):
 
     When the plan needs more than ``max_steps`` multiply-adds per target,
     or a factor past the entry cap, each target is counted by the
-    backtracker instead, which raises ResourceLimitError once it has
-    expanded ``max_steps`` candidates (never returning a wrong number).
+    backtracker instead, which stops once it has expanded ``max_steps``
+    candidates (never returning a wrong number). Then, after every target
+    has been tried, the first stopped target's ResourceLimitError is
+    raised with ``counts``: each target's count, or the error that
+    stopped it.
     """
     counts = _eliminate(h, adjs, max_steps=max_steps)
     if counts is None:
-        counts = [_backtrack(h, a, max_steps) for a in adjs]
+        counts = []
+        for a in adjs:
+            try:
+                counts.append(_backtrack(h, a, max_steps))
+            except ResourceLimitError as exc:
+                counts.append(exc)
+        failed = [c for c in counts if isinstance(c, ResourceLimitError)]
+        if failed:
+            failed[0].counts = counts
+            raise failed[0]
     return counts
+
+
+def hom_exists(h, t):
+    """Whether some homomorphism H -> T exists: by elimination when its
+    plan fits (polynomial where a search is not, e.g. an odd cycle into a
+    bipartite target), else by a backtracker that stops at its first map."""
+    counts = _eliminate(h, t.adjacency_matrix()[None])
+    if counts is None:
+        return _backtrack(h, t.adjacency_matrix(), None, first=True) > 0
+    return counts[0] > 0
 
 
 def hom_count(h, t, max_steps=None):

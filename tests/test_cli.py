@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -50,6 +51,13 @@ class TestExponentCommand:
         code, out, _ = run(capsys, "exponent", "--g", "K3", "--h", "K2")
         assert code == 3
         assert json.loads(out)["result"]["lower"] == "nonexistent"
+
+    def test_cliques_answer_quickly(self, capsys):
+        # existence stops at the first of the 13! maps K12 -> K13
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "exponent", "--g", "K12", "--h", "K13")
+        assert time.perf_counter() - start < 10
+        assert code == 0 and json.loads(out)["result"]["upper"] == "1"
 
     def test_bounds(self, capsys):
         code, out, _ = run(capsys, "exponent", "--g", "C5", "--h", "C3")

@@ -69,6 +69,16 @@ class TestEvenCycleCone:
                    cone.coord_names, cone.ray_names)
         assert not cone_equals_hull(bad)
 
+    def test_listed_rays_up_to_scaling(self):
+        # a listed ray scaled by 3, or an extra listed ray inside the cone
+        # that is not extreme, leaves the conical hull unchanged
+        cone = even_cycle_cone(4)
+        scaled = (tuple(3 * x for x in cone.rays[0]),) + cone.rays[1:]
+        extra = cone.rays + (tuple(a + b for a, b in zip(cone.rays[0], cone.rays[-1])),)
+        for rays in (scaled, extra):
+            assert cone_equals_hull(Cone(cone.dim, cone.halfspaces, rays))
+        assert not cone_equals_hull(Cone(cone.dim, cone.halfspaces, cone.rays[1:]))
+
     def test_extreme_ray_count(self):
         # a simplicial cone in dim k has exactly k extreme rays
         for k in (2, 3, 4):

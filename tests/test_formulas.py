@@ -43,6 +43,7 @@ class TestExistence:
         assert not exists_exponent(complete_graph(3), complete_graph(2))
         assert not exists_exponent(cycle_graph(5), cycle_graph(4))
         assert exists_exponent(cycle_graph(4), complete_graph(2))
+        assert not exists_exponent(cycle_graph(11), complete_bipartite(6, 6))
 
 
 class TestGenericBounds:
@@ -246,6 +247,20 @@ class TestDispatch:
             bound = dispatch_exponent(g, h)
             assert bound.exact, (bound.provenance, g, h)
             assert bound.lower == val, (bound.lower, val, bound.provenance)
+
+    def test_isolated_vertices_dropped(self):
+        # t(K2 + K1, T) = t(K2, T), so C(K2 + K1, K3) = C(K2, K3) = 2/3
+        cases = [
+            (disjoint_union(complete_graph(2), SimpleGraph(1)), complete_graph(3), Fraction(2, 3)),
+            (SimpleGraph(1), complete_graph(3), Fraction(0)),
+            (cycle_graph(4), disjoint_union(complete_graph(3), SimpleGraph(1)), Fraction(8, 5)),
+        ]
+        for g, h, val in cases:
+            bound = dispatch_exponent(g, h)
+            assert bound.exact and bound.lower == val, (g, h, bound)
+            assert bound.provenance[0] == "isolated-vertices-dropped"
+        assert "isolated-vertices-dropped" not in dispatch_exponent(
+            cycle_graph(4), complete_graph(3)).provenance
 
     def test_union_power_scaling(self):
         # C(C_4 + C_4, C_3) = 2 * C(C_4, C_3) = 16/5

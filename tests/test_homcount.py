@@ -33,7 +33,7 @@ from homdom.homcount import (
     weighted_hom_density,
 )
 from homdom import homcount
-from homdom.homcount import _backtrack, hom_counts
+from homdom.homcount import _backtrack, hom_counts, hom_exists
 from homdom.constructions import ProjectivePlaneSpec, path_blowup_pattern, red_line_graph
 from homdom.verifier import CorpusSpec, _corpus_densities, build_corpus
 
@@ -335,6 +335,8 @@ class TestEliminationEngine:
             t = random_graph(rng, rng.randint(1, 9), rng.random())
             want = _backtrack(h, t.adjacency_matrix(), None)
             assert hom_count(h, t) == want
+            assert hom_exists(h, t) == (want > 0)
+            assert (_backtrack(h, t.adjacency_matrix(), None, first=True) > 0) == (want > 0)
             if h.n <= 4 and t.n <= 5:
                 assert want == hom_count_brute(h, t)
 
@@ -384,6 +386,17 @@ class TestEliminationEngine:
         with pytest.raises(ResourceLimitError):
             hom_counts(complete_graph(4), np.stack([complete_graph(30).adjacency_matrix()] * 2),
                        max_steps=10)
+
+    def test_ceiling_keeps_every_target_of_the_stack(self, fallbacks):
+        # the error of the target past the ceiling carries the other
+        # targets' counts, so a caller need not count them again
+        stack = np.stack([complete_graph(30).adjacency_matrix(),
+                          disjoint_union(cycle_graph(4), SimpleGraph(26)).adjacency_matrix()])
+        with pytest.raises(ResourceLimitError) as info:
+            hom_counts(cycle_graph(4), stack, max_steps=200)
+        first, second = info.value.counts
+        assert isinstance(first, ResourceLimitError) and second == 32  # 2^4 + (-2)^4
+        assert len(fallbacks) == 2
 
     def test_entry_cap_falls_back_to_backtracker(self, fallbacks):
         # K5 on 100 vertices needs a factor of 100^4 entries, past the cap

@@ -1,3 +1,4 @@
+import functools
 import json
 from fractions import Fraction
 
@@ -7,17 +8,19 @@ from homdom.graphs import (
     SimpleGraph,
     complete_graph,
     cycle_graph,
+    disjoint_union,
     encode_graph,
     path_graph,
 )
 from homdom import homcount
-from homdom.homcount import WALK_MIN_ORDER, WalkCounter, hom_density
+from homdom.homcount import WALK_MIN_ORDER, WalkCounter, WeightedTarget, hom_density
 from homdom.constructions import simple_family
 from homdom.formulas import odd_cycle_bounds, path_exponent
 from homdom.verifier import (
     GNP_CONTRACT,
     Corpus,
     CorpusSpec,
+    _corpus_densities,
     build_corpus,
     check_eq_main,
     check_inequality,
@@ -126,6 +129,45 @@ class TestCheckInequality:
         assert not report.skipped and report.exit_code == 0
 
 
+class TestDisjointUnions:
+    """Densities multiply over disjoint unions, and the corpus checkers
+    count each distinct component of a pattern once."""
+
+    PARTS = (cycle_graph(3), cycle_graph(3), path_graph(2), cycle_graph(4), SimpleGraph(1))
+
+    def product(self, target):
+        out = Fraction(1)
+        for part in self.PARTS:
+            out *= hom_density(part, target)
+        return out
+
+    def test_simple_targets(self):
+        union = functools.reduce(disjoint_union, self.PARTS)
+        small = build_corpus(CorpusSpec(exhaustive_n=3, gnp_count=6, gnp_n=7, gnp_seed=51))
+        large = build_corpus(CorpusSpec(gnp_count=2, gnp_n=WALK_MIN_ORDER + 4,
+                                        gnp_p=Fraction(1, 5), gnp_seed=52))
+        corpus = Corpus(small.entries + large.entries)
+        want = [self.product(t) for _, t in corpus]
+        assert _corpus_densities(union, corpus, None) == want
+        assert [hom_density(union, t) for _, t in corpus] == want
+
+    def test_weighted_target(self):
+        union = functools.reduce(disjoint_union, self.PARTS)
+        w = WeightedTarget((Fraction(1), Fraction(2), Fraction(3)),
+                           ((0, Fraction(1, 2), 1), (Fraction(1, 2), Fraction(1, 3), 0),
+                            (1, 0, Fraction(2, 5))))
+        assert _corpus_densities(union, Corpus((("w", w),)), None) == [self.product(w)]
+        assert hom_density(union, w) == self.product(w)
+
+    def test_each_component_has_its_own_ceiling(self):
+        # C_5 alone fits a ceiling of 400 on the 4-vertex targets; the
+        # union's plan as one pattern would need twice that
+        c5 = cycle_graph(5)
+        corpus = build_corpus(CorpusSpec(exhaustive_n=4))
+        report = check_inequality(disjoint_union(c5, c5), c5, 2, corpus, max_steps=400)
+        assert not report.skipped and report.ok
+
+
 class TestRatioCertifiedLower:
     def test_edge_vs_triangle(self):
         target = simple_family("clique_plus_isolated", 8)
@@ -208,12 +250,36 @@ class TestProblem6:
         assert not report.skipped
         assert (report.results, report.min_slack) == problem6_walk_oracle(2, 1, corpus)
 
-    def test_weighted_targets_skipped(self):
-        from homdom.homcount import WeightedTarget
+    def test_exponents_vertex_balanced(self):
+        # both sides have as many vertices, so the density and hom-number
+        # forms of the inequality agree on every target
+        for i in range(2, 13):
+            for j in range(1, i):
+                e1, e2, e3 = problem6_exponents(i, j)
+                assert e1 * 2 * j + e2 * (2 * i + 1) == e3 * (2 * i - 1), (i, j)
+
+    def test_weighted_targets_evaluated(self):
+        # constant 1/2: t(C_2)^2 t(C_5) - t(C_3)^3 = 2^-7 - 2^-9
         w = WeightedTarget((Fraction(1),), ((Fraction(1, 2),),))
-        corpus = Corpus((("w", w),))
-        report = search_problem6(2, 1, corpus)
-        assert report.skipped and report.exit_code == 4
+        report = search_problem6(2, 1, Corpus((("w", w),)))
+        assert report.results == [{"target": "w", "verdict": "ok"}]
+        assert report.exit_code == 0 and report.min_slack["slack"] == "3/512"
+
+    def test_each_pair_backtracked_once(self, monkeypatch):
+        # the plans of C_5 on 3 and 4 vertices and of C_3 on 4 vertices
+        # need more than 60 multiply-adds, so those targets are backtracked,
+        # and the batch that trips the ceiling is not counted again
+        calls = []
+
+        def counted(h, adj, max_steps, first=False):
+            calls.append((h, adj.tobytes()))
+            return backtrack(h, adj, max_steps, first)
+
+        backtrack = homcount._backtrack
+        monkeypatch.setattr(homcount, "_backtrack", counted)
+        report = search_problem6(2, 1, build_corpus(CorpusSpec(exhaustive_n=4)), max_steps=60)
+        assert report.skipped and calls
+        assert len(calls) == len(set(calls))
 
 
 class TestChordedCycleIdentity:
