@@ -38,9 +38,10 @@ class RunConfig:
 
 def _effective_seed(args):
     env = os.environ.get("HOMDOM_SEED")
-    if env is not None:
-        return int(env)
-    return args.seed
+    try:
+        return args.seed if env is None else int(env)
+    except ValueError:
+        raise ValueError(f"HOMDOM_SEED must be an integer, got {env!r}") from None
 
 
 def parse_graph_arg(text):
@@ -282,13 +283,13 @@ def _parser():
 
 def main(argv=None):
     args = _parser().parse_args(argv)
-    config = RunConfig(
-        command=args.command,
-        seed=_effective_seed(args),
-        max_hom_steps=args.max_hom_steps,
-        out=args.out,
-    )
     try:
+        config = RunConfig(
+            command=args.command,
+            seed=_effective_seed(args),
+            max_hom_steps=args.max_hom_steps,
+            out=args.out,
+        )
         return args.func(args, config)
     except (GraphError, ResourceLimitError, LPError, ConeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -19,6 +19,7 @@ from .graphs import (
     path_graph,
     triangle_pendant,
 )
+from .cones import union_exponent_lp
 from .homcount import hom_exists
 from .ratlp import LPError, frac_to_str
 
@@ -412,37 +413,34 @@ def _component_power(g):
     return first, len(subs)
 
 
+def _cycle_length(g):
+    """m when g is the cycle C_m, 2 when g is K2 (C_2 = K2), else None."""
+    if g.n == 2 and g.num_edges == 1:
+        return 2
+    return g.n if g.is_cycle() else None
+
+
 def _even_cycle_lengths(g):
     """Component lengths when g is a disjoint union of edges/even cycles."""
-    lengths = []
-    for comp in g.components():
-        sub = g.subgraph(comp)
-        if sub.n == 2 and sub.num_edges == 1:
-            lengths.append(2)
-        elif sub.is_cycle() and sub.n % 2 == 0:
-            lengths.append(sub.n)
-        else:
-            return None
-    return lengths
+    lengths = [_cycle_length(g.subgraph(comp)) for comp in g.components()]
+    return None if any(m is None or m % 2 for m in lengths) else lengths
 
 
 def _exact_rule(g, h):
-    """(value, rule-name) from a single exact closed form, else None."""
+    """(value, rule-name) from a single exact closed form, else None. The
+    hypotheses of every rule give a homomorphism G -> H: a value implies C exists."""
     if isomorphic(g, h):
         return Fraction(1), "identical"
 
     if g.is_path() and h.is_path() and g.num_edges >= 1 and h.num_edges >= 1:
         return path_exponent(g.num_edges, h.num_edges), "path-formula"
 
-    gc = 2 if (g.n == 2 and g.num_edges == 1) else (
-        g.n if g.is_cycle() else None)
-    hc = 2 if (h.n == 2 and h.num_edges == 1) else (
-        h.n if h.is_cycle() else None)
-    if gc is not None and gc % 2 == 0 and hc is not None:
-        return even_cycle_exponent(gc // 2, hc), "even-cycle-formula"
-    if gc is not None and gc % 2 == 0 and hc is None and h.n <= MAX_SEARCH_N:
-        if 2 * (gc // 2) >= h.n and is_hamiltonian(h):
-            return hamiltonian_exponent(gc // 2, h), "hamiltonian-target"
+    gc, hc = _cycle_length(g), _cycle_length(h)
+    if gc is not None and gc % 2 == 0:
+        if hc is not None:
+            return even_cycle_exponent(gc // 2, hc), "even-cycle-formula"
+        if gc >= h.n and h.n <= MAX_SEARCH_N and is_hamiltonian(h):
+            return even_cycle_exponent(gc // 2, h.n), "hamiltonian-target"
 
     if g.n == 2 and g.num_edges == 1 and h.num_edges >= 1:
         return edge_exponent(h), "edge-fractional-matching"
@@ -453,36 +451,26 @@ def _exact_rule(g, h):
         if isomorphic(g, triangle_pendant()):
             return Fraction(3, 2), "pendant-triangle-vs-triangle"
 
-    if isomorphic(g, path_graph(2)) and h.n <= MAX_SEARCH_N:
-        val = p2_exponent(h)
-        if val is not None:
-            return val, "p2-path-cover"
+    if isomorphic(g, path_graph(2)) and h.n <= MAX_SEARCH_N and (val := p2_exponent(h)):
+        return val, "p2-path-cover"
 
-    if h.n <= MAX_KK_N and g.n <= h.n:
-        val = kk_exponent(g, h)
-        if val is not None:
-            return val, "kruskal-katona"
+    if h.n <= MAX_KK_N and g.n <= h.n and (val := kk_exponent(g, h)):
+        return val, "kruskal-katona"
 
-    val = subgraph_equal_nu(g, h) if (g.num_edges and h.num_edges) else None
-    if val is not None:
+    if val := subgraph_equal_nu(g, h):
         return val, "subgraph-equal-matching"
 
-    glens = _even_cycle_lengths(g)
-    hlens = _even_cycle_lengths(h)
+    glens, hlens = _even_cycle_lengths(g), _even_cycle_lengths(h)
     if glens and hlens:
-        from .cones import union_exponent_lp
-        k = max(max(glens), max(hlens)) // 2
-        k = max(k, 2)
+        k = max(max(glens + hlens) // 2, 2)
         return union_exponent_lp(glens, hlens, k), "even-cycle-union-lp"
 
     return None
 
 
 # intermediates tried for the compositional upper bound C(F,H) <= C(F,G) C(G,H)
-def _composition_catalog():
-    cat = [path_graph(m) for m in range(1, 7)]
-    cat += [cycle_graph(m) for m in range(2, 9)]
-    return cat
+_COMPOSITION_CATALOG = tuple(
+    [path_graph(m) for m in range(1, 7)] + [cycle_graph(m) for m in range(2, 9)])
 
 
 def dispatch_exponent(g, h, harvest=False):
@@ -537,12 +525,10 @@ def dispatch_exponent(g, h, harvest=False):
         upper = Fraction(1)
         prov.append("subgraph-upper")
 
-    for mid in _composition_catalog():
-        if not exists_exponent(g0, mid) or not exists_exponent(mid, h0):
-            continue
+    for mid in _COMPOSITION_CATALOG:
         left = _exact_rule(g0, mid)
-        right = _exact_rule(mid, h0)
-        if left is not None and right is not None:
+        right = left and _exact_rule(mid, h0)
+        if right:
             cand = left[0] * right[0]
             if cand < upper:
                 upper = cand

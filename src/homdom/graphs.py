@@ -61,13 +61,12 @@ class SimpleGraph:
 
     @functools.cached_property
     def _structure(self):
-        """Neighbour sets, neighbour bitmasks and degrees, built once."""
+        """Neighbour sets and degrees, built once."""
         adj = [set() for _ in range(self.n)]
         for a, b in self.edges:
             adj[a].add(b)
             adj[b].add(a)
-        return (tuple(map(frozenset, adj)), tuple(sum(1 << w for w in s) for s in adj),
-                tuple(map(len, adj)))
+        return tuple(map(frozenset, adj)), tuple(map(len, adj))
 
     @functools.cached_property
     def _components(self):
@@ -91,7 +90,7 @@ class SimpleGraph:
         return tuple(comps)
 
     def degree(self, v):
-        return self._structure[2][v]
+        return self._structure[1][v]
 
     def neighbors(self, v):
         return self._structure[0][v]
@@ -102,7 +101,7 @@ class SimpleGraph:
 
     def adjacency_masks(self):
         """Neighborhoods as bitmasks (bit v set iff v is a neighbor)."""
-        return list(self._structure[1])
+        return [sum(1 << w for w in s) for s in self._structure[0]]
 
     def adjacency_matrix(self, dtype=np.int64):
         a = np.zeros((self.n, self.n), dtype=dtype)
@@ -124,11 +123,11 @@ class SimpleGraph:
 
     def is_path(self):
         """A path, a single vertex included."""
-        return self.is_tree() and all(d <= 2 for d in self._structure[2])
+        return self.is_tree() and all(d <= 2 for d in self._structure[1])
 
     def is_cycle(self):
         """A cycle on at least 3 vertices."""
-        return self.n >= 3 and self.is_connected() and all(d == 2 for d in self._structure[2])
+        return self.n >= 3 and self.is_connected() and all(d == 2 for d in self._structure[1])
 
     def subgraph(self, vertices):
         """Induced subgraph, relabeled to 0..len(vertices)-1 in given order."""
@@ -388,7 +387,7 @@ def isomorphic(g, h):
         return False
     if g.n > MAX_CANONICAL_N:
         raise GraphError(f"canonical form capped at n={MAX_CANONICAL_N}")
-    if g.num_edges != h.num_edges or sorted(g._structure[2]) != sorted(h._structure[2]):
+    if g.num_edges != h.num_edges or sorted(g._structure[1]) != sorted(h._structure[1]):
         return False
     if g.edges == h.edges:
         return True

@@ -249,61 +249,6 @@ def hom_density(h, t, max_steps=None):
     return Fraction(hom_count(h, t, max_steps=max_steps), t.n ** h.n)
 
 
-def hom_count_blowup(h, multiplicities, t):
-    """hom of the blow-up H'(a_1..a_k) into T without materializing it.
-
-    Recurses class by class in BFS order; for each class it branches on
-    the set of distinct images used and multiplies by the number of
-    surjections from the class onto that set.
-    """
-    if len(multiplicities) != h.n:
-        raise GraphError("need one multiplicity per vertex")
-    nt = t.n
-    t_masks = t.adjacency_masks()
-    full = (1 << nt) - 1
-
-    def surj(n, k):
-        return sum((-1) ** j * math.comb(k, j) * (k - j) ** n for j in range(k + 1))
-
-    total = 1
-    adj = h.adjacency_lists()
-    for comp in h.components():
-        order = _bfs_order(h, comp)
-        pos = {v: i for i, v in enumerate(order)}
-        chosen = [0] * len(order)  # union bitmask of images per placed class
-
-        def rec(i):
-            if i == len(order):
-                return 1
-            v = order[i]
-            mask = full
-            for w in adj[v]:
-                if w in pos and pos[w] < i:
-                    union = chosen[pos[w]]
-                    m = union
-                    while m:
-                        b = m & -m
-                        mask &= t_masks[b.bit_length() - 1]
-                        m ^= b
-            cands = [b for b in range(nt) if (mask >> b) & 1]
-            a_v = multiplicities[v]
-            out = 0
-            for size in range(1, min(a_v, len(cands)) + 1):
-                ways = surj(a_v, size)
-                for combo in itertools.combinations(cands, size):
-                    cm = 0
-                    for b in combo:
-                        cm |= 1 << b
-                    chosen[i] = cm
-                    out += ways * rec(i + 1)
-            return out
-
-        total *= rec(0)
-        if total == 0:
-            return 0
-    return total
-
-
 # ---------------------------------------------------------------------------
 # weighted (step-graphon) targets
 # ---------------------------------------------------------------------------

@@ -423,22 +423,36 @@ def lp_to_json(p):
     )
 
 
-def _key(d, key):
-    """``d[key]`` for a JSON object ``d``, else LPError naming the key."""
-    if not isinstance(d, dict) or key not in d:
+def _key(d, key, kind=object, default=None):
+    """``d[key]`` for a JSON object ``d``, or ``default`` when one is given
+    and the key is absent; LPError naming the key when it is missing or
+    its value is not a ``kind``."""
+    if not isinstance(d, dict) or (key not in d and default is None):
         raise LPError(f"LP JSON: missing key {key!r}")
-    return d[key]
+    value = d.get(key, default)
+    if not isinstance(value, kind):
+        raise LPError(f"LP JSON: key {key!r} must be a {kind.__name__}, got {value!r}")
+    return value
+
+
+def _number(value, key):
+    """A JSON number or numeric string as a Fraction, else LPError naming the key."""
+    try:
+        return Fraction(value if isinstance(value, (int, float, str)) else None)
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+        raise LPError(f"LP JSON: key {key!r} holds {value!r}, not a number") from None
 
 
 def lp_from_json(text):
     d = json.loads(text)
     return make_lp(
         _key(d, "sense"),
-        [Fraction(c) for c in _key(d, "objective")],
-        [([Fraction(c) for c in _key(r, "coeffs")], _key(r, "rel"), Fraction(_key(r, "rhs")))
-         for r in _key(d, "rows")],
-        nonneg=[bool(b) for b in d.get("nonneg", [True] * len(d["objective"]))],
-        names=tuple(d.get("names", ())),
+        [_number(c, "objective") for c in _key(d, "objective", list)],
+        [([_number(c, "coeffs") for c in _key(r, "coeffs", list)], _key(r, "rel"),
+          _number(_key(r, "rhs"), "rhs"))
+         for r in _key(d, "rows", list)],
+        nonneg=_key(d, "nonneg", list, [True] * len(d["objective"])),
+        names=_key(d, "names", list, []),
     )
 
 

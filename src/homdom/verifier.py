@@ -201,12 +201,18 @@ def check_inequality(g, h, c, corpus, max_steps=2 * 10 ** 8):
     if c < 0:
         raise GraphError(f"exponent c must be nonnegative, got {c}")
     p, q = c.numerator, c.denominator
-    report = VerificationReport({
+    return _verdicts({
         "kind": "domination",
         "g": encode_graph(g, "graph6"),
         "h": encode_graph(h, "graph6"),
         "c": f"{p}/{q}",
-    })
+    }, g, h, p, q, corpus, max_steps)
+
+
+def _verdicts(descriptor, g, h, p, q, corpus, max_steps):
+    """The report, under ``descriptor``, of t(G,T)^q >= t(H,T)^p over
+    every corpus target."""
+    report = VerificationReport(descriptor)
     g_dens = _corpus_densities(g, corpus, max_steps)
     h_dens = _corpus_densities(h, corpus, max_steps)
     for (tag, target), tg, th in zip(corpus, g_dens, h_dens):
@@ -261,17 +267,16 @@ def search_problem6(i, j, corpus, max_steps=2 * 10 ** 8):
     Densities multiply over disjoint unions, so the inequality is
     t(G,T) >= t(H,T) for G = e1 C_2j + e2 C_{2i+1} and H = e3 C_{2i-1},
     checked as in ``check_inequality``: each of the three cycles is
-    counted once per target, under its own ``max_steps``.
+    counted once per target, under its own ``max_steps``. The unions are
+    never encoded; the descriptor names the inequality instead.
     """
     e1, e2, e3 = problem6_exponents(i, j)
     g = functools.reduce(disjoint_union, [cycle_graph(2 * j)] * e1 + [cycle_graph(2 * i + 1)] * e2)
     h = functools.reduce(disjoint_union, [cycle_graph(2 * i - 1)] * e3)
-    report = check_inequality(g, h, 1, corpus, max_steps)
-    report.descriptor = {
+    return _verdicts({
         "kind": "problem6", "i": i, "j": j,
         "inequality": f"t(C_{2 * j})^{e1} t(C_{2 * i + 1})^{e2} >= t(C_{2 * i - 1})^{e3}",
-    }
-    return report
+    }, g, h, 1, 1, corpus, max_steps)
 
 
 def check_eq_main(k, ell, target):

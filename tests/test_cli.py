@@ -231,6 +231,30 @@ class TestErrorExits:
         assert code == 2 and out == ""
         assert err == f"error: LP JSON: missing key {key!r}\n"
 
+    @pytest.mark.parametrize("text, message", [
+        ('{"sense": "max", "objective": [null], "rows": []}',
+         "key 'objective' holds None, not a number"),
+        ('{"sense": "max", "objective": [1], "rows": 5}', "key 'rows' must be a list, got 5"),
+        ('{"sense": "max", "objective": [1], "rows": [{"coeffs": 1, "rel": "<=", "rhs": 1}]}',
+         "key 'coeffs' must be a list, got 1"),
+        ('{"sense": "max", "objective": [1], "rows": [{"coeffs": [1], "rel": "<=", "rhs": [1]}]}',
+         "key 'rhs' holds [1], not a number"),
+        ('{"sense": "max", "objective": [1], "rows": [], "nonneg": 5}',
+         "key 'nonneg' must be a list, got 5"),
+    ])
+    def test_lp_file_wrong_type(self, capsys, tmp_path, text, message):
+        f = tmp_path / "lp.json"
+        f.write_text(text)
+        code, out, err = run(capsys, "lp", "--file", str(f))
+        assert code == 2 and out == ""
+        assert err == f"error: LP JSON: {message}\n"
+
+    def test_bad_seed_env(self, capsys, monkeypatch):
+        monkeypatch.setenv("HOMDOM_SEED", "abc")
+        code, out, err = run(capsys, "exponent", "--g", "K2", "--h", "K3")
+        assert code == 2 and out == ""
+        assert err == "error: HOMDOM_SEED must be an integer, got 'abc'\n"
+
 
 class TestConeCommand:
     def test_even(self, capsys):

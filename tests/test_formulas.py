@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from homdom import formulas
 from homdom.graphs import (
     GraphError,
     SimpleGraph,
@@ -17,6 +18,8 @@ from homdom.graphs import (
     triangle_pendant,
 )
 from homdom.formulas import (
+    _COMPOSITION_CATALOG,
+    _exact_rule,
     ExponentBound,
     crude_upper,
     dispatch_exponent,
@@ -35,6 +38,7 @@ from homdom.formulas import (
     simple_lower,
     subgraph_equal_nu,
 )
+from homdom.homcount import hom_exists
 
 
 class TestExistence:
@@ -309,6 +313,39 @@ class TestDispatch:
         bound = dispatch_exponent(path_graph(4), complete_graph(3))
         assert bound.upper <= 2 < crude_upper(path_graph(4), complete_graph(3))
         assert any(p.startswith("composition(") for p in bound.provenance)
+
+    def test_composition_asks_no_existence(self, monkeypatch):
+        # K_1,3 vs K_3 reaches the composition step: the query's own check
+        # and crude_upper's guard are its only existence tests
+        exists, rules = [], []
+
+        def counted_exists(g, h):
+            exists.append((g, h))
+            return hom_exists(g, h)
+
+        def counted_rule(g, h):
+            rules.append((g, h))
+            return _exact_rule(g, h)
+
+        monkeypatch.setattr(formulas, "hom_exists", counted_exists)
+        monkeypatch.setattr(formulas, "_exact_rule", counted_rule)
+        bound = dispatch_exponent(star_graph(3), complete_graph(3))
+        assert not bound.exact
+        assert {h for _, h in rules} >= set(_COMPOSITION_CATALOG)
+        assert len(exists) <= 2
+
+    def test_exact_rule_implies_homomorphism(self):
+        # every rule's hypotheses give a map G -> H, which the composition
+        # step relies on instead of testing existence
+        graphs = [g for n in range(2, 6) for g in enumerate_graphs(n, dedup=True)
+                  if g.is_connected()] + list(_COMPOSITION_CATALOG)
+        fired = 0
+        for g in graphs:
+            for h in graphs:
+                if _exact_rule(g, h) is not None:
+                    fired += 1
+                    assert hom_exists(g, h), (g, h)
+        assert fired > len(graphs)
 
     def test_harvest_lower(self):
         plain = dispatch_exponent(cycle_graph(5), complete_graph(3))

@@ -12,7 +12,7 @@ from homdom.graphs import (
     encode_graph,
     path_graph,
 )
-from homdom import homcount
+from homdom import homcount, verifier
 from homdom.homcount import WALK_MIN_ORDER, WalkCounter, WeightedTarget, hom_density
 from homdom.constructions import simple_family
 from homdom.formulas import odd_cycle_bounds, path_exponent
@@ -280,6 +280,20 @@ class TestProblem6:
         report = search_problem6(2, 1, build_corpus(CorpusSpec(exhaustive_n=4)), max_steps=60)
         assert report.skipped and calls
         assert len(calls) == len(set(calls))
+
+    def test_unions_not_encoded(self, monkeypatch):
+        # at i = 40 both unions have 6241 vertices; the report names the
+        # inequality, so only corpus targets (as witnesses) are encoded
+        encoded = []
+
+        def recording(g, fmt):
+            encoded.append(g.n)
+            return encode_graph(g, fmt)
+
+        monkeypatch.setattr(verifier, "encode_graph", recording)
+        report = search_problem6(40, 1, build_corpus(CorpusSpec(exhaustive_n=4)))
+        assert report.descriptor["kind"] == "problem6" and report.min_slack
+        assert encoded and max(encoded) <= 4
 
 
 class TestChordedCycleIdentity:
