@@ -6,6 +6,7 @@ carry a provenance trail naming each rule that fired.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass
@@ -379,11 +380,12 @@ def p2_exponent(h):
     return Fraction(3, h.n)
 
 
-def subgraph_equal_nu(g, h):
-    """C(G,H) = 1 when G is a subgraph of H with nu*(G) = nu*(H)."""
+def subgraph_equal_nu(g, h, contains=None):
+    """C(G,H) = 1 when G is a subgraph of H with nu*(G) = nu*(H).
+    ``contains()``, when given, answers has_subgraph(h, g)."""
     if g.num_edges == 0 or h.num_edges == 0:
         return None
-    if not has_subgraph(h, g):
+    if not (contains() if contains else has_subgraph(h, g)):
         return None
     if fractional_matching(g) != fractional_matching(h):
         return None
@@ -426,9 +428,10 @@ def _even_cycle_lengths(g):
     return None if any(m is None or m % 2 for m in lengths) else lengths
 
 
-def _exact_rule(g, h):
+def _exact_rule(g, h, contains=None):
     """(value, rule-name) from a single exact closed form, else None. The
-    hypotheses of every rule give a homomorphism G -> H: a value implies C exists."""
+    hypotheses of every rule give a homomorphism G -> H: a value implies C
+    exists. ``contains`` is passed on to ``subgraph_equal_nu``."""
     if isomorphic(g, h):
         return Fraction(1), "identical"
 
@@ -457,7 +460,7 @@ def _exact_rule(g, h):
     if h.n <= MAX_KK_N and g.n <= h.n and (val := kk_exponent(g, h)):
         return val, "kruskal-katona"
 
-    if val := subgraph_equal_nu(g, h):
+    if val := subgraph_equal_nu(g, h, contains):
         return val, "subgraph-equal-matching"
 
     glens, hlens = _even_cycle_lengths(g), _even_cycle_lengths(h)
@@ -495,7 +498,9 @@ def dispatch_exponent(g, h, harvest=False):
     scale = Fraction(a, b)
     prov_prefix += () if scale == 1 else ("union-power",)
 
-    rule = _exact_rule(g0, h0)
+    # subgraph_equal_nu and the subgraph-upper step share one search
+    contains = functools.cache(functools.partial(has_subgraph, h0, g0))
+    rule = _exact_rule(g0, h0, contains)
     if rule is not None:
         val, name = rule
         return ExponentBound(scale * val, scale * val, True, prov_prefix + (name,))
@@ -521,7 +526,7 @@ def dispatch_exponent(g, h, harvest=False):
         upper = cu
         prov.append("crude-upper")
 
-    if has_subgraph(h0, g0) and upper > 1:
+    if contains() and upper > 1:
         upper = Fraction(1)
         prov.append("subgraph-upper")
 

@@ -236,10 +236,14 @@ def from_shorthand(text):
 # algebraic operations
 # ---------------------------------------------------------------------------
 
-def disjoint_union(g, h):
-    edges = set(g.edges)
-    edges.update((g.n + a, g.n + b) for a, b in h.edges)
-    return SimpleGraph(g.n + h.n, frozenset(edges))
+def disjoint_union(*graphs):
+    """The graphs side by side, each relabelled past the ones before it;
+    the edge set is built once."""
+    edges, offset = [], 0
+    for g in graphs:
+        edges.extend((offset + a, offset + b) for a, b in g.edges)
+        offset += g.n
+    return SimpleGraph(offset, frozenset(edges))
 
 
 def tensor_product(g, h):

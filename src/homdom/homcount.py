@@ -216,14 +216,54 @@ def hom_counts(h, adjs, max_steps=None):
     return counts
 
 
+def _has_clique(masks, r):
+    """Whether the graph with neighbourhood bitmasks ``masks`` has a K_r.
+    Branch and bound over candidate sets; before each branch, candidates
+    with fewer than r - 1 neighbours among the others are dropped."""
+    def grow(cand, need):
+        if need == 0:
+            return True
+        while True:
+            keep = cand
+            rest = cand
+            while rest:
+                b = rest & -rest
+                if (masks[b.bit_length() - 1] & cand).bit_count() < need - 1:
+                    keep ^= b
+                rest ^= b
+            if keep == cand:
+                break
+            cand = keep
+        while cand.bit_count() >= need:
+            b = cand & -cand
+            cand ^= b
+            if grow(cand & masks[b.bit_length() - 1], need - 1):
+                return True
+        return False
+
+    return grow((1 << len(masks)) - 1, r)
+
+
+def _clique_number(masks):
+    """The order of a largest clique of the graph with bitmasks ``masks``."""
+    r = 0
+    while _has_clique(masks, r + 1):
+        r += 1
+    return r
+
+
 def hom_exists(h, t):
     """Whether some homomorphism H -> T exists: by elimination when its
     plan fits (polynomial where a search is not, e.g. an odd cycle into a
-    bipartite target), else by a backtracker that stops at its first map."""
+    bipartite target), else by a backtracker that stops at its first map.
+    A homomorphism maps a clique of H injectively onto a clique of T, so
+    when T lacks a K_r that H has, the answer is no without the search."""
     counts = _eliminate(h, t.adjacency_matrix()[None])
-    if counts is None:
-        return _backtrack(h, t.adjacency_matrix(), None, first=True) > 0
-    return counts[0] > 0
+    if counts is not None:
+        return counts[0] > 0
+    if not _has_clique(t.adjacency_masks(), _clique_number(h.adjacency_masks())):
+        return False
+    return _backtrack(h, t.adjacency_matrix(), None, first=True) > 0
 
 
 def hom_count(h, t, max_steps=None):

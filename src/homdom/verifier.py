@@ -1,15 +1,15 @@
 """Corpus construction and exact inequality verification.
 
-Every verdict is produced by exact cross-powered rational comparison:
-t(G,T) >= t(H,T)^(p/q) is decided as t(G,T)^q >= t(H,T)^p over Fraction.
-Floats appear nowhere in a verdict. Targets that trip a resource cap are
-reported as skipped, never silently dropped.
+Every verdict is decided on integer counts: with t(G,T) = a/da and
+t(H,T) = b/db, t(G,T) >= t(H,T)^(p/q) is decided as a^q db^p >= b^p da^q.
+Floats appear nowhere in a verdict, and a Fraction is built only for what
+a report prints. Targets that trip a resource cap are reported as
+skipped, never silently dropped.
 """
 from __future__ import annotations
 
 import functools
 import json
-import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -120,7 +120,6 @@ class VerificationReport:
     violations: list = field(default_factory=list)
     skipped: list = field(default_factory=list)
     min_slack: dict = None
-    _least: Fraction = field(default=None, init=False, repr=False)
 
     @property
     def ok(self):
@@ -145,19 +144,6 @@ class VerificationReport:
             "complete": not self.skipped,
         }, default=str)
 
-    def _record(self, tag, target, slack, **densities):
-        """One target's verdict from its exact slack (>= 0 means the
-        inequality holds); a violation lists ``densities`` as fraction
-        strings, and the first target of least slack becomes ``min_slack``."""
-        holds = slack >= 0
-        self.results.append({"target": tag, "verdict": "ok" if holds else "violation"})
-        if not holds:
-            self.violations.append({"target": tag, "witness": _witness(target),
-                                    **{k: str(v) for k, v in densities.items()}})
-        if self._least is None or slack < self._least:
-            self._least = slack
-            self.min_slack = {"target": tag, "slack": str(slack), "witness": _witness(target)}
-
 
 def _witness(target):
     if isinstance(target, SimpleGraph):
@@ -166,10 +152,12 @@ def _witness(target):
 
 
 def _corpus_densities(pattern, corpus, max_steps):
-    """t(pattern, T) for every corpus target, or the ResourceLimitError
-    that stopped it. Densities multiply over disjoint unions, so each
-    distinct component is counted once, under its own ``max_steps``: in
-    one batch per order of simple targets, else by ``hom_density``."""
+    """t(pattern, T) for every corpus target as an exact pair (count,
+    denominator), or the ResourceLimitError that stopped it. Densities
+    multiply over disjoint unions, so each distinct component is counted
+    once, under its own ``max_steps``: in one batch per order n of simple
+    targets, giving hom(pattern, T) over n^v(pattern), else by
+    ``hom_density``, giving the product of its numerators and denominators."""
     parts = Counter(pattern.subgraph(c) for c in pattern.components())
     out = [None] * len(corpus)
     for n, (idx, adjs) in corpus.stacks.items():
@@ -184,14 +172,19 @@ def _corpus_densities(pattern, corpus, max_steps):
                 c if isinstance(c, ResourceLimitError) else t * c ** k
                 for t, c in zip(totals, counts)]
         for i, t in zip(idx, totals):
-            out[i] = t if isinstance(t, ResourceLimitError) else Fraction(t, scale)
+            out[i] = t if isinstance(t, ResourceLimitError) else (t, scale)
     for i, (_, target) in enumerate(corpus):
         if out[i] is None:
+            count = scale = 1
             try:
-                out[i] = math.prod(hom_density(part, target, max_steps=max_steps) ** k
-                                   for part, k in parts.items())
+                for part, k in parts.items():
+                    density = hom_density(part, target, max_steps=max_steps)
+                    count *= density.numerator ** k
+                    scale *= density.denominator ** k
             except ResourceLimitError as exc:
                 out[i] = exc
+            else:
+                out[i] = (count, scale)
     return out
 
 
@@ -211,16 +204,35 @@ def check_inequality(g, h, c, corpus, max_steps=2 * 10 ** 8):
 
 def _verdicts(descriptor, g, h, p, q, corpus, max_steps):
     """The report, under ``descriptor``, of t(G,T)^q >= t(H,T)^p over
-    every corpus target."""
+    every corpus target. With t(G,T) = a/da and t(H,T) = b/db the slack is
+    (a^q db^p - b^p da^q) / (da^q db^p); its sign is the verdict, and the
+    first target of least slack becomes ``min_slack``. Only a new least
+    slack and a violation's densities are built as Fractions."""
     report = VerificationReport(descriptor)
     g_dens = _corpus_densities(g, corpus, max_steps)
     h_dens = _corpus_densities(h, corpus, max_steps)
+    g_scales, h_scales = {}, {}  # da -> da^q and db -> db^p, each powered once
+    least_num, least_den = 0, 0
     for (tag, target), tg, th in zip(corpus, g_dens, h_dens):
         failed = [x for x in (tg, th) if isinstance(x, ResourceLimitError)]
         if failed:
             report.skipped.append({"target": tag, "reason": str(failed[0])})
             continue
-        report._record(tag, target, tg ** q - th ** p, t_g=tg, t_h=th)
+        (a, da), (b, db) = tg, th
+        if da not in g_scales:
+            g_scales[da] = da ** q
+        if db not in h_scales:
+            h_scales[db] = db ** p
+        num = a ** q * h_scales[db] - b ** p * g_scales[da]
+        den = g_scales[da] * h_scales[db]
+        report.results.append({"target": tag, "verdict": "ok" if num >= 0 else "violation"})
+        if num < 0:
+            report.violations.append({"target": tag, "witness": _witness(target),
+                                      "t_g": str(Fraction(a, da)), "t_h": str(Fraction(b, db))})
+        if report.min_slack is None or num * least_den < least_num * den:
+            slack = Fraction(num, den)
+            least_num, least_den = slack.numerator, slack.denominator
+            report.min_slack = {"target": tag, "slack": str(slack), "witness": _witness(target)}
     return report
 
 
@@ -271,8 +283,8 @@ def search_problem6(i, j, corpus, max_steps=2 * 10 ** 8):
     never encoded; the descriptor names the inequality instead.
     """
     e1, e2, e3 = problem6_exponents(i, j)
-    g = functools.reduce(disjoint_union, [cycle_graph(2 * j)] * e1 + [cycle_graph(2 * i + 1)] * e2)
-    h = functools.reduce(disjoint_union, [cycle_graph(2 * i - 1)] * e3)
+    g = disjoint_union(*[cycle_graph(2 * j)] * e1, *[cycle_graph(2 * i + 1)] * e2)
+    h = disjoint_union(*[cycle_graph(2 * i - 1)] * e3)
     return _verdicts({
         "kind": "problem6", "i": i, "j": j,
         "inequality": f"t(C_{2 * j})^{e1} t(C_{2 * i + 1})^{e2} >= t(C_{2 * i - 1})^{e3}",

@@ -59,6 +59,12 @@ class TestExponentCommand:
         assert time.perf_counter() - start < 10
         assert code == 0 and json.loads(out)["result"]["upper"] == "1"
 
+    def test_missing_clique_exit_3(self, capsys):
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "exponent", "--g", "K13", "--h", "K12")
+        assert time.perf_counter() - start < 10
+        assert code == 3 and json.loads(out)["result"]["lower"] == "nonexistent"
+
     def test_bounds(self, capsys):
         code, out, _ = run(capsys, "exponent", "--g", "C5", "--h", "C3")
         assert code == 0

@@ -1,4 +1,5 @@
 import itertools
+import time
 from fractions import Fraction
 
 import pytest
@@ -48,6 +49,13 @@ class TestExistence:
         assert not exists_exponent(cycle_graph(5), cycle_graph(4))
         assert exists_exponent(cycle_graph(4), complete_graph(2))
         assert not exists_exponent(cycle_graph(11), complete_bipartite(6, 6))
+
+    def test_missing_clique_answers_quickly(self):
+        # K13 -> K12 is too wide to eliminate; K12 lacks a K13, so no
+        # search over the injective partial maps is needed
+        start = time.perf_counter()
+        assert not exists_exponent(complete_graph(13), complete_graph(12))
+        assert time.perf_counter() - start < 1
 
 
 class TestGenericBounds:
@@ -323,9 +331,9 @@ class TestDispatch:
             exists.append((g, h))
             return hom_exists(g, h)
 
-        def counted_rule(g, h):
+        def counted_rule(g, h, *rest):
             rules.append((g, h))
-            return _exact_rule(g, h)
+            return _exact_rule(g, h, *rest)
 
         monkeypatch.setattr(formulas, "hom_exists", counted_exists)
         monkeypatch.setattr(formulas, "_exact_rule", counted_rule)
@@ -333,6 +341,21 @@ class TestDispatch:
         assert not bound.exact
         assert {h for _, h in rules} >= set(_COMPOSITION_CATALOG)
         assert len(exists) <= 2
+
+    def test_subgraph_searched_once(self, monkeypatch):
+        # subgraph_equal_nu and the subgraph-upper step both ask whether
+        # K_3,3 contains K_1,3; the query searches once, for the same bound
+        calls = []
+
+        def counted(host, pattern):
+            calls.append((host, pattern))
+            return has_subgraph(host, pattern)
+
+        monkeypatch.setattr(formulas, "has_subgraph", counted)
+        bound = dispatch_exponent(star_graph(3), complete_bipartite(3, 3))
+        assert calls.count((complete_bipartite(3, 3), star_graph(3))) == 1
+        assert (bound.lower, bound.upper, bound.exact) == (Fraction(2, 3), Fraction(1), False)
+        assert bound.provenance == ("simple-lower", "crude-upper", "subgraph-upper")
 
     def test_exact_rule_implies_homomorphism(self):
         # every rule's hypotheses give a map G -> H, which the composition

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -84,6 +85,22 @@ class TestAlgebra:
     def test_union(self):
         g = disjoint_union(complete_graph(3), complete_graph(3))
         assert g.n == 6 and g.num_edges == 6
+
+    def test_union_of_many_matches_pairwise(self):
+        # the n-ary union against the two-argument one folded left
+        def pairwise(g, h):
+            edges = set(g.edges)
+            edges.update((g.n + a, g.n + b) for a, b in h.edges)
+            return SimpleGraph(g.n + h.n, frozenset(edges))
+
+        rng = random.Random(37)
+        for _ in range(40):
+            parts = [SimpleGraph(n, frozenset(e for e in itertools.combinations(range(n), 2)
+                                              if rng.random() < 0.5))
+                     for n in (rng.randint(0, 6) for _ in range(rng.randint(1, 6)))]
+            assert disjoint_union(*parts) == functools.reduce(pairwise, parts)
+            assert disjoint_union(*parts[:2]) == functools.reduce(pairwise, parts[:2])
+        assert disjoint_union() == SimpleGraph(0, frozenset())
 
     def test_tensor_counts(self):
         small = [path_graph(1), path_graph(2), complete_graph(3), cycle_graph(4)]

@@ -344,7 +344,7 @@ class TestEliminationEngine:
         corpus = build_corpus(CorpusSpec(exhaustive_n=4, gnp_count=10, gnp_n=7))
         for h in (cycle_graph(3), k4_minus_e(), disjoint_union(path_graph(2), SimpleGraph(1))):
             got = _corpus_densities(h, corpus, None)
-            assert got == [hom_density(h, t) for _, t in corpus]
+            assert [Fraction(a, d) for a, d in got] == [hom_density(h, t) for _, t in corpus]
 
     def test_beyond_int64(self):
         # 9^22 >= 2**63 forces the Python-int pass; both counts exceed int64
@@ -393,6 +393,38 @@ class TestEliminationEngine:
         # K5 on 100 vertices needs a factor of 100^4 entries, past the cap
         t = disjoint_union(complete_graph(5), SimpleGraph(95))
         assert hom_count(complete_graph(5), t) == 120 and len(fallbacks) == 1
+
+
+class TestCliqueGuard:
+    """hom_exists refuses a pair whose pattern has a clique the target
+    lacks before it would start the backtracker."""
+
+    def test_has_clique_matches_brute_force(self):
+        rng = random.Random(23)
+        for _ in range(60):
+            g = random_graph(rng, rng.randint(0, 9), rng.random())
+            masks = g.adjacency_masks()
+            for r in range(g.n + 2):
+                want = any(all(g.has_edge(u, v) for u, v in itertools.combinations(s, 2))
+                           for s in itertools.combinations(range(g.n), r))
+                assert homcount._has_clique(masks, r) == want, (g, r)
+
+    def test_guard_agrees_with_backtracker(self, monkeypatch):
+        # with elimination switched off, every pair reaches the guard; each
+        # pair it refuses has no map, and hom_exists agrees with the search
+        monkeypatch.setattr(homcount, "_eliminate", lambda *args, **kwargs: None)
+        rng = random.Random(29)
+        refused = 0
+        for _ in range(300):
+            h = random_graph(rng, rng.randint(1, 6), rng.random())
+            t = random_graph(rng, rng.randint(1, 7), rng.random())
+            want = _backtrack(h, t.adjacency_matrix(), None, first=True) > 0
+            r = homcount._clique_number(h.adjacency_masks())
+            fits = homcount._has_clique(t.adjacency_masks(), r)
+            refused += not fits
+            assert fits or not want, (h, t)
+            assert hom_exists(h, t) == want, (h, t)
+        assert refused > 20
 
 
 class TestWalkRouting:

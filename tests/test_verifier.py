@@ -10,10 +10,11 @@ from homdom.graphs import (
     cycle_graph,
     disjoint_union,
     encode_graph,
+    k4_minus_e,
     path_graph,
 )
 from homdom import homcount, verifier
-from homdom.homcount import WALK_MIN_ORDER, WalkCounter, WeightedTarget, hom_density
+from homdom.homcount import WALK_MIN_ORDER, WalkCounter, WeightedTarget, hom_count, hom_density
 from homdom.constructions import simple_family
 from homdom.formulas import odd_cycle_bounds, path_exponent
 from homdom.verifier import (
@@ -129,6 +130,71 @@ class TestCheckInequality:
         assert not report.skipped and report.exit_code == 0
 
 
+def fraction_oracle(g, h, c, corpus):
+    """results, violations and min_slack of t(G,T)^q >= t(H,T)^p with
+    every density a Fraction and every slack t_g^q - t_h^p subtracted
+    target by target; the first target of least slack wins."""
+    p, q = c.numerator, c.denominator
+    results, violations, least = [], [], None
+    for tag, t in corpus:
+        witness = encode_graph(t, "graph6") if isinstance(t, SimpleGraph) else "weighted-target"
+        tg, th = hom_density(g, t), hom_density(h, t)
+        slack = tg ** q - th ** p
+        results.append({"target": tag, "verdict": "ok" if slack >= 0 else "violation"})
+        if slack < 0:
+            violations.append({"target": tag, "witness": witness, "t_g": str(tg), "t_h": str(th)})
+        if least is None or slack < least[0]:
+            least = (slack, tag, witness)
+    return results, violations, {"target": least[1], "slack": str(least[0]), "witness": least[2]}
+
+
+class TestIntegerVerdicts:
+    """check_inequality decides on integer counts what the Fraction
+    formula decides, on stacked, weighted and large targets alike."""
+
+    CORPUS = Corpus(
+        build_corpus(CorpusSpec(exhaustive_n=4, gnp_count=6, gnp_n=6, gnp_seed=61)).entries
+        + build_corpus(CorpusSpec(gnp_count=2, gnp_n=WALK_MIN_ORDER + 4,
+                                  gnp_p=Fraction(1, 5), gnp_seed=62)).entries
+        + (("w-half", WeightedTarget((Fraction(1),), ((Fraction(1, 2),),))),
+           ("w-three", WeightedTarget((Fraction(1), Fraction(2), Fraction(3)),
+                                      ((0, Fraction(1, 2), 1), (Fraction(1, 2), Fraction(1, 3), 0),
+                                       (1, 0, Fraction(2, 5)))))))
+
+    CASES = [
+        (complete_graph(2), complete_graph(3), Fraction(1)),
+        (complete_graph(3), complete_graph(2), Fraction(1)),
+        (complete_graph(2), complete_graph(3), Fraction(1, 2)),
+        (cycle_graph(4), complete_graph(2), Fraction(4)),
+        (path_graph(5), path_graph(13), path_exponent(5, 13)),
+        (k4_minus_e(), complete_graph(3), Fraction(2)),
+        (disjoint_union(cycle_graph(3), path_graph(2)), cycle_graph(5), Fraction(3, 2)),
+        (complete_graph(2), cycle_graph(4), Fraction(0)),
+    ]
+
+    @pytest.mark.parametrize("case", range(len(CASES)))
+    def test_matches_fraction_oracle(self, case):
+        g, h, c = self.CASES[case]
+        report = check_inequality(g, h, c, self.CORPUS)
+        assert not report.skipped
+        want = fraction_oracle(g, h, c, self.CORPUS)
+        assert (report.results, report.violations, report.min_slack) == want
+
+    def test_cases_cover_violations_and_ties(self):
+        # K3 vs K2 at c = 1 fails on every target with an edge; C4 vs K2 at
+        # c = 4 is tight (slack 0) on the edgeless and regular targets, so the
+        # least slack is tied and the first tied target must be reported
+        violated = check_inequality(complete_graph(3), complete_graph(2), 1, self.CORPUS)
+        assert violated.violations and violated.exit_code == 1
+        tied = check_inequality(cycle_graph(4), complete_graph(2), 4, self.CORPUS)
+        assert tied.min_slack["slack"] == "0"
+        zero = [tag for tag, t in self.CORPUS
+                if hom_density(cycle_graph(4), t) == hom_density(complete_graph(2), t) ** 4]
+        assert len(zero) > 1 and tied.min_slack["target"] == zero[0]
+        assert {t.n for _, t in self.CORPUS if isinstance(t, SimpleGraph)} >= {1, 4, 6,
+                                                                              WALK_MIN_ORDER + 4}
+
+
 class TestDisjointUnions:
     """Densities multiply over disjoint unions, and the corpus checkers
     count each distinct component of a pattern once."""
@@ -142,21 +208,28 @@ class TestDisjointUnions:
         return out
 
     def test_simple_targets(self):
+        # each target's pair (count, denominator) is exact: hom(union, T)
+        # over n^v(union) for a stacked target, some pair of that value else
         union = functools.reduce(disjoint_union, self.PARTS)
         small = build_corpus(CorpusSpec(exhaustive_n=3, gnp_count=6, gnp_n=7, gnp_seed=51))
         large = build_corpus(CorpusSpec(gnp_count=2, gnp_n=WALK_MIN_ORDER + 4,
                                         gnp_p=Fraction(1, 5), gnp_seed=52))
         corpus = Corpus(small.entries + large.entries)
         want = [self.product(t) for _, t in corpus]
-        assert _corpus_densities(union, corpus, None) == want
+        got = _corpus_densities(union, corpus, None)
+        assert [Fraction(a, d) for a, d in got] == want
         assert [hom_density(union, t) for _, t in corpus] == want
+        for (_, t), pair in zip(corpus, got):
+            if t.n <= WALK_MIN_ORDER:
+                assert pair == (hom_count(union, t), t.n ** union.n)
 
     def test_weighted_target(self):
         union = functools.reduce(disjoint_union, self.PARTS)
         w = WeightedTarget((Fraction(1), Fraction(2), Fraction(3)),
                            ((0, Fraction(1, 2), 1), (Fraction(1, 2), Fraction(1, 3), 0),
                             (1, 0, Fraction(2, 5))))
-        assert _corpus_densities(union, Corpus((("w", w),)), None) == [self.product(w)]
+        [(a, d)] = _corpus_densities(union, Corpus((("w", w),)), None)
+        assert Fraction(a, d) == self.product(w)
         assert hom_density(union, w) == self.product(w)
 
     def test_each_component_has_its_own_ceiling(self):
