@@ -314,7 +314,10 @@ def has_subgraph(host, pattern):
                 used[w] = False
         return False
 
-    return place(0)
+    try:
+        return place(0)
+    finally:
+        del place  # place refers to itself: break the cycle, freeing the graphs now
 
 
 def kk_exponent(g, h):

@@ -241,7 +241,10 @@ def _has_clique(masks, r):
                 return True
         return False
 
-    return grow((1 << len(masks)) - 1, r)
+    try:
+        return grow((1 << len(masks)) - 1, r)
+    finally:
+        del grow  # grow refers to itself: break the cycle
 
 
 def _clique_number(masks):
