@@ -6,7 +6,6 @@ carry a provenance trail naming each rule that fired.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 from dataclasses import dataclass
@@ -502,7 +501,13 @@ def dispatch_exponent(g, h, harvest=False):
     prov_prefix += () if scale == 1 else ("union-power",)
 
     # subgraph_equal_nu and the subgraph-upper step share one search
-    contains = functools.cache(functools.partial(has_subgraph, h0, g0))
+    found = []
+
+    def contains():
+        if not found:
+            found.append(has_subgraph(h0, g0))
+        return found[0]
+
     rule = _exact_rule(g0, h0, contains)
     if rule is not None:
         val, name = rule
