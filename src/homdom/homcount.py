@@ -217,34 +217,32 @@ def hom_counts(h, adjs, max_steps=None):
 
 
 def _has_clique(masks, r):
-    """Whether the graph with neighbourhood bitmasks ``masks`` has a K_r.
-    Branch and bound over candidate sets; before each branch, candidates
-    with fewer than r - 1 neighbours among the others are dropped."""
-    def grow(cand, need):
-        if need == 0:
-            return True
-        while True:
-            keep = cand
-            rest = cand
-            while rest:
-                b = rest & -rest
-                if (masks[b.bit_length() - 1] & cand).bit_count() < need - 1:
-                    keep ^= b
-                rest ^= b
-            if keep == cand:
-                break
-            cand = keep
-        while cand.bit_count() >= need:
-            b = cand & -cand
-            cand ^= b
-            if grow(cand & masks[b.bit_length() - 1], need - 1):
-                return True
-        return False
+    """Whether the graph with neighbourhood bitmasks ``masks`` has a K_r."""
+    return _clique_within(masks, (1 << len(masks)) - 1, r)
 
-    try:
-        return grow((1 << len(masks)) - 1, r)
-    finally:
-        del grow  # grow refers to itself: break the cycle
+
+def _clique_within(masks, cand, need):
+    """Whether the vertices of bitmask ``cand`` hold a K_need: branch and
+    bound, first dropping candidates with fewer than need - 1 neighbours
+    among the others until none is left to drop."""
+    if need == 0:
+        return True
+    while True:
+        keep = rest = cand
+        while rest:
+            b = rest & -rest
+            if (masks[b.bit_length() - 1] & cand).bit_count() < need - 1:
+                keep ^= b
+            rest ^= b
+        if keep == cand:
+            break
+        cand = keep
+    while cand.bit_count() >= need:
+        b = cand & -cand
+        cand ^= b
+        if _clique_within(masks, cand & masks[b.bit_length() - 1], need - 1):
+            return True
+    return False
 
 
 def _clique_number(masks):
