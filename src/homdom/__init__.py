@@ -58,7 +58,6 @@ from .formulas import (
     even_cycle_exponent,
     exists_exponent,
     fractional_matching,
-    hamiltonian_exponent,
     kk_exponent,
     odd_cycle_bounds,
     p2_exponent,

@@ -3,9 +3,13 @@
 C(G,H) is the least c with t(G,T) >= t(H,T)^c for every target T; it
 exists iff hom(G,H) > 0. Everything here returns exact Fractions; bounds
 carry a provenance trail naming each rule that fired.
+
+The rules' subgraph questions (a copy of G in H or in part of H, a
+Hamiltonian cycle, a path cover) are searched on neighbour bitmasks.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass
@@ -138,40 +142,26 @@ def even_cycle_exponent(k, ell):
     return Fraction(4 * k * (k - 1), 2 * k * ell - 2 * k - ell)
 
 
+def _closes_cycle(masks, v, rest):
+    """Whether a path from v through every vertex of bitmask ``rest`` can
+    end next to vertex 0."""
+    if not rest:
+        return bool(masks[v] & 1)
+    cand = masks[v] & rest
+    while cand:
+        b = cand & -cand
+        if _closes_cycle(masks, b.bit_length() - 1, rest ^ b):
+            return True
+        cand ^= b
+    return False
+
+
 def is_hamiltonian(h):
-    """Brute-force Hamiltonian cycle search (small graphs only)."""
-    n = h.n
-    if n > MAX_SEARCH_N:
+    """Whether H has a Hamiltonian cycle: a path search from vertex 0 on
+    neighbour bitmasks (small graphs only)."""
+    if h.n > MAX_SEARCH_N:
         raise GraphError(f"Hamiltonicity search capped at {MAX_SEARCH_N} vertices")
-    if n < 3:
-        return False
-    adj = h.adjacency_lists()
-    seen = [False] * n
-    seen[0] = True
-
-    def extend(v, depth):
-        if depth == n:
-            return 0 in adj[v]
-        for w in adj[v]:
-            if not seen[w]:
-                seen[w] = True
-                if extend(w, depth + 1):
-                    return True
-                seen[w] = False
-        return False
-
-    return extend(0, 1)
-
-
-def hamiltonian_exponent(k, h):
-    """C(C_2k, H) for H with a Hamiltonian cycle and v(H) <= 2k:
-    the even-cycle formula at ell = v(H)."""
-    ell = h.n
-    if 2 * k < ell:
-        raise GraphError("need 2k >= v(H)")
-    if not is_hamiltonian(h):
-        raise GraphError("H has no Hamiltonian cycle")
-    return even_cycle_exponent(k, ell)
+    return h.n >= 3 and _closes_cycle(h.adjacency_masks(), 0, (1 << h.n) - 2)
 
 
 def odd_cycle_bounds(k, ell):
@@ -286,100 +276,100 @@ def edge_exponent(h):
     return 1 / fractional_matching(h)
 
 
-def has_subgraph(host, pattern):
-    """Injective adjacency-preserving map pattern -> host (brute force)."""
-    if pattern.n > host.n or pattern.num_edges > host.num_edges:
-        return False
-    hadj = host.adjacency_lists()
-    padj = pattern.adjacency_lists()
-    order = sorted(range(pattern.n), key=lambda v: -len(padj[v]))
-    assign = [-1] * pattern.n
-    used = [False] * host.n
-
-    def place(idx):
-        if idx == pattern.n:
+def _embed(masks, fits, earlier, images, i, free):
+    """Whether pattern vertices i, i+1, ... of the search order can be placed
+    on host vertices of bitmask ``free``: vertex i goes into fits[i], next
+    to the images of its earlier neighbours ``earlier[i]``."""
+    if i == len(fits):
+        return True
+    cand = fits[i] & free
+    for j in earlier[i]:
+        cand &= masks[images[j]]
+    while cand:
+        b = cand & -cand
+        images[i] = b.bit_length() - 1
+        if _embed(masks, fits, earlier, images, i + 1, free ^ b):
             return True
-        v = order[idx]
-        earlier = [u for u in padj[v] if assign[u] >= 0]
-        for w in range(host.n):
-            if used[w]:
-                continue
-            if all(assign[u] in hadj[w] for u in earlier):
-                assign[v] = w
-                used[w] = True
-                if place(idx + 1):
-                    return True
-                assign[v] = -1
-                used[w] = False
-        return False
+        cand ^= b
+    return False
 
-    try:
-        return place(0)
-    finally:
-        del place  # place refers to itself: break the cycle, freeing the graphs now
+
+def has_subgraph(host, pattern, within=None):
+    """Whether the host vertices of bitmask ``within`` (default: all) hold a
+    copy of the pattern: an injective adjacency-preserving map, searched on
+    neighbour bitmasks. A pattern vertex of degree d only goes to a vertex
+    with at least d neighbours inside ``within``."""
+    within = (1 << host.n) - 1 if within is None else within
+    if pattern.n > within.bit_count() or pattern.num_edges > host.num_edges:
+        return False
+    masks = host.adjacency_masks()
+    room = [(m & within).bit_count() if within >> w & 1 else -1 for w, m in enumerate(masks)]
+    order = sorted(range(pattern.n), key=pattern.degree, reverse=True)
+    pos = {v: i for i, v in enumerate(order)}
+    fits = [sum(1 << w for w, r in enumerate(room) if r >= d) for d in map(pattern.degree, order)]
+    earlier = [[pos[u] for u in pattern.neighbors(v) if pos[u] < pos[v]] for v in order]
+    return _embed(masks, fits, earlier, [0] * pattern.n, 0, within)
 
 
 def kk_exponent(g, h):
     """C(G,H) = v(G)/v(H) when every v(G)-subset of V(H) contains a copy
-    of G (Kruskal-Katona regime). None when the hypothesis fails."""
+    of G (Kruskal-Katona regime), each subset searched as a ``within``
+    mask. None when the hypothesis fails."""
     if g.n > h.n:
         return None
     if h.n > MAX_KK_N:
         raise GraphError(f"all-subsets check capped at {MAX_KK_N} vertices")
     for subset in itertools.combinations(range(h.n), g.n):
-        if not has_subgraph(h.subgraph(list(subset)), g):
+        if not has_subgraph(h, g, sum(1 << v for v in subset)):
             return None
     return Fraction(g.n, h.n)
 
 
+def _cover_rest(masks, free):
+    """Whether the vertices of bitmask ``free`` split into paths of >= 3
+    vertices of the graph: the path through the lowest free vertex is
+    grown right arm first, then left arm, so each shape comes once."""
+    if not free:
+        return True
+    b = free & -free
+    v = b.bit_length() - 1
+    return _grow_path(masks, free ^ b, v, v, 1, False)
+
+
+def _grow_path(masks, free, head, tail, size, right_done):
+    """Whether some extension of the path of ``size`` vertices from head to
+    tail, by free vertices at the tail (until ``right_done``) and then at
+    the head, leaves a rest that ``_cover_rest`` covers."""
+    if size >= 3 and _cover_rest(masks, free):
+        return True
+    if not right_done:
+        cand = masks[tail] & free
+        while cand:
+            b = cand & -cand
+            if _grow_path(masks, free ^ b, head, b.bit_length() - 1, size + 1, False):
+                return True
+            cand ^= b
+    cand = masks[head] & free
+    while cand:
+        b = cand & -cand
+        if _grow_path(masks, free ^ b, b.bit_length() - 1, tail, size + 1, True):
+            return True
+        cand ^= b
+    return False
+
+
 def has_path_cover(h):
     """Can V(H) be partitioned into vertex-disjoint paths of >= 2 edges
-    whose edges all lie in H? Exhaustive search, small graphs only."""
+    whose edges all lie in H? Exhaustive search on neighbour bitmasks,
+    small graphs only."""
     if h.n > MAX_SEARCH_N:
         raise GraphError(f"path-cover search capped at {MAX_SEARCH_N} vertices")
-    adj = h.adjacency_lists()
-    covered = [False] * h.n
-
-    def search(remaining):
-        if remaining == 0:
-            return True
-        v = covered.index(False)
-
-        # enumerate simple paths (>= 3 vertices) through v on uncovered
-        # vertices, growing the right arm first, then the left arm; each
-        # (left, right) shape is generated exactly once
-        def grow(left, right, used, right_done):
-            path = left[::-1] + [v] + right
-            if len(path) >= 3:
-                for u in path:
-                    covered[u] = True
-                if search(remaining - len(path)):
-                    return True
-                for u in path:
-                    covered[u] = False
-            if not right_done:
-                tail = right[-1] if right else v
-                for w in adj[tail]:
-                    if not covered[w] and w not in used:
-                        if grow(left, right + [w], used | {w}, False):
-                            return True
-            head = left[-1] if left else v
-            for w in adj[head]:
-                if not covered[w] and w not in used:
-                    if grow(left + [w], right, used | {w}, True):
-                        return True
-            return False
-
-        return grow([], [], {v}, False)
-
-    return search(h.n)
+    return _cover_rest(h.adjacency_masks(), (1 << h.n) - 1)
 
 
 def p2_exponent(h):
     """C(P_2, H) = 3/v(H) when H has a disjoint-path vertex cover."""
-    if not has_path_cover(h):
-        return None
-    return Fraction(3, h.n)
+    return Fraction(3, h.n) if has_path_cover(h) else None
 
 
 def subgraph_equal_nu(g, h, contains=None):
@@ -425,9 +415,15 @@ def _cycle_length(g):
 
 
 def _even_cycle_lengths(g):
-    """Component lengths when g is a disjoint union of edges/even cycles."""
-    lengths = [_cycle_length(g.subgraph(comp)) for comp in g.components()]
+    """Component lengths when g is a disjoint union of edges/even cycles: a
+    component of 2 vertices is K2, one whose degrees are all 2 a cycle."""
+    lengths = [len(c) if len(c) == 2 or all(g.degree(v) == 2 for v in c) else None
+               for c in g.components()]
     return None if any(m is None or m % 2 for m in lengths) else lengths
+
+
+# the fixed graphs _exact_rule compares against
+_K3, _K4_MINUS_E, _PAW, _P2 = cycle_graph(3), k4_minus_e(), triangle_pendant(), path_graph(2)
 
 
 def _exact_rule(g, h, contains=None):
@@ -450,13 +446,13 @@ def _exact_rule(g, h, contains=None):
     if g.n == 2 and g.num_edges == 1 and h.num_edges >= 1:
         return edge_exponent(h), "edge-fractional-matching"
 
-    if isomorphic(h, cycle_graph(3)):
-        if isomorphic(g, k4_minus_e()):
+    if isomorphic(h, _K3):
+        if isomorphic(g, _K4_MINUS_E):
             return Fraction(2), "k4-minus-e-vs-triangle"
-        if isomorphic(g, triangle_pendant()):
+        if isomorphic(g, _PAW):
             return Fraction(3, 2), "pendant-triangle-vs-triangle"
 
-    if isomorphic(g, path_graph(2)) and h.n <= MAX_SEARCH_N and (val := p2_exponent(h)):
+    if isomorphic(g, _P2) and h.n <= MAX_SEARCH_N and (val := p2_exponent(h)):
         return val, "p2-path-cover"
 
     if h.n <= MAX_KK_N and g.n <= h.n and (val := kk_exponent(g, h)):
@@ -476,6 +472,13 @@ def _exact_rule(g, h, contains=None):
 # intermediates tried for the compositional upper bound C(F,H) <= C(F,G) C(G,H)
 _COMPOSITION_CATALOG = tuple(
     [path_graph(m) for m in range(1, 7)] + [cycle_graph(m) for m in range(2, 9)])
+
+
+def _search_once(found, host, pattern):
+    """has_subgraph(host, pattern), remembered in the list ``found``."""
+    if not found:
+        found.append(has_subgraph(host, pattern))
+    return found[0]
 
 
 def dispatch_exponent(g, h, harvest=False):
@@ -501,13 +504,7 @@ def dispatch_exponent(g, h, harvest=False):
     prov_prefix += () if scale == 1 else ("union-power",)
 
     # subgraph_equal_nu and the subgraph-upper step share one search
-    found = []
-
-    def contains():
-        if not found:
-            found.append(has_subgraph(h0, g0))
-        return found[0]
-
+    contains = functools.partial(_search_once, [], h0, g0)
     rule = _exact_rule(g0, h0, contains)
     if rule is not None:
         val, name = rule

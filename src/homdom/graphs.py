@@ -130,9 +130,11 @@ class SimpleGraph:
         return self.n >= 3 and self.is_connected() and all(d == 2 for d in self._structure[1])
 
     def subgraph(self, vertices):
-        """Induced subgraph, relabeled to 0..len(vertices)-1 in given order."""
+        """Induced subgraph, relabeled to 0..len(vertices)-1 in given order;
+        built from the chosen vertices' neighbour sets."""
         idx = {v: i for i, v in enumerate(vertices)}
-        edges = [(idx[a], idx[b]) for a, b in self.edges if a in idx and b in idx]
+        adj = self._structure[0]
+        edges = [(i, j) for v, i in idx.items() for w in adj[v] if (j := idx.get(w, -1)) > i]
         return SimpleGraph(len(vertices), frozenset(edges))
 
     def relabeled(self, perm):

@@ -149,6 +149,28 @@ def _bfs_order(g, comp):
     return order
 
 
+def _count_maps(t_masks, earlier, images, i, left, first):
+    """Maps of vertices i, i+1, ... of a component's BFS order, given the
+    images of the earlier ones: each goes next to the images of its earlier
+    neighbours ``earlier[i]``. ``left`` is a one-item list holding the
+    candidates that may still be expanded."""
+    mask = (1 << len(t_masks)) - 1
+    for j in earlier[i]:
+        mask &= t_masks[images[j]]
+    left[0] -= mask.bit_count()
+    if left[0] < 0:
+        raise ResourceLimitError("hom counting work ceiling exceeded")
+    if i == len(earlier) - 1:
+        return mask.bit_count()
+    count = 0
+    while mask and not (first and count):
+        b = mask & -mask
+        images[i] = b.bit_length() - 1
+        count += _count_maps(t_masks, earlier, images, i + 1, left, first)
+        mask ^= b
+    return count
+
+
 def _backtrack(h, adj, max_steps, first=False):
     """hom(H, T) from T's adjacency matrix, backtracking over a BFS order of
     each component of H with bitmask candidate pruning. Raises
@@ -157,33 +179,14 @@ def _backtrack(h, adj, max_steps, first=False):
     then positive iff hom(H, T) is."""
     nt = len(adj)
     t_masks = [sum(1 << int(j) for j in np.flatnonzero(row)) for row in adj]
-    left = math.inf if max_steps is None else max_steps
+    left = [math.inf if max_steps is None else max_steps]
     total = 1
     for comp in h.components():
         order = _bfs_order(h, comp)
         pos = {v: i for i, v in enumerate(order)}
         earlier = [[pos[w] for w in h.neighbors(v) if pos[w] < pos[v]] for v in order]
         images = [0] * len(order)
-
-        def rec(i):
-            nonlocal left
-            mask = (1 << nt) - 1
-            for j in earlier[i]:
-                mask &= t_masks[images[j]]
-            left -= mask.bit_count()
-            if left < 0:
-                raise ResourceLimitError("hom counting work ceiling exceeded")
-            if i == len(order) - 1:
-                return mask.bit_count()
-            count = 0
-            while mask and not (first and count):
-                b = mask & -mask
-                images[i] = b.bit_length() - 1
-                count += rec(i + 1)
-                mask ^= b
-            return count
-
-        total *= rec(0) if len(comp) > 1 else nt
+        total *= _count_maps(t_masks, earlier, images, 0, left, first) if len(comp) > 1 else nt
         if total == 0:
             return 0
     return total
@@ -532,6 +535,22 @@ class WeightedPattern:
         return self.eexp[(min(u, v), max(u, v))]
 
 
+def _tropical_subtree(pattern, badj, hadj, v, parent):
+    """value[a] = best contribution of the subtree of H at v given phi(v) = a,
+    not counting vexp at v itself; None where no map of the subtree exists."""
+    value = [Fraction(0)] * len(badj)
+    for c in hadj[v]:
+        if c == parent:
+            continue
+        child = _tropical_subtree(pattern, badj, hadj, c, v)
+        for a in range(len(badj)):
+            if value[a] is not None:
+                cands = [pattern.edge_exponent(a, b) - pattern.vexp[a] + child[b]
+                         for b in badj[a] if child[b] is not None]
+                value[a] = value[a] + max(cands) if cands else None
+    return value
+
+
 def tropical_tree_exponent(h, pattern, root=0):
     """Growth exponent of hom(H, T_n) for a tree H and a blow-up pattern.
 
@@ -547,39 +566,8 @@ def tropical_tree_exponent(h, pattern, root=0):
     if not h.is_tree():
         raise GraphError("pattern exponent oracle requires a tree")
     base = pattern.base
-    badj = base.adjacency_lists()
-    hadj = h.adjacency_lists()
-    neg_inf = None
-
-    def sub(v, parent):
-        # value[a] = best contribution of the subtree at v given phi(v) = a,
-        # not counting vexp at v itself.
-        value = [Fraction(0)] * base.n
-        for c in hadj[v]:
-            if c == parent:
-                continue
-            child = sub(c, v)
-            for a in range(base.n):
-                if value[a] is neg_inf:
-                    continue
-                best = neg_inf
-                for b in badj[a]:
-                    if child[b] is neg_inf:
-                        continue
-                    cand = pattern.edge_exponent(a, b) - pattern.vexp[a] + child[b]
-                    if best is neg_inf or cand > best:
-                        best = cand
-                value[a] = neg_inf if best is neg_inf else value[a] + best
-        return value
-
-    val = sub(root, None)
-    best = neg_inf
-    for a in range(base.n):
-        if val[a] is neg_inf:
-            continue
-        cand = pattern.vexp[a] + val[a]
-        if best is neg_inf or cand > best:
-            best = cand
-    if best is neg_inf:
+    val = _tropical_subtree(pattern, base.adjacency_lists(), h.adjacency_lists(), root, None)
+    cands = [pattern.vexp[a] + x for a, x in enumerate(val) if x is not None]
+    if not cands:
         raise GraphError("no homomorphism from the tree into the pattern base")
-    return best
+    return max(cands)

@@ -1,4 +1,6 @@
+import gc
 import itertools
+import random
 import time
 from fractions import Fraction
 
@@ -20,6 +22,7 @@ from homdom.graphs import (
 )
 from homdom.formulas import (
     _COMPOSITION_CATALOG,
+    _even_cycle_lengths,
     _exact_rule,
     ExponentBound,
     crude_upper,
@@ -28,7 +31,6 @@ from homdom.formulas import (
     even_cycle_exponent,
     exists_exponent,
     fractional_matching,
-    hamiltonian_exponent,
     has_path_cover,
     has_subgraph,
     is_hamiltonian,
@@ -40,6 +42,56 @@ from homdom.formulas import (
     subgraph_equal_nu,
 )
 from homdom.homcount import hom_exists
+
+
+def gnp(rng, n, p):
+    return SimpleGraph(n, frozenset(
+        e for e in itertools.combinations(range(n), 2) if rng.random() < p))
+
+
+def embeds(host, pattern, vertices=None):
+    """Brute force: some injective map pattern -> vertices keeps every edge."""
+    vertices = range(host.n) if vertices is None else vertices
+    return any(all(host.has_edge(img[a], img[b]) for a, b in pattern.edges)
+               for img in itertools.permutations(vertices, pattern.n))
+
+
+def path_cover_by_lists(h):
+    """The path-cover search on adjacency lists and inner functions, kept
+    as the oracle of the bitmask search."""
+    adj = h.adjacency_lists()
+    covered = [False] * h.n
+
+    def search(remaining):
+        if remaining == 0:
+            return True
+        v = covered.index(False)
+
+        def grow(left, right, used, right_done):
+            path = left[::-1] + [v] + right
+            if len(path) >= 3:
+                for u in path:
+                    covered[u] = True
+                if search(remaining - len(path)):
+                    return True
+                for u in path:
+                    covered[u] = False
+            if not right_done:
+                tail = right[-1] if right else v
+                for w in adj[tail]:
+                    if not covered[w] and w not in used:
+                        if grow(left, right + [w], used | {w}, False):
+                            return True
+            head = left[-1] if left else v
+            for w in adj[head]:
+                if not covered[w] and w not in used:
+                    if grow(left + [w], right, used | {w}, True):
+                        return True
+            return False
+
+        return grow([], [], {v}, False)
+
+    return search(h.n)
 
 
 class TestExistence:
@@ -150,15 +202,28 @@ class TestHamiltonian:
         assert not is_hamiltonian(star_graph(3))
         assert not is_hamiltonian(complete_graph(2))
 
-    def test_exponent(self):
-        # C(C_8, K_4) = even_cycle_exponent(4, 4)
-        assert hamiltonian_exponent(4, complete_graph(4)) == \
-            even_cycle_exponent(4, 4)
-        assert hamiltonian_exponent(2, complete_graph(3)) == Fraction(8, 5)
-        with pytest.raises(GraphError):
-            hamiltonian_exponent(1, complete_graph(4))  # 2k < v(H)
-        with pytest.raises(GraphError):
-            hamiltonian_exponent(3, path_graph(3))
+    def test_target_rule(self):
+        # C(C_2k, H) for a Hamiltonian H with v(H) <= 2k is the even-cycle
+        # formula at ell = v(H), by the "hamiltonian-target" rule
+        for g, h, value in ((cycle_graph(8), complete_graph(4), Fraction(12, 5)),
+                            (cycle_graph(6), k4_minus_e(), Fraction(12, 7)),
+                            (cycle_graph(4), complete_graph(4), Fraction(1))):
+            bound = dispatch_exponent(g, h)
+            assert (bound.lower, bound.upper, bound.exact) == (value, value, True)
+            assert bound.provenance == ("hamiltonian-target",)
+        # K_1,3 has no Hamiltonian cycle
+        bound = dispatch_exponent(cycle_graph(8), star_graph(3))
+        assert "hamiltonian-target" not in bound.provenance
+
+    def test_matches_permutation_brute_force(self):
+        rng = random.Random(41)
+        graphs = [g for n in range(6) for g in enumerate_graphs(n, dedup=True)]
+        graphs += [gnp(rng, n, p) for n in range(6, 9) for p in (0.4, 0.6, 0.8) for _ in range(4)]
+        for g in graphs:
+            want = g.n >= 3 and any(
+                all(g.has_edge(a, b) for a, b in zip((0,) + rest, rest + (0,)))
+                for rest in itertools.permutations(range(1, g.n)))
+            assert is_hamiltonian(g) == want, g
 
 
 class TestOddCycleBounds:
@@ -228,6 +293,61 @@ class TestMatchingRules:
     def test_has_subgraph(self):
         assert has_subgraph(complete_graph(4), cycle_graph(4))
         assert not has_subgraph(complete_bipartite(2, 3), complete_graph(3))
+
+
+class TestSubgraphSearches:
+    def test_has_subgraph_matches_brute_force(self):
+        rng = random.Random(43)
+        for _ in range(300):
+            host = gnp(rng, rng.randint(0, 7), rng.choice((0.3, 0.5, 0.7)))
+            pattern = gnp(rng, rng.randint(0, 5), rng.choice((0.3, 0.5, 0.8)))
+            assert has_subgraph(host, pattern) == embeds(host, pattern), (host, pattern)
+            subset = [v for v in range(host.n) if rng.random() < 0.7]
+            within = sum(1 << v for v in subset)
+            assert has_subgraph(host, pattern, within) == embeds(host, pattern, subset), \
+                (host, pattern, subset)
+
+    def test_within_matches_materialised_subset(self):
+        rng = random.Random(47)
+        for _ in range(300):
+            host = gnp(rng, rng.randint(1, 9), rng.choice((0.3, 0.5, 0.7)))
+            pattern = gnp(rng, rng.randint(1, 5), 0.5)
+            subset = rng.sample(range(host.n), rng.randint(0, host.n))
+            assert has_subgraph(host, pattern, sum(1 << v for v in subset)) == \
+                has_subgraph(host.subgraph(subset), pattern), (host, pattern, subset)
+
+    def test_path_cover_matches_list_search(self):
+        rng = random.Random(53)
+        graphs = [g for n in range(7) for g in enumerate_graphs(n, dedup=True)]
+        graphs += [gnp(rng, n, p) for n in range(7, 11) for p in (0.2, 0.3, 0.5) for _ in range(8)]
+        for g in graphs:
+            assert has_path_cover(g) == path_cover_by_lists(g), g
+
+    def test_kk_matches_materialised_subsets(self):
+        rng = random.Random(59)
+        pairs = [(g, h) for g in (complete_graph(2), path_graph(2), complete_graph(3),
+                                  cycle_graph(4), star_graph(3))
+                 for h in [gnp(rng, n, p) for n in range(3, 8) for p in (0.5, 0.8, 0.95)]]
+        pairs += [(complete_graph(3), complete_graph(5)), (cycle_graph(4), complete_graph(6))]
+        fired = 0
+        for g, h in pairs:
+            want = None
+            if g.n <= h.n and all(embeds(h.subgraph(list(s)), g)
+                                  for s in itertools.combinations(range(h.n), g.n)):
+                want = Fraction(g.n, h.n)
+            assert kk_exponent(g, h) == want, (g, h)
+            fired += want is not None
+        assert 0 < fired < len(pairs)
+
+    def test_even_cycle_lengths(self):
+        k2, c4, c6 = complete_graph(2), cycle_graph(4), cycle_graph(6)
+        assert _even_cycle_lengths(disjoint_union(k2, c4, c6, k2)) == [2, 4, 6, 2]
+        assert _even_cycle_lengths(c4) == [4]
+        for g in (disjoint_union(c4, SimpleGraph(1)), disjoint_union(k2, cycle_graph(3)),
+                  disjoint_union(c6, cycle_graph(5)), disjoint_union(c4, path_graph(3)),
+                  path_graph(2), path_graph(3), star_graph(3), SimpleGraph(2),
+                  disjoint_union(cycle_graph(3), cycle_graph(3))):
+            assert _even_cycle_lengths(g) is None, g
 
 
 class TestDispatch:
@@ -347,15 +467,31 @@ class TestDispatch:
         # K_3,3 contains K_1,3; the query searches once, for the same bound
         calls = []
 
-        def counted(host, pattern):
-            calls.append((host, pattern))
-            return has_subgraph(host, pattern)
+        def counted(host, pattern, within=None):
+            calls.append((host, pattern, within))
+            return has_subgraph(host, pattern, within)
 
         monkeypatch.setattr(formulas, "has_subgraph", counted)
         bound = dispatch_exponent(star_graph(3), complete_bipartite(3, 3))
-        assert calls.count((complete_bipartite(3, 3), star_graph(3))) == 1
+        assert calls.count((complete_bipartite(3, 3), star_graph(3), None)) == 1
         assert (bound.lower, bound.upper, bound.exact) == (Fraction(2, 3), Fraction(1), False)
         assert bound.provenance == ("simple-lower", "crude-upper", "subgraph-upper")
+
+    def test_leaves_no_cyclic_garbage(self):
+        # no search leaves a reference cycle behind, so each query frees its
+        # graphs at once instead of at the next collection
+        graphs = [g for n in range(2, 6) for g in enumerate_graphs(n, dedup=True)
+                  if g.is_connected()]
+        assert len(graphs) ** 2 == 900
+        gc.collect()
+        gc.disable()
+        try:
+            for g in graphs:
+                for h in graphs:
+                    dispatch_exponent(g, h)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_exact_rule_implies_homomorphism(self):
         # every rule's hypotheses give a map G -> H, which the composition

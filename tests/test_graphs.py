@@ -234,6 +234,19 @@ class TestCachedStructure:
                 assert g.adjacency_lists()[v] == nbrs
                 assert g.adjacency_masks()[v] == sum(1 << w for w in nbrs)
 
+    def test_subgraph_matches_edge_scan(self):
+        def by_edge_scan(g, vertices):
+            idx = {v: i for i, v in enumerate(vertices)}
+            return SimpleGraph(len(vertices), frozenset(
+                (idx[a], idx[b]) for a, b in g.edges if a in idx and b in idx))
+
+        rng = random.Random(29)
+        for _ in range(60):
+            n = rng.randint(0, 10)
+            g = random_graph(rng, n, rng.choice((0.2, 0.5, 0.8)))
+            vertices = rng.sample(range(n), rng.randint(0, n))
+            assert g.subgraph(vertices) == by_edge_scan(g, vertices)
+
     def test_callers_cannot_corrupt_the_cache(self):
         g = cycle_graph(4)
         adj = g.adjacency_lists()
