@@ -24,8 +24,10 @@ from .graphs import (
     triangle_pendant,
 )
 from .cones import union_exponent_lp
+from .constructions import simple_family
 from .homcount import hom_exists
 from .ratlp import LPError, frac_to_str
+from .verifier import Corpus, CorpusSpec, build_corpus, harvest_lower
 
 MAX_SEARCH_N = 12  # largest H of the Hamiltonian-cycle and path-cover searches
 MAX_KK_N = 10  # largest H of the Kruskal-Katona all-subsets check
@@ -60,10 +62,6 @@ class ExponentBound:
             "exact": self.exact,
             "provenance": list(self.provenance),
         })
-
-
-def _exact(value, rule):
-    return ExponentBound(Fraction(value), Fraction(value), True, (rule,))
 
 
 # ---------------------------------------------------------------------------
@@ -474,6 +472,19 @@ _COMPOSITION_CATALOG = tuple(
     [path_graph(m) for m in range(1, 7)] + [cycle_graph(m) for m in range(2, 9)])
 
 
+# scaling-family targets (kind, sizes) added to the graphs on <= 6 vertices
+_HARVEST_FAMILIES = (("two_cliques", (4, 6, 8)), ("clique_plus_isolated", (4, 6, 8)),
+                     ("single_edge", (6, 10, 20)))
+
+
+@functools.lru_cache(maxsize=None)
+def _harvest_corpus():
+    """The harvest corpus, built on the first harvest and reused after it."""
+    extra = tuple((f"{kind}({n})", simple_family(kind, n))
+                  for kind, sizes in _HARVEST_FAMILIES for n in sizes)
+    return Corpus(build_corpus(CorpusSpec(exhaustive_n=6)).entries + extra)
+
+
 def _search_once(found, host, pattern):
     """has_subgraph(host, pattern), remembered in the list ``found``."""
     if not found:
@@ -488,8 +499,9 @@ def dispatch_exponent(g, h, harvest=False):
     them), with C = 0 for an edgeless G; union-power rewriting C(G^a, H^b)
     = (a/b) C(G,H); exact closed forms; otherwise bounds (odd-cycle pair
     bounds, the simple lower bound, the crude upper bound, depth-2
-    compositions through a small catalog). harvest=True additionally runs
-    the lower-bound constructions (slow; numeric ratios floor-approximated).
+    compositions through a small catalog). harvest=True also tries
+    ``verifier.harvest_lower`` on the harvest corpus, whose provenance names
+    the witness. Crossed bounds raise GraphError.
     """
     if not exists_exponent(g, h):
         return ExponentBound(exists=False, exact=True, provenance=("nonexistent",))
@@ -510,14 +522,12 @@ def dispatch_exponent(g, h, harvest=False):
         val, name = rule
         return ExponentBound(scale * val, scale * val, True, prov_prefix + (name,))
 
-    lower = Fraction(0)
-    upper = None
+    lower, upper = Fraction(0), None
     prov = list(prov_prefix)
 
     if g0.is_cycle() and h0.is_cycle() and g0.n % 2 == 1 and h0.n % 2 == 1 \
             and g0.n > h0.n:
-        lo, up = odd_cycle_bounds((g0.n - 1) // 2, (h0.n - 1) // 2)
-        lower, upper = lo, up
+        lower, upper = odd_cycle_bounds((g0.n - 1) // 2, (h0.n - 1) // 2)
         prov.append("odd-cycle-bounds")
 
     if g0.is_connected() and h0.is_connected() and h0.num_edges >= 1 and h0.n >= 2:
@@ -545,37 +555,9 @@ def dispatch_exponent(g, h, harvest=False):
                 prov.append(f"composition({left[1]}*{right[1]})")
 
     if harvest:
-        hl = _harvested_lower(g0, h0)
-        if hl is not None and hl[0] > lower:
-            lower = hl[0]
-            prov.append(hl[1])
+        found = harvest_lower(g0, h0, _harvest_corpus())
+        if found and found[0] > lower:
+            lower = found[0]
+            prov.append(f"harvested({found[1]})")
 
-    lower = min(scale * lower, scale * upper)
-    return ExponentBound(lower, scale * upper, False, tuple(prov))
-
-
-def _harvested_lower(g, h):
-    """Opt-in numeric lower bound from the scaling constructions.
-
-    Samples small construction targets, takes the best exact log-density
-    ratio floor (rational just below the measured float), and certifies it
-    by exact cross-powering on the witnessing target.
-    """
-    from .constructions import ScalingFamily
-    from .verifier import ratio_certified_lower
-
-    best = None
-    families = [
-        (ScalingFamily("two_cliques"), [4, 6, 8]),
-        (ScalingFamily("clique_plus_isolated"), [4, 6, 8]),
-        (ScalingFamily("single_edge"), [6, 10, 20]),
-    ]
-    for fam, sizes in families:
-        for size in sizes:
-            target = fam.build(size)
-            bound = ratio_certified_lower(g, h, target)
-            if bound is not None and (best is None or bound > best):
-                best = bound
-    if best is None:
-        return None
-    return best, "harvested-construction"
+    return ExponentBound(scale * lower, scale * upper, False, tuple(prov))

@@ -99,9 +99,13 @@ class SimpleGraph:
         """Neighbourhoods as a fresh list of frozensets."""
         return list(self._structure[0])
 
+    @functools.cached_property
+    def _masks(self):
+        return tuple(sum(1 << w for w in s) for s in self._structure[0])
+
     def adjacency_masks(self):
-        """Neighborhoods as bitmasks (bit v set iff v is a neighbor)."""
-        return [sum(1 << w for w in s) for s in self._structure[0]]
+        """Neighbourhoods as bitmasks (bit v set iff v is a neighbour), built once."""
+        return self._masks
 
     def adjacency_matrix(self, dtype=np.int64):
         a = np.zeros((self.n, self.n), dtype=dtype)

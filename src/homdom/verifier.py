@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from .constructions import behrend_graph, log_fraction, red_line_graph, simple_family
-from .constructions import ProjectivePlaneSpec
+from .constructions import ProjectivePlaneSpec, behrend_graph, red_line_graph, simple_family
 from .graphs import (
     GraphError,
     SimpleGraph,
@@ -236,29 +236,42 @@ def _verdicts(descriptor, g, h, p, q, corpus, max_steps):
     return report
 
 
-def ratio_certified_lower(g, h, target, max_denominator=60):
-    """A certified rational lower bound on C(G,H) from one target.
+HARVEST_MAX_DENOMINATOR = 3600
 
-    For any T with 0 < t(H,T) < 1 and t(G,T) > 0, C(G,H) >= log t(G,T) /
-    log t(H,T). A rational r below that ratio is certified exactly by
-    t(G,T)^q <= t(H,T)^p; the float ratio only steers the choice of r.
-    """
-    try:
-        tg = hom_density(g, target)
-        th = hom_density(h, target)
-    except ResourceLimitError:
+
+def _farey_below(r):
+    """The largest fraction below r > 0 with denominator <= the limit: such
+    neighbours a/b < p/q have pb - aq = 1 and b + q > the limit."""
+    p, q, limit = r.numerator, r.denominator, HARVEST_MAX_DENOMINATOR
+    b = limit - (limit - pow(p, -1, q)) % q
+    return Fraction((p * b - 1) // q, b)
+
+
+def harvest_lower(g, h, corpus):
+    """(bound, witness graph6): a lower bound on C(G,H) from one corpus
+    target, or None. A T with 0 < t(G,T) = a/da and t(H,T) = b/db < 1 gives
+    C(G,H) >= log t(G,T) / log t(H,T). On the T of the largest float ratio,
+    the largest p/q <= it (nudged up by 2^-40, not to miss an exact rational
+    ratio) with q <= HARVEST_MAX_DENOMINATOR is certified as a^q db^p <= b^p
+    da^q; a p/q that fails the check gives way to the next smaller one."""
+    best = None
+    for (_, t), (a, da), (b, db) in zip(corpus, _corpus_densities(g, corpus, None),
+                                        _corpus_densities(h, corpus, None)):
+        if 0 < a < da and 0 < b < db:
+            ratio = (math.log(a) - math.log(da)) / (math.log(b) - math.log(db))
+            if best is None or ratio > best[0]:
+                best = (ratio, a, da, b, db, t)
+    if best is None:
         return None
-    if not (0 < th < 1) or tg <= 0 or tg >= 1:
-        return None
-    ratio = log_fraction(tg) / log_fraction(th)
-    r = Fraction(ratio).limit_denominator(max_denominator)
-    step = Fraction(1, max_denominator ** 2)
-    for _ in range(4 * max_denominator):
-        if r <= 0:
-            return None
-        if tg ** r.denominator <= th ** r.numerator:
-            return r
-        r -= step
+    ratio, a, da, b, db, t = best
+    x = Fraction(ratio * (1 + 2 ** -40))
+    r = x.limit_denominator(HARVEST_MAX_DENOMINATOR)
+    r = _farey_below(r) if r > x else r
+    while r > 0:
+        p, q = r.numerator, r.denominator
+        if a ** q * db ** p <= b ** p * da ** q:
+            return r, _witness(t)
+        r = _farey_below(r)
     return None
 
 

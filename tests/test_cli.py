@@ -1,11 +1,14 @@
 import json
 import time
+from fractions import Fraction
 
 import pytest
 
 from homdom import cli
 from homdom.cli import main, parse_corpus_spec, parse_graph_arg
-from homdom.graphs import complete_graph, cycle_graph, k4_minus_e, path_graph
+from homdom.graphs import (complete_graph, cycle_graph, decode_graph, k4_minus_e, path_graph,
+                           star_graph)
+from homdom.homcount import hom_density
 
 
 def run(capsys, *argv):
@@ -103,6 +106,21 @@ class TestIsomorphismCost:
             code, out, _ = run(capsys, "exponent", "--g", g, "--h", h)
             assert code == 0 and json.loads(out)["result"] == want
         assert 8 not in orders
+
+
+class TestHarvest:
+    def test_witness_certifies_the_bound(self, capsys):
+        argv = ("exponent", "--harvest", "--g", "P3", "--h", "K1,4")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and run(capsys, *argv) == (code, out, "")
+        result = json.loads(out)["result"]
+        bound = Fraction(result["lower"])
+        assert bound > Fraction(4, 5)
+        [witness] = [p[len("harvested("):-1] for p in result["provenance"]
+                     if p.startswith("harvested(")]
+        t = decode_graph(witness, "graph6")
+        tg, th = hom_density(path_graph(3), t), hom_density(star_graph(4), t)
+        assert tg ** bound.denominator <= th ** bound.numerator
 
 
 class TestParserReuse:

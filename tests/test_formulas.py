@@ -6,13 +6,14 @@ from fractions import Fraction
 
 import pytest
 
-from homdom import formulas
+from homdom import formulas, verifier
 from homdom.graphs import (
     GraphError,
     SimpleGraph,
     complete_bipartite,
     complete_graph,
     cycle_graph,
+    decode_graph,
     disjoint_union,
     enumerate_graphs,
     k4_minus_e,
@@ -41,7 +42,9 @@ from homdom.formulas import (
     simple_lower,
     subgraph_equal_nu,
 )
-from homdom.homcount import hom_exists
+from homdom.constructions import log_fraction, simple_family
+from homdom.homcount import hom_count, hom_density, hom_exists
+from homdom.verifier import harvest_lower
 
 
 def gnp(rng, n, p):
@@ -518,6 +521,13 @@ class TestDispatch:
         with pytest.raises(GraphError):
             ExponentBound(Fraction(1), Fraction(2), exact=True)
 
+    def test_unsound_upper_bound_raises(self, monkeypatch):
+        # a rule giving an upper bound below the lower one is reported, not
+        # clamped away: C5 vs K3 has lower bound 15/7
+        monkeypatch.setattr(formulas, "crude_upper", lambda g, h: Fraction(1, 100))
+        with pytest.raises(GraphError, match="crossed bounds"):
+            dispatch_exponent(cycle_graph(5), complete_graph(3))
+
     def test_json(self):
         import json
         bound = dispatch_exponent(path_graph(5), path_graph(13))
@@ -526,3 +536,81 @@ class TestDispatch:
         doc = json.loads(dispatch_exponent(complete_graph(3),
                                            complete_graph(2)).to_json())
         assert doc["lower"] == "nonexistent"
+
+
+def fraction_power_harvest(g, h):
+    """The former harvest, kept as an oracle: on each of the nine family
+    targets, the float ratio's nearest p/q with q <= 60, stepped down by
+    1/3600 until t(G,T)^q <= t(H,T)^p holds on Fractions; the best of
+    these, or None."""
+    best = None
+    for kind, sizes in formulas._HARVEST_FAMILIES:
+        for n in sizes:
+            target = simple_family(kind, n)
+            tg, th = hom_density(g, target), hom_density(h, target)
+            if not (0 < tg < 1 and 0 < th < 1):
+                continue
+            r = Fraction(log_fraction(tg) / log_fraction(th)).limit_denominator(60)
+            for _ in range(240):
+                if r <= 0:
+                    break
+                if tg ** r.denominator <= th ** r.numerator:
+                    best = r if best is None else max(best, r)
+                    break
+                r -= Fraction(1, 3600)
+    return best
+
+
+class TestHarvest:
+    GRAPHS = [g for n in range(2, 6) for g in enumerate_graphs(n, dedup=True) if g.is_connected()]
+
+    def test_sound_on_small_pairs(self, monkeypatch):
+        # every harvested bound is certified by its witness on integers and
+        # stays below every stated upper bound and exact value: a cross-check
+        # of the exact rules and upper bounds on the 900 pairs. Each of the
+        # 30 patterns is counted on the corpus once.
+        corpus, counted = formulas._harvest_corpus(), {}
+        real = verifier._corpus_densities
+
+        def densities(pattern, corpus, max_steps):
+            if pattern not in counted:
+                counted[pattern] = real(pattern, corpus, max_steps)
+            return counted[pattern]
+
+        monkeypatch.setattr(verifier, "_corpus_densities", densities)
+        with_exponent = 0
+        for g in self.GRAPHS:
+            for h in self.GRAPHS:
+                bound = dispatch_exponent(g, h)
+                if not bound.exists:
+                    continue
+                with_exponent += 1
+                found = harvest_lower(g, h, corpus)
+                if found is None:
+                    continue
+                r, witness = found
+                t = decode_graph(witness, "graph6")
+                a, b = hom_count(g, t), hom_count(h, t)
+                da, db = t.n ** g.n, t.n ** h.n
+                assert a ** r.denominator * db ** r.numerator <= b ** r.numerator * da ** r.denominator
+                assert r <= bound.upper, (g, h, r, bound)
+        assert with_exponent == 607
+
+    def test_not_below_fraction_power_oracle(self):
+        rng = random.Random(11)
+        pairs = [(g, h) for g in self.GRAPHS for h in self.GRAPHS
+                 if (b := dispatch_exponent(g, h)).exists and not b.exact]
+        assert len(pairs) == 314
+        for g, h in rng.sample(pairs, 4):
+            old = fraction_power_harvest(g, h)
+            new = harvest_lower(g, h, formulas._harvest_corpus())
+            assert old is None or new[0] >= old, (g, h, old, new)
+
+    def test_provenance_names_the_witness(self):
+        bound = dispatch_exponent(path_graph(3), star_graph(4), harvest=True)
+        assert bound.lower == Fraction(1575, 1216)
+        assert bound.provenance[-1] == "harvested(Esa?)"
+        plain = dispatch_exponent(path_graph(3), star_graph(4))
+        assert plain.lower == Fraction(4, 5) and plain.upper == bound.upper
+        assert harvest_lower(path_graph(3), star_graph(4), formulas._harvest_corpus()) \
+            == (bound.lower, "Esa?")

@@ -234,6 +234,14 @@ class TestCachedStructure:
                 assert g.adjacency_lists()[v] == nbrs
                 assert g.adjacency_masks()[v] == sum(1 << w for w in nbrs)
 
+    def test_masks_built_once(self):
+        rng = random.Random(23)
+        for _ in range(20):
+            g = random_graph(rng, rng.randint(0, 9), 0.4)
+            masks = g.adjacency_masks()
+            assert masks == tuple(sum(1 << w for w in g.neighbors(v)) for v in range(g.n))
+            assert g.adjacency_masks() is masks
+
     def test_subgraph_matches_edge_scan(self):
         def by_edge_scan(g, vertices):
             idx = {v: i for i, v in enumerate(vertices)}
@@ -251,7 +259,8 @@ class TestCachedStructure:
         g = cycle_graph(4)
         adj = g.adjacency_lists()
         adj[0] = {2}
-        g.adjacency_masks()[0] = 0
+        with pytest.raises(TypeError):
+            g.adjacency_masks()[0] = 0
         with pytest.raises(AttributeError):
             g.neighbors(0).add(2)
         assert g.neighbors(0) == {1, 3} and g.adjacency_lists()[0] == {1, 3}

@@ -23,3 +23,18 @@ def test_no_self_referencing_inner_functions():
                        for node in ast.walk(inner)):
                     found.append(f"{path.name}: {outer.name}.{inner.name}")
     assert sorted(set(found)) == []
+
+
+def test_no_imports_inside_functions():
+    # every module names what it imports at its top, so the import graph
+    # is read from the module headers alone
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for func in ast.walk(tree):
+            if not isinstance(func, FUNCTIONS):
+                continue
+            for node in ast.walk(func):
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    found.append(f"{path.name}:{node.lineno} in {func.name}")
+    assert sorted(set(found)) == []

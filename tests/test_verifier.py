@@ -1,5 +1,6 @@
 import functools
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from homdom.graphs import (
     complete_graph,
     cycle_graph,
     disjoint_union,
+    decode_graph,
     encode_graph,
     k4_minus_e,
     path_graph,
@@ -26,8 +28,8 @@ from homdom.verifier import (
     check_eq_main,
     check_inequality,
     gnp_graph,
+    harvest_lower,
     problem6_exponents,
-    ratio_certified_lower,
     search_problem6,
 )
 
@@ -242,21 +244,68 @@ class TestDisjointUnions:
 
 
 class TestRatioCertifiedLower:
+    """``harvest_lower`` on one-target corpora and on a small corpus."""
+
     def test_edge_vs_triangle(self):
         target = simple_family("clique_plus_isolated", 8)
-        bound = ratio_certified_lower(complete_graph(2), complete_graph(3),
-                                      target)
-        assert bound is not None
+        k2, k3 = complete_graph(2), complete_graph(3)
+        bound, witness = harvest_lower(k2, k3, Corpus((("t", target),)))
+        assert witness == encode_graph(target, "graph6")
         assert Fraction(1, 2) < bound <= Fraction(2, 3)
         # certified: t_g^q <= t_h^p exactly
-        tg = hom_density(complete_graph(2), target)
-        th = hom_density(complete_graph(3), target)
+        tg, th = hom_density(k2, target), hom_density(k3, target)
         assert tg ** bound.denominator <= th ** bound.numerator
 
     def test_degenerate_none(self):
         # t(K_3, C_4) = 0: no usable ratio
-        assert ratio_certified_lower(complete_graph(2), complete_graph(3),
-                                     cycle_graph(4)) is None
+        assert harvest_lower(complete_graph(2), complete_graph(3),
+                             Corpus((("c4", cycle_graph(4)),))) is None
+
+    def test_exact_rational_ratio_is_kept(self):
+        # on a regular target t(P2) = t(K2)^2, so the ratio is exactly 2 or 1/2
+        corpus = Corpus((("c5", cycle_graph(5)),))
+        assert harvest_lower(path_graph(2), path_graph(1), corpus)[0] == 2
+        assert harvest_lower(path_graph(1), path_graph(2), corpus)[0] == Fraction(1, 2)
+
+    def test_largest_certified_fraction(self):
+        # the bound certifies and the next fraction up (q <= 3600) does not
+        corpus = build_corpus(CorpusSpec(exhaustive_n=5))
+        limit = verifier.HARVEST_MAX_DENOMINATOR
+        for g, h in [(path_graph(3), complete_graph(3)), (cycle_graph(5), complete_graph(3)),
+                     (k4_minus_e(), cycle_graph(4))]:
+            bound, witness = harvest_lower(g, h, corpus)
+            t = decode_graph(witness, "graph6")
+            tg, th = hom_density(g, t), hom_density(h, t)
+            assert tg ** bound.denominator <= th ** bound.numerator
+            above = min(Fraction(bound * q // 1 + 1, q) for q in range(1, limit + 1))
+            assert tg ** above.denominator > th ** above.numerator
+
+    def test_steps_down_past_a_float_overshoot(self, monkeypatch):
+        # a float ratio pushed above the true one, by a log that reads
+        # log hom(K2, T) low, starts above the bound: the exact check
+        # rejects each fraction until it reaches the same bound
+        g, h = complete_graph(2), complete_graph(3)
+        corpus = Corpus((("t", simple_family("clique_plus_isolated", 8)),))
+        want = harvest_lower(g, h, corpus)
+        count, steps = hom_count(g, corpus.entries[0][1]), []
+        real_below = verifier._farey_below
+
+        def below(r):
+            steps.append(r)
+            return real_below(r)
+
+        monkeypatch.setattr(verifier.math, "log", lambda x, log=math.log:
+                            log(x) * (1 - 1e-6) if x == count else log(x))
+        monkeypatch.setattr(verifier, "_farey_below", below)
+        assert harvest_lower(g, h, corpus) == want
+        assert len(steps) >= 2 and steps[-1] > want[0]
+
+    def test_farey_below_matches_fractions(self):
+        limit = verifier.HARVEST_MAX_DENOMINATOR
+        for r in [Fraction(1, 7), Fraction(2), Fraction(3601, 3600).limit_denominator(limit),
+                  Fraction(1575, 1216), Fraction(355, 113), Fraction(1, limit), Fraction(17)]:
+            want = max(Fraction((r * q).__ceil__() - 1, q) for q in range(1, limit + 1))
+            assert verifier._farey_below(r) == want
 
 
 def problem6_walk_oracle(i, j, corpus):
