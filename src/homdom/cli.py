@@ -21,7 +21,8 @@ from fractions import Fraction
 
 from . import cones, constructions, formulas, ratlp, verifier
 from .cones import ConeError
-from .graphs import GraphError, SimpleGraph, decode_graph, encode_graph, from_shorthand
+from .graphs import (CliqueUnion, GraphError, SimpleGraph, decode_graph, encode_graph,
+                     from_shorthand)
 from .homcount import ResourceLimitError
 from .ratlp import LPError, frac_to_str
 
@@ -154,6 +155,8 @@ def cmd_construct(args, config):
     params = parse_params(args.params)
     fam = constructions.ScalingFamily(args.family, params, seed=config.seed)
     target = fam.build(args.size)
+    if isinstance(target, CliqueUnion):
+        target = target.graph  # the payload encodes the expanded graph
     payload = {"family": args.family, "params": params, "size": args.size,
                "seed": config.seed, "target": _target_payload(target)}
     if args.emit and isinstance(target, SimpleGraph):
@@ -221,7 +224,7 @@ def build_parser():
     parser.add_argument(
         "--max-hom-steps", type=int, default=2 * 10 ** 8,
         help="work ceiling of each exact hom count; it does not bound the "
-             "walk counts of cycles and K2 on targets of more than 64 vertices",
+             "walk and Gram counts of cycles and K2 on targets of more than 64 vertices",
     )
     parser.add_argument("--out", default="")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graphs import GraphError, SimpleGraph, complete_graph, disjoint_union
+from .graphs import CliqueUnion, GraphError, SimpleGraph, complete_graph, disjoint_union
 from .homcount import (
     ResourceLimitError,
     WeightedPattern,
@@ -126,9 +126,18 @@ def projective_plane(p):
     """
     if not _is_prime(p):
         raise GraphError(f"{p} is not prime")
-    points = [(1, x, y) for x in range(p) for y in range(p)]
-    points += [(0, 1, y) for y in range(p)] + [(0, 0, 1)]
+    points = [_point(i, p) for i in range(p * p + p + 1)]
     return points, [_line(a, b, c, p) for a, b, c in points]
+
+
+def _point(i, p):
+    """The normalized triple of point i of PG(2, p), which is also the triple
+    of dual coordinates of line i."""
+    if i < p * p:
+        return 1, i // p, i % p
+    if i < p * p + p:
+        return 0, 1, i - p * p
+    return 0, 0, 1
 
 
 def _line(a, b, c, p):
@@ -178,17 +187,16 @@ class ProjectivePlaneSpec:
 
 
 def red_line_graph(spec, seed, num_lines=None):
-    """Union of cliques on a seeded-random choice of red lines."""
-    points, lines = projective_plane(spec.p)
-    n = len(points)
+    """Union of cliques on a seeded-random choice of red lines, as a
+    ``CliqueUnion`` of the chosen lines in the order drawn. Only the chosen
+    lines are built."""
+    n = spec.num_points
     count = spec.red_line_count if num_lines is None else num_lines
-    if not (1 <= count <= len(lines)):
+    if not (1 <= count <= n):
         raise GraphError("red line count out of range")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, spec.p, spec.k])))
-    chosen = rng.choice(len(lines), size=count, replace=False)
-    pts = np.array([lines[li] for li in chosen])  # each row ascending
-    i, j = np.triu_indices(pts.shape[1], 1)
-    return SimpleGraph(n, frozenset(zip(pts[:, i].ravel().tolist(), pts[:, j].ravel().tolist())))
+    chosen = rng.choice(n, size=count, replace=False)
+    return CliqueUnion(n, tuple(_line(*_point(int(li), spec.p), spec.p) for li in chosen))
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +389,10 @@ def estimate_ratio(g, h, family, sizes, max_steps=None):
 
 
 def exponent_vector_estimate(target, cycle_lengths, scale):
-    """log t(C_m, T)/log(scale) per cycle length, via exact closed walk counts."""
+    """log t(C_m, T)/log(scale) per cycle length, via exact closed walk counts
+    on the (expanded) target."""
+    if isinstance(target, CliqueUnion):
+        target = target.graph
     counts = closed_walk_counts_dense(target.adjacency_matrix(np.float32), cycle_lengths)
     return [log_fraction(Fraction(cnt, target.n ** m)) / math.log(scale)
             for m, cnt in zip(cycle_lengths, counts)]

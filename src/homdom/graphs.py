@@ -146,6 +146,64 @@ class SimpleGraph:
         return SimpleGraph(self.n, frozenset((perm[a], perm[b]) for a, b in self.edges))
 
 
+@dataclass(frozen=True)
+class CliqueUnion:
+    """A union of cliques on vertices 0..n-1, any two sharing at most one
+    vertex, kept as its list of cliques.
+
+    With N the n x r vertex/clique incidence matrix and D = diag(N 1), the
+    adjacency matrix of the union is N N^T - D, so its closed walks reduce
+    to r x r Grams (``homcount.GramCounter``). The expanded ``graph`` and
+    its ``edges`` are built only when asked for, once each.
+    """
+
+    n: int
+    cliques: tuple  # of ascending vertex tuples, in the given order
+
+    def __post_init__(self):
+        cliques = tuple(tuple(sorted({int(v) for v in c})) for c in self.cliques)
+        object.__setattr__(self, "cliques", cliques)
+        if self.n < 0:
+            raise GraphError("negative vertex count")
+        for c in cliques:
+            if len(c) < 2:
+                raise GraphError(f"clique {c} needs at least 2 distinct vertices")
+            if c[0] < 0 or c[-1] >= self.n:
+                raise GraphError(f"clique {c} out of range for n={self.n}")
+        # entry (a, b) of N^T N counts the vertices cliques a and b share; a
+        # float32 sum of ones is exact up to 2**24 and never falls below 2 past it
+        inc = self.incidence_matrix(np.float32)
+        shared = inc.T @ inc
+        np.fill_diagonal(shared, 0)
+        if shared.max(initial=0) > 1:
+            a, b = np.unravel_index(np.argmax(shared), shared.shape)
+            raise GraphError(f"cliques {cliques[a]} and {cliques[b]} share "
+                             f"{int(shared[a, b])} vertices")
+
+    @property
+    def num_edges(self):
+        return sum(len(c) * (len(c) - 1) // 2 for c in self.cliques)
+
+    def incidence_matrix(self, dtype=np.int64):
+        """The n x r matrix N with N[v, i] = 1 iff vertex v lies on clique i."""
+        sizes = [len(c) for c in self.cliques]
+        inc = np.zeros((self.n, len(sizes)), dtype=dtype)
+        inc[np.fromiter(itertools.chain.from_iterable(self.cliques), dtype=np.intp,
+                        count=sum(sizes)), np.repeat(np.arange(len(sizes)), sizes)] = 1
+        return inc
+
+    @functools.cached_property
+    def edges(self):
+        """The edge set of the expanded graph, normalised as in ``SimpleGraph``."""
+        return frozenset(itertools.chain.from_iterable(
+            itertools.combinations(c, 2) for c in self.cliques))
+
+    @functools.cached_property
+    def graph(self):
+        """The expanded ``SimpleGraph``."""
+        return SimpleGraph(self.n, self.edges)
+
+
 # ---------------------------------------------------------------------------
 # named graphs
 # ---------------------------------------------------------------------------

@@ -11,8 +11,12 @@ Cycles and K2 on targets of more than 64 vertices are counted instead
 by the target's walk kernel ``WalkCounter``, which stays exact on BLAS by
 choosing each product's arithmetic from the entry bound
 A^k[i, j] <= D^(k-1), D the maximum degree: float32 below 2**24, float64
-below 2**53, Python ints above. Sums of entries run in int64, or in
-Python ints if it could overflow.
+below 2**53, Python ints above. A ``CliqueUnion`` target (the red-line
+graphs) has the Gram kernel ``GramCounter`` instead, which counts closed
+walks of length up to 4 from r x r products of its clique incidence
+matrix, by the same rule; any other question about it goes to its
+expanded graph. Sums of entrywise products run as float64 dot products
+below 2**53, in int64 above, or in Python ints if int64 could overflow.
 """
 from __future__ import annotations
 
@@ -25,7 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graphs import GraphError, SimpleGraph
+from .graphs import CliqueUnion, GraphError, SimpleGraph
 
 
 class ResourceLimitError(RuntimeError):
@@ -274,12 +278,15 @@ def hom_count(h, t, max_steps=None):
     """Number of adjacency-preserving maps V(H) -> V(T), exact.
 
     A cycle or K2 on a target of more than 64 vertices is counted by the
-    target's walk kernel, which ``max_steps`` does not bound; every other
-    pair by elimination, with ``max_steps`` bounding the work as in
-    ``hom_counts``.
+    target's walk kernel (the Gram kernel of a ``CliqueUnion``), which
+    ``max_steps`` does not bound; every other pair by elimination on the
+    target (the expanded graph of a ``CliqueUnion``), with ``max_steps``
+    bounding the work as in ``hom_counts``.
     """
     if t.n > WALK_MIN_ORDER and (h.is_cycle() or (h.n == 2 and h.num_edges == 1)):
         return _walks(t).closed(h.n)
+    if isinstance(t, CliqueUnion):
+        t = t.graph
     return hom_counts(h, t.adjacency_matrix()[None], max_steps)[0]
 
 
@@ -384,13 +391,19 @@ def _narrowest(x, bound):
     return _exact(x, True)
 
 
-def _exact_sum(bound, *arrays):
-    """Exact sum of the entrywise product of non-negative integer arrays,
-    given a bound on it: in int64 unless that could overflow, a few rows at
-    a time so that the integer copies stay small."""
+def _exact_sum(bound, x, y):
+    """Exact sum of the entrywise product of two non-negative integer arrays,
+    given a bound on it, a few rows at a time so that the copies stay small.
+    Below 2**53 each block is one float64 dot product, exact because every
+    partial sum of non-negative integers is at most the total; above, an
+    int64 product, or one in Python ints if int64 could overflow."""
+    if bound < 2 ** 53:
+        return sum(int(np.dot(x[r:r + 256].astype(np.float64, copy=False).ravel(),
+                              y[r:r + 256].astype(np.float64, copy=False).ravel()))
+                   for r in range(0, len(x), 256))
     wide = bound >= 2 ** 63
-    return sum(int(math.prod(_exact(x[r:r + 256], wide) for x in arrays).sum())
-               for r in range(0, len(arrays[0]), 256))
+    return sum(int((_exact(x[r:r + 256], wide) * _exact(y[r:r + 256], wide)).sum())
+               for r in range(0, len(x), 256))
 
 
 class _PowerChain:
@@ -477,24 +490,92 @@ class WalkCounter:
         return [int(x) for x in self.full[k][rows, cols].tolist()]
 
 
+class GramCounter:
+    """Exact closed walks of a ``CliqueUnion`` from its r x r Grams, without
+    the n x n adjacency matrix for walks of length up to 4.
+
+    The union's adjacency matrix is A = N N^T - D, N the n x r incidence
+    matrix and D = diag(N 1): the identity behind A(L(X)) = B^T B - 2I
+    (Godsil and Royle, *Algebraic Graph Theory*, 2001). Expanding
+    (N N^T - D)^m and rotating each trace turns tr(A^3) and tr(A^4) into
+    traces of products of the Grams G_j = N^T D^j N, with
+    tr(G_j) = tr(D^(j+1)):
+
+        tr(A^3) = tr(G0^3) - 3 tr(G0 G1) + 3 tr(G2) - tr(D^3)
+        tr(A^4) = tr(G0^4) - 4 tr(G0^2 G1) + 4 tr(G0 G2) + 2 tr(G1^2)
+                  - 4 tr(G3) + tr(D^4)
+
+    With k the largest clique and d the largest diagonal entry of D, G_j has
+    entries at most k d^j, every row of G0 sums to at most s = k d, so G0^2
+    has entries at most k s, and each trace in the expansion of tr(A^m) is
+    at most r s^m. These bounds choose each product's arithmetic as in
+    ``_PowerChain``.
+    Other walk lengths go to the ``WalkCounter`` of the expanded adjacency
+    matrix, built on first use.
+    """
+
+    def __init__(self, t):
+        self.n, self.cliques = t.n, t.cliques
+        inc = t.incidence_matrix(np.float32)
+        deg = inc.sum(axis=1, dtype=np.int64)
+        k, d, r = max(map(len, t.cliques), default=0), int(deg.max(initial=0)), len(t.cliques)
+        s = k * d
+        grams = []
+        for j in range(3):
+            x = _narrowest(inc, k * d ** j)
+            grams.append(x.T @ (x if j == 0 else x * _narrowest(deg ** j, k * d ** j)[:, None]))
+        g0, g1, g2 = grams
+        x = _narrowest(g0, k * s)
+        q = x @ x.T  # G0^2, as a SYRK
+        degrees = np.bincount(deg).tolist()  # the number of vertices of each degree
+        tr_d3, tr_d4 = (sum(c * e ** m for e, c in enumerate(degrees)) for m in (3, 4))
+        b3, b4 = r * s ** 3, r * s ** 4
+        self.traces = {
+            1: 0,
+            2: 2 * t.num_edges,
+            # 3 tr(G2) - tr(D^3) = 2 tr(D^3), and -4 tr(G3) + tr(D^4) = -3 tr(D^4)
+            3: _exact_sum(b3, q, g0) - 3 * _exact_sum(b3, g0, g1) + 2 * tr_d3,
+            4: (_exact_sum(b4, q, q) - 4 * _exact_sum(b4, q, g1) + 4 * _exact_sum(b4, g0, g2)
+                + 2 * _exact_sum(b4, g1, g1) - 3 * tr_d4),
+        }
+
+    @functools.cached_property
+    def walks(self):
+        """The ``WalkCounter`` of the expanded adjacency matrix."""
+        a = np.zeros((self.n, self.n), dtype=np.float32)
+        for c in self.cliques:
+            a[np.ix_(c, c)] = 1
+        np.fill_diagonal(a, 0)
+        return WalkCounter(a)
+
+    def closed(self, m):
+        """tr(A^m), the number of closed walks of length m >= 1."""
+        if m < 1:
+            raise GraphError("need m >= 1")
+        return self.traces[m] if m in self.traces else self.walks.closed(m)
+
+
 WALK_MIN_ORDER = 64  # hom_count counts cycles and K2 by walks on larger targets
 _walk_counters = weakref.WeakKeyDictionary()
 
 
 def _walks(t):
-    """The walk kernel of simple target ``t``: one per target, shared by
-    every count on it (so C4 then C3 build A^2 once) and freed with it."""
+    """The walk kernel of target ``t``, a ``GramCounter`` for a
+    ``CliqueUnion``: one per target, shared by every count on it (so C4 then
+    C3 build A^2, or the Grams, once) and freed with it."""
     walks = _walk_counters.get(t)
     if walks is None:
-        walks = _walk_counters[t] = WalkCounter(t.adjacency_matrix(np.float32))
+        walks = _walk_counters[t] = (GramCounter(t) if isinstance(t, CliqueUnion)
+                                     else WalkCounter(t.adjacency_matrix(np.float32)))
     return walks
 
 
 def cycle_hom_count(m, t):
-    """hom(C_m, T) = tr(A^m), exact big integer (m >= 3)."""
+    """hom(C_m, T) = tr(A^m), exact big integer (m >= 3), from the target's
+    walk kernel."""
     if m < 3:
         raise GraphError("cycle_hom_count needs m >= 3")
-    return WalkCounter(t.adjacency_matrix(np.float32)).closed(m)
+    return _walks(t).closed(m)
 
 
 def closed_walk_counts_dense(adj, lengths):

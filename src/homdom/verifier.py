@@ -96,7 +96,8 @@ def build_corpus(spec):
         g = gnp_graph(spec.gnp_n, spec.gnp_p, spec.gnp_seed, i)
         entries.append((f"gnp(n={spec.gnp_n},p={spec.gnp_p},seed={spec.gnp_seed},i={i})", g))
     if spec.include_constructions:
-        entries.append(("red_line(p=5,k=2)", red_line_graph(ProjectivePlaneSpec(5, 2), seed=1)))
+        red_line = red_line_graph(ProjectivePlaneSpec(5, 2), seed=1)
+        entries.append(("red_line(p=5,k=2)", red_line.graph))
         entries.append(("behrend(30)", behrend_graph(30)))
         for kind in ("two_cliques", "clique_plus_isolated", "single_edge"):
             for n in (4, 6, 8):

@@ -198,6 +198,31 @@ class TestSearchP6Command:
         assert doc["num_targets"] == 18
 
 
+PROJECTIVE_5 = """{
+  "config": {
+    "command": "construct",
+    "seed": 7,
+    "max_hom_steps": 200000000,
+    "out": ""
+  },
+  "result": {
+    "family": "projective",
+    "params": {
+      "k": 2
+    },
+    "size": 5,
+    "seed": 7,
+    "target": {
+      "format": "graph6",
+      "graph": "^~}`O?OWDKCBOFNj_@}[uH?O??@`i@COAc[Q????SA_MVYWH?Q?dISh????@SidOXCu@_aG@CFo^???",
+      "n": 31,
+      "edges": 135
+    }
+  }
+}
+"""
+
+
 class TestConstructCommand:
     def test_behrend(self, capsys):
         code, out, _ = run(capsys, "construct", "--family", "behrend",
@@ -213,6 +238,14 @@ class TestConstructCommand:
         doc = json.loads(out)["result"]
         assert doc["target"]["format"] == "weighted"
         assert doc["target"]["weights"] == ["1000", "10", "10", "1000"]
+
+    def test_projective_prints_the_expanded_graph(self, capsys):
+        # the red-line target is a clique union; its payload encodes the
+        # expanded graph, byte for byte as when it was built edge by edge
+        code, out, _ = run(capsys, "construct", "--family", "projective",
+                           "--params", "k=2", "--size", "5")
+        assert code == 0
+        assert out == PROJECTIVE_5
 
     def test_unknown_family_exit_2(self, capsys):
         code, _, err = run(capsys, "construct", "--family", "nope",

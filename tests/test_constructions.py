@@ -2,6 +2,7 @@ import itertools
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from homdom.graphs import GraphError, SimpleGraph, complete_graph, cycle_graph, k4_minus_e
@@ -14,6 +15,7 @@ from homdom.constructions import (
     behrend_triangle_hom_count,
     bipartite_power_target,
     estimate_ratio,
+    exponent_vector_estimate,
     instantiate_weighted,
     log_fraction,
     path_blowup_pattern,
@@ -110,6 +112,25 @@ class TestProjectivePlane:
         # two lines of the Fano plane are triangles sharing one point
         assert g.n == 7 and g.num_edges == 6
         assert hom_count(complete_graph(3), g) == 12
+
+    @pytest.mark.parametrize("p, seed", [(5, 1), (11, 3), (17, 7)])
+    def test_red_lines_are_the_chosen_lines(self, p, seed):
+        # the lines drawn from the whole plane, in the order drawn, and the
+        # edge set of the union of their cliques
+        spec = ProjectivePlaneSpec(p, 2)
+        _, lines = projective_plane(p)
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, p, 2])))
+        chosen = [lines[i] for i in rng.choice(len(lines), size=spec.red_line_count,
+                                                replace=False)]
+        t = red_line_graph(spec, seed)
+        assert t.n == len(lines) and t.cliques == tuple(chosen)
+        assert t.edges == {e for line in chosen for e in itertools.combinations(line, 2)}
+        assert t.num_edges == len(t.edges)
+
+    def test_exponent_vector_on_the_expanded_graph(self):
+        t = red_line_graph(ProjectivePlaneSpec(11, 2), seed=2)
+        assert exponent_vector_estimate(t, [2, 3, 4], 11) == \
+            exponent_vector_estimate(t.graph, [2, 3, 4], 11)
 
     def test_determinism(self):
         spec = ProjectivePlaneSpec(3, 2)

@@ -2,9 +2,11 @@ import functools
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from homdom.graphs import (
+    CliqueUnion,
     GraphError,
     SimpleGraph,
     blowup,
@@ -297,6 +299,34 @@ class TestCachedStructure:
             comps[0].append(7)
         with pytest.raises(TypeError):
             comps[0][0] = 7
+
+class TestCliqueUnion:
+    def test_expanded_graph(self):
+        t = CliqueUnion(7, [(2, 0, 1), (1, 3), (3, 4, 5, 6), (0, 3)])
+        assert t.cliques == ((0, 1, 2), (1, 3), (3, 4, 5, 6), (0, 3))
+        assert t.num_edges == 3 + 1 + 6 + 1 == len(t.edges)
+        assert t.graph == SimpleGraph(7, t.edges)
+        assert sorted(t.graph.degree(v) for v in range(7)) == [2, 3, 3, 3, 3, 3, 5]
+        inc = t.incidence_matrix()
+        assert inc.shape == (7, 4) and inc.sum() == 3 + 2 + 4 + 2
+        assert (inc @ inc.T - np.diag(inc.sum(axis=1)) == t.graph.adjacency_matrix()).all()
+
+    def test_no_cliques(self):
+        t = CliqueUnion(3, ())
+        assert t.num_edges == 0 and t.graph == SimpleGraph(3)
+
+    @pytest.mark.parametrize("n, cliques, message", [
+        (5, [(0, 1, 2), (1, 2, 3)], "share 2 vertices"),
+        (6, [(0, 1), (2, 3, 4, 5), (1, 3, 4, 5)], "share 3 vertices"),
+        (4, [(0, 1), (2, 4)], "out of range"),
+        (4, [(-1, 2)], "out of range"),
+        (4, [(0, 1), (3, 3)], "at least 2 distinct vertices"),
+        (4, [(2,)], "at least 2 distinct vertices"),
+    ])
+    def test_rejects(self, n, cliques, message):
+        with pytest.raises(GraphError, match=message):
+            CliqueUnion(n, cliques)
+
 
 class TestShapeRecognisers:
     def test_paths_and_cycles(self):

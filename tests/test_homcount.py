@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from homdom.graphs import (
+    CliqueUnion,
     GraphError,
     SimpleGraph,
     blowup,
@@ -21,6 +22,7 @@ from homdom.graphs import (
     tensor_product,
 )
 from homdom.homcount import (
+    GramCounter,
     ResourceLimitError,
     WalkCounter,
     WeightedPattern,
@@ -32,7 +34,7 @@ from homdom.homcount import (
     weighted_hom_density,
 )
 from homdom import homcount
-from homdom.homcount import _backtrack, hom_counts, hom_exists
+from homdom.homcount import _backtrack, _exact_sum, hom_counts, hom_exists
 from homdom.constructions import ProjectivePlaneSpec, path_blowup_pattern, red_line_graph
 from homdom.verifier import CorpusSpec, _corpus_densities, build_corpus
 
@@ -257,6 +259,70 @@ class TestWalkCounter:
         assert WalkCounter(odd.adjacency_matrix()).half is None
 
 
+def random_clique_union(rng, n, draws):
+    """Cliques of 2 to 8 random vertices, each kept if it shares at most one
+    vertex with every clique kept before it."""
+    used, kept = set(), []
+    for _ in range(draws):
+        c = rng.sample(range(n), rng.randint(2, 8))
+        pairs = {(min(u, v), max(u, v)) for u, v in itertools.combinations(c, 2)}
+        if not pairs & used:
+            used |= pairs
+            kept.append(c)
+    return CliqueUnion(n, kept)
+
+
+class TestGramCounter:
+    """The Gram kernel of a clique union against the walk kernel of its
+    expanded adjacency matrix."""
+
+    @staticmethod
+    def assert_matches_walks(t):
+        walks = WalkCounter(t.graph.adjacency_matrix())
+        gram = GramCounter(t)
+        for m in range(1, 6):
+            assert gram.closed(m) == walks.closed(m), m
+            assert type(gram.closed(m)) is int
+        assert [cycle_hom_count(m, t) for m in (3, 4, 5)] == [walks.closed(m) for m in (3, 4, 5)]
+
+    def test_random_unions(self):
+        rng = random.Random(71)
+        for _ in range(12):
+            t = random_clique_union(rng, rng.randint(65, 150), rng.randint(10, 150))
+            assert t.incidence_matrix().sum(axis=1).max() >= 2  # some cliques meet
+            self.assert_matches_walks(t)
+
+    @pytest.mark.parametrize("p", [11, 17, 23])
+    def test_red_lines(self, p):
+        for seed in (1, 2, 5):
+            self.assert_matches_walks(red_line_graph(ProjectivePlaneSpec(p, 2), seed))
+
+    @pytest.mark.parametrize("n, dtype", [(4095, np.float32), (4096, np.float64)])
+    def test_square_at_the_float32_boundary(self, n, dtype, monkeypatch):
+        # K_n as one clique: the row of G0 sums to s = n, so the entry bound of
+        # G0^2 is n * s, below 2**24 for n = 4095 and not for n = 4096
+        chosen = []
+        narrowest = homcount._narrowest
+
+        def recorded(x, bound):
+            y = narrowest(x, bound)
+            chosen.append((bound, y.dtype))
+            return y
+
+        monkeypatch.setattr(homcount, "_narrowest", recorded)
+        gram = GramCounter(CliqueUnion(n, [range(n)]))
+        assert (n * n, dtype) in chosen
+        assert [gram.closed(m) for m in (2, 3, 4)] == [n * (n - 1), n * (n - 1) * (n - 2),
+                                                       (n - 1) ** 4 + n - 1]
+
+    @pytest.mark.parametrize("total", [2 ** 53 - 1, 2 ** 53 + 1, 2 ** 63 + 1])
+    def test_exact_sum_tiers(self, total):
+        # float64 below 2**53, then int64, then Python ints: each sum is exact
+        x = np.ones((1, 2))
+        y = np.array([[total // 2, total - total // 2]], dtype=object)
+        assert _exact_sum(total, x, y if total > 2 ** 53 else y.astype(np.float64)) == total
+
+
 class TestWeightedTargets:
     def test_single_class(self):
         w = WeightedTarget((Fraction(1),), ((Fraction(1, 2),),))
@@ -457,7 +523,8 @@ class TestWalkRouting:
         t = red_line_graph(ProjectivePlaneSpec(11, 2), seed=1)
         assert t.n == 133
         h = k4_minus_e()
-        assert hom_density(h, t) == Fraction(_backtrack(h, t.adjacency_matrix(), None), t.n ** 4)
+        assert hom_density(h, t) == Fraction(_backtrack(h, t.graph.adjacency_matrix(), None),
+                                             t.n ** 4)
 
     def test_one_shared_kernel_freed_with_target(self, monkeypatch):
         built, dtypes = [], []
@@ -475,7 +542,7 @@ class TestWalkRouting:
 
         monkeypatch.setattr(homcount, "WalkCounter", Counted)
         monkeypatch.setattr(SimpleGraph, "adjacency_matrix", adjacency_matrix)
-        t = red_line_graph(ProjectivePlaneSpec(11, 2), seed=1)
+        t = red_line_graph(ProjectivePlaneSpec(11, 2), seed=1).graph
         c4 = hom_count(cycle_graph(4), t)
         c3 = hom_count(cycle_graph(3), t)
         a = matrix(t, np.int64)
@@ -485,6 +552,39 @@ class TestWalkRouting:
         del t
         gc.collect()
         assert built[0]() is None
+
+    def test_one_shared_gram_kernel_freed_with_target(self, monkeypatch):
+        built = []
+
+        class Counted(GramCounter):
+            def __init__(self, t):
+                super().__init__(t)
+                built.append(weakref.ref(self))
+
+        monkeypatch.setattr(homcount, "GramCounter", Counted)
+        t = red_line_graph(ProjectivePlaneSpec(11, 2), seed=1)
+        counts = [hom_count(cycle_graph(m), t) for m in (4, 3, 5, 2)]  # C2 is K2
+        a = t.graph.adjacency_matrix()
+        assert counts == [int(np.trace(np.linalg.matrix_power(a, m))) for m in (4, 3, 5, 2)]
+        assert len(built) == 1
+        del t
+        gc.collect()
+        assert built[0]() is None
+
+    def test_red_line_cycles_skip_the_expanded_graph(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("expanded graph used")
+
+        monkeypatch.setattr(SimpleGraph, "adjacency_matrix", refuse)
+        monkeypatch.setattr(CliqueUnion, "graph", property(refuse))
+        t = red_line_graph(ProjectivePlaneSpec(11, 2), seed=1)
+        c3, c4 = hom_count(cycle_graph(3), t), hom_count(cycle_graph(4), t)
+        t3, t4 = hom_density(cycle_graph(3), t), hom_density(cycle_graph(4), t)
+        assert "graph" not in vars(t) and "edges" not in vars(t)
+        monkeypatch.undo()
+        walks = WalkCounter(t.graph.adjacency_matrix())
+        assert (c3, c4) == (walks.closed(3), walks.closed(4))
+        assert (t3, t4) == (Fraction(c3, t.n ** 3), Fraction(c4, t.n ** 4))
 
     def test_weighted_target(self):
         w = WeightedTarget((1, 2, 3), ((0, Fraction(1, 2), 1), (Fraction(1, 2), 1, 0), (1, 0, 0)))
