@@ -287,6 +287,8 @@ def _parser():
 def main(argv=None):
     args = _parser().parse_args(argv)
     try:
+        if args.max_hom_steps < 1:
+            raise ValueError(f"--max-hom-steps must be at least 1, got {args.max_hom_steps}")
         config = RunConfig(
             command=args.command,
             seed=_effective_seed(args),

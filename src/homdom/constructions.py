@@ -12,12 +12,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graphs import CliqueUnion, GraphError, SimpleGraph, complete_graph, disjoint_union
+from .graphs import (CliqueUnion, GraphError, SimpleGraph, complete_graph, cycle_graph,
+                     disjoint_union)
 from .homcount import (
     ResourceLimitError,
     WeightedPattern,
     WeightedTarget,
-    closed_walk_counts_dense,
     hom_density,
 )
 
@@ -389,10 +389,7 @@ def estimate_ratio(g, h, family, sizes, max_steps=None):
 
 
 def exponent_vector_estimate(target, cycle_lengths, scale):
-    """log t(C_m, T)/log(scale) per cycle length, via exact closed walk counts
-    on the (expanded) target."""
-    if isinstance(target, CliqueUnion):
-        target = target.graph
-    counts = closed_walk_counts_dense(target.adjacency_matrix(np.float32), cycle_lengths)
-    return [log_fraction(Fraction(cnt, target.n ** m)) / math.log(scale)
-            for m, cnt in zip(cycle_lengths, counts)]
+    """log t(C_m, T)/log(scale) per cycle length m >= 2 (C_2 = K2), each
+    density counted exactly by ``hom_density``."""
+    return [log_fraction(hom_density(cycle_graph(m), target)) / math.log(scale)
+            for m in cycle_lengths]

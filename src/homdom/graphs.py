@@ -19,6 +19,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -367,63 +368,58 @@ def _int_to_graph(n, x):
     return SimpleGraph(n, frozenset(p for i, p in enumerate(pairs) if (x >> i) & 1))
 
 
-def _perm_tables(n):
-    """For each permutation, the source bit index feeding each target bit."""
-    pairs = _pairs(n)
-    idx = {p: i for i, p in enumerate(pairs)}
-    tables = []
-    for perm in itertools.permutations(range(n)):
-        src = [0] * len(pairs)
-        for i, (u, v) in enumerate(pairs):
-            a, b = perm[u], perm[v]
-            src[idx[(min(a, b), max(a, b))]] = i
-        tables.append(src)
-    return tables
+@functools.lru_cache(maxsize=None)
+def _image_weights(n):
+    """The (n!, C(n,2)) float64 matrix W with W[p, i] = 2**j, where j is the
+    pair that pair i moves to under the p-th permutation of range(n).
+
+    For the 0/1 pair vector x of a graph, W @ x lists the integers of all
+    its n! relabellings at once, exactly: each is a sum of distinct powers
+    of two below 2**C(n,2), at most 2**28 up to MAX_CANONICAL_N.
+    """
+    u, v = np.triu_indices(n, 1)  # the pairs in _pairs order
+    pos = np.zeros((n, n), dtype=np.intp)
+    pos[u, v] = pos[v, u] = np.arange(len(u))
+    count = math.factorial(n)
+    perms = np.fromiter(itertools.chain.from_iterable(itertools.permutations(range(n))),
+                        dtype=np.intp, count=count * n).reshape(count, n)
+    return np.ldexp(1.0, pos).ravel()[perms[:, u] * n + perms[:, v]]
+
+
+def _pair_bits(xs, npairs):
+    """The 0/1 pair vectors of the graph integers ``xs``, one row each."""
+    return (np.asarray(xs, dtype=np.int64)[..., None] >> np.arange(npairs) & 1).astype(np.float64)
 
 
 def canonical_form(g):
-    """Minimum-over-permutations upper-triangle bitstring, as "n:bits"."""
+    """The least integer over all relabellings of g, spelled as "n:bits"
+    with bit i the upper-triangle pair i."""
     if g.n > MAX_CANONICAL_N:
         raise GraphError(f"canonical form capped at n={MAX_CANONICAL_N}")
-    pairs = _pairs(g.n)
-    x = _graph_to_int(g)
-    if g.n <= 1:
-        return f"{g.n}:"
-    best = None
-    for src in _perm_tables(g.n):
-        y = 0
-        for j, s in enumerate(src):
-            if (x >> s) & 1:
-                y |= 1 << j
-        if best is None or y < best:
-            best = y
-    bits = "".join("1" if (best >> i) & 1 else "0" for i in range(len(pairs)))
+    npairs = g.n * (g.n - 1) // 2
+    best = int((_image_weights(g.n) @ _pair_bits(_graph_to_int(g), npairs)).min())
+    bits = "".join("1" if (best >> i) & 1 else "0" for i in range(npairs))
     return f"{g.n}:{bits}"
 
 
-def _canonical_ints(n):
-    """Canonical integer for every labeled graph on n vertices (vectorized).
+_CANONICAL_BLOCK = 512  # labelled graphs per product in _canonical_ints
 
-    Each permutation maps every byte of a graph's bitstring through a
-    256-entry table of that byte's permuted bits; the images OR together.
-    """
-    npairs = n * (n - 1) // 2
-    arr = np.arange(1 << npairs, dtype=np.int64)
-    chunks = [(arr >> (8 * k)) & 255 for k in range((npairs + 7) // 8)]
-    byte_bits = (np.arange(256)[:, None] >> np.arange(8)) & 1
-    best = arr.copy()
-    for src in _perm_tables(n):
-        dst = np.zeros(8 * len(chunks), dtype=np.int64)
-        dst[src] = np.int64(1) << np.arange(npairs)   # source bit -> its image
-        y = np.zeros_like(arr)
-        for k, chunk in enumerate(chunks):
-            y |= (byte_bits @ dst[8 * k:8 * k + 8])[chunk]
-        np.minimum(best, y, out=best)
+
+def _canonical_ints(n):
+    """The canonical integer of every labelled graph on n vertices: the
+    least of its images under ``_image_weights(n)``, a block of graphs per
+    matrix product."""
+    w = _image_weights(n)
+    best = np.empty(1 << w.shape[1], dtype=np.int64)
+    for s in range(0, len(best), _CANONICAL_BLOCK):
+        xs = np.arange(s, min(s + _CANONICAL_BLOCK, len(best)))
+        best[s:s + len(xs)] = (w @ _pair_bits(xs, w.shape[1]).T).min(axis=0)
     return best
 
 
 def enumerate_graphs(n, dedup=False):
-    """All labeled graphs on n vertices; with dedup, one per isomorphism class."""
+    """All labeled graphs on n vertices; with dedup, one per isomorphism
+    class, in ascending order of canonical integer."""
     if n < 0:
         raise GraphError("negative order")
     if not dedup:
@@ -432,14 +428,10 @@ def enumerate_graphs(n, dedup=False):
             yield _int_to_graph(n, x)
         return
     if n > 6:
-        # 7! * 2^21 permutation sweeps are past desk scale; refuse rather
-        # than approximate.
+        # 7! images of each of 2^21 graphs, about 10^10, are past desk
+        # scale; refuse rather than approximate.
         raise GraphError("dedup enumeration capped at n=6")
-    if n <= 1:
-        yield SimpleGraph(n)
-        return
-    canon = _canonical_ints(n)
-    for x in sorted(set(int(v) for v in canon)):
+    for x in sorted(set(_canonical_ints(n).tolist())):
         yield _int_to_graph(n, x)
 
 

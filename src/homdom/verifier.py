@@ -59,6 +59,13 @@ class CorpusSpec:
     gnp_seed: int = 7
     include_constructions: bool = False
 
+    def __post_init__(self):
+        for key in ("exhaustive_n", "gnp_count", "gnp_n"):
+            if (value := getattr(self, key)) < 0:
+                raise GraphError(f"corpus spec {key} must be nonnegative, got {value}")
+        if not 0 <= self.gnp_p <= 1:
+            raise GraphError(f"corpus spec gnp_p must lie in [0, 1], got {self.gnp_p}")
+
 
 @dataclass(frozen=True)
 class Corpus:

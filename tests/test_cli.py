@@ -271,6 +271,20 @@ class TestErrorExits:
          "n must be an integer"),
         (("--max-hom-steps", "1000", "estimate", "--g", "K4", "--h", "K3",
           "--family", "projective:k=2", "--sizes", "11"), "hom counting work ceiling exceeded"),
+        (("verify", "--g", "K2", "--h", "C3", "--c", "1", "--corpus-spec", "exhaustive_n=-1"),
+         "corpus spec exhaustive_n must be nonnegative, got -1"),
+        (("verify", "--g", "K2", "--h", "C3", "--c", "1", "--corpus-spec", "gnp_count=-3"),
+         "corpus spec gnp_count must be nonnegative, got -3"),
+        (("verify", "--g", "K2", "--h", "C3", "--c", "1", "--corpus-spec", "gnp_count=1,gnp_n=-2"),
+         "corpus spec gnp_n must be nonnegative, got -2"),
+        (("verify", "--g", "K2", "--h", "C3", "--c", "1", "--corpus-spec", "gnp_p=3/2"),
+         "corpus spec gnp_p must lie in [0, 1], got 3/2"),
+        (("verify", "--g", "K2", "--h", "C3", "--c", "1", "--corpus-spec", "gnp_p=-1/2"),
+         "corpus spec gnp_p must lie in [0, 1], got -1/2"),
+        (("--max-hom-steps", "-1", "verify", "--g", "K2", "--h", "C3", "--c", "1",
+          "--corpus-spec", "exhaustive_n=2"), "--max-hom-steps must be at least 1, got -1"),
+        (("--max-hom-steps", "0", "exponent", "--g", "K2", "--h", "K3"),
+         "--max-hom-steps must be at least 1, got 0"),
     ])
     def test_bad_input_exit_2(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)

@@ -125,8 +125,13 @@ class TestAlgebra:
 
 class TestEnumerationAndCanonical:
     def test_counts(self):
-        assert sum(1 for _ in enumerate_graphs(3, dedup=True)) == 4
-        assert sum(1 for _ in enumerate_graphs(4, dedup=True)) == 11
+        for n, count in enumerate((1, 1, 2, 4, 11, 34, 156)):
+            reps = list(enumerate_graphs(n, dedup=True))
+            forms = [canonical_form(g) for g in reps]
+            assert len(reps) == count and len(set(forms)) == count
+            # one class per canonical integer, ascending, each its own representative
+            ints = [int(f.split(":")[1][::-1] or "0", 2) for f in forms]
+            assert ints == sorted(ints) == [_graph_to_int(g) for g in reps]
         assert sum(1 for _ in enumerate_graphs(3, dedup=False)) == 8
 
     def test_canonical_blowup_equivalence(self):
@@ -135,7 +140,7 @@ class TestEnumerationAndCanonical:
 
     def test_canonical_permutation_invariance(self):
         rng = random.Random(11)
-        for n in range(2, 8):
+        for n in range(2, 9):
             for _ in range(3):
                 edges = frozenset(
                     p for p in itertools.combinations(range(n), 2) if rng.random() < 0.5
@@ -151,9 +156,18 @@ class TestEnumerationAndCanonical:
         with pytest.raises(GraphError):
             canonical_form(SimpleGraph(9, frozenset()))
 
+    def test_canonical_form_matches_brute_force(self):
+        for n in range(6):
+            assert [canonical_form(g) for g in enumerate_graphs(n)] == \
+                brute_canonical_forms(n, list(enumerate_graphs(n)))
+        rng = random.Random(17)
+        for n in (6, 7, 8):
+            gs = [random_graph(rng, n, rng.choice((0.2, 0.5, 0.8))) for _ in range(20)]
+            assert [canonical_form(g) for g in gs] == brute_canonical_forms(n, gs)
+
     def test_canonical_ints_match_canonical_form(self):
-        # the byte-table sweep gives every labelled graph the minimum image
-        # over all permutations, the integer that canonical_form spells out
+        # _canonical_ints gives every labelled graph the minimum image over
+        # all permutations, the integer that canonical_form spells out
         rng = random.Random(13)
         for n in range(7):
             canon = _canonical_ints(n)
@@ -165,6 +179,24 @@ class TestEnumerationAndCanonical:
                 assert _graph_to_int(g) == x
                 bits = canonical_form(g).split(":")[1]
                 assert canon[x] == sum(1 << i for i, b in enumerate(bits) if b == "1")
+
+
+def brute_canonical_forms(n, graphs):
+    """canonical_form of each graph on n vertices: the least integer of its
+    images over itertools.permutations, on Python ints, one pass for all."""
+    pairs = list(itertools.combinations(range(n), 2))
+    pos = [[0] * n for _ in range(n)]
+    for i, (u, v) in enumerate(pairs):
+        pos[u][v] = pos[v][u] = i
+    ons = [[i for i, e in enumerate(pairs) if e in g.edges] for g in graphs]
+    best = [None] * len(graphs)
+    for perm in itertools.permutations(range(n)):
+        moved = [1 << pos[perm[u]][perm[v]] for u, v in pairs]
+        for k, on in enumerate(ons):
+            y = sum(map(moved.__getitem__, on))
+            if best[k] is None or y < best[k]:
+                best[k] = y
+    return [f"{n}:" + "".join(str(b >> i & 1) for i in range(len(pairs))) for b in best]
 
 
 def random_graph(rng, n, p=0.5):
