@@ -11,6 +11,9 @@ import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import gcd, lcm, prod
+from operator import mul
 
 from .ratlp import frac_to_str, make_lp, solve_lp
 
@@ -42,14 +45,35 @@ class Cone:
             if len(ray) != self.dim:
                 raise ConeError("ray dimension mismatch")
 
+    @cached_property
+    def _integer_rows(self):
+        """Each halfspace row as (integer row, lcm of its denominators)."""
+        return tuple(_integer_scaled(row) for row in self.halfspaces)
+
     def evaluate(self, y):
-        """Exact slack a.y per halfspace."""
+        """Exact slack a.y per halfspace: an int when it is one, else a
+        Fraction. The dot products run on the integer-scaled rows and point."""
         if len(y) != self.dim:
             raise ConeError("point dimension mismatch")
-        return tuple(sum(a * v for a, v in zip(row, y)) for row in self.halfspaces)
+        ints, scale = _integer_scaled(y)
+        out = []
+        for row, row_scale in self._integer_rows:
+            dot, den = sum(map(mul, row, ints)), row_scale * scale
+            out.append(dot if den == 1 else Fraction(dot, den))
+        return tuple(out)
 
     def contains(self, y):
         return all(s >= 0 for s in self.evaluate(y))
+
+
+def _integer_scaled(v):
+    """(integer vector, l) with the ints equal to l * v, l the lcm of the
+    denominators of the rational vector v; ConeError on any other entry."""
+    try:
+        scale = lcm(*(x.denominator for x in v))
+    except AttributeError:
+        raise ConeError(f"entries must be ints or Fractions, got {tuple(v)!r}") from None
+    return [x.numerator * (scale // x.denominator) for x in v], scale
 
 
 def _vec(dim, entries):
@@ -210,66 +234,90 @@ def verify_rays(cone):
     return report
 
 
-def _kernel_basis(rows, dim):
-    """Exact rational kernel of the matrix with the given rows."""
+def _eliminate(rows, dim):
+    """Fraction-free Gauss-Jordan elimination of integer rows (Bareiss).
+
+    Returns (mat, pivots, det). Row i < len(pivots) of mat has the same
+    nonzero entry d on its pivot column pivots[i], zeros on the other pivot
+    columns, and the rows below are zero; d is the leading minor of the
+    pivot block and det is d signed by the row swaps, so det is the
+    determinant when the matrix is square and of full rank. Each update
+    (p * a - f * w) // d_prev divides exactly.
+    """
     mat = [list(r) for r in rows]
     m = len(mat)
     pivots = []
-    r = 0
+    d, sign = 1, 1
     for c in range(dim):
-        pr = next((i for i in range(r, m) if mat[i][c] != 0), None)
-        if pr is None:
-            continue
-        mat[r], mat[pr] = mat[pr], mat[r]
-        pv = mat[r][c]
-        mat[r] = [v / pv for v in mat[r]]
-        for i in range(m):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
+        r = len(pivots)
         if r == m:
             break
-    free = [c for c in range(dim) if c not in pivots]
+        pr = next((i for i in range(r, m) if mat[i][c]), None)
+        if pr is None:
+            continue
+        if pr != r:
+            mat[r], mat[pr] = mat[pr], mat[r]
+            sign = -sign
+        prow = mat[r]
+        p = prow[c]
+        for i in range(m):
+            f = mat[i][c]
+            if i != r and (f or p != d):
+                mat[i] = [(p * a - f * w) // d for a, w in zip(mat[i], prow)]
+        d = p
+        pivots.append(c)
+    return mat, pivots, sign * d
+
+
+def _kernel_basis(rows, dim):
+    """Exact kernel of the integer matrix with the given rows, as primitive
+    integer vectors, each positive on its free coordinate."""
+    mat, pivots, _ = _eliminate(rows, dim)
+    d = mat[0][pivots[0]] if pivots else 1
     basis = []
-    for fc in free:
-        v = [_ZERO] * dim
-        v[fc] = Fraction(1)
+    for fc in range(dim):
+        if fc in pivots:
+            continue
+        # reduced row i reads d*x[pivots[i]] + sum_f mat[i][f]*x[f] = 0
+        v = [0] * dim
+        v[fc] = d
         for ri, pc in enumerate(pivots):
             v[pc] = -mat[ri][fc]
-        basis.append(tuple(v))
+        basis.append(_primitive(v if d > 0 else [-x for x in v]))
     return basis
 
 
 def extreme_rays_from_halfspaces(cone):
-    """Extreme rays of {y : Ay >= 0}, assuming the cone is pointed.
+    """Extreme rays of the pointed cone {y : Ay >= 0}, as primitive integer
+    vectors; ConeError when the rows have rank below dim (not pointed).
 
     Enumerates the subsets of dim - 1 rows whose kernel is one-dimensional
     (a larger tight set of rank dim - 1 contains such a subset with the
     same kernel) and keeps the kernel direction (or its negation) that
-    satisfies all halfspaces. Deduplicates up to positive scaling. Exact;
-    feasible at dim <= 10.
+    satisfies all halfspaces. Exact; feasible at dim <= 10.
     """
     if cone.dim > MAX_HULL_DIM:
         raise ConeError("dimension cap for hull computation")
-    rows = cone.halfspaces
+    rows = [row for row, _ in cone._integer_rows]
+    if len(_eliminate(rows, cone.dim)[1]) < cone.dim:
+        raise ConeError("cone is not pointed")
     found = {}
-    for subset in itertools.combinations(range(len(rows)), cone.dim - 1):
-        kern = _kernel_basis([rows[i] for i in subset], cone.dim)
+    for subset in itertools.combinations(rows, cone.dim - 1):
+        kern = _kernel_basis(subset, cone.dim)
         if len(kern) != 1:
             continue
         v = kern[0]
         for cand in (v, tuple(-x for x in v)):
-            if all(s >= 0 for s in cone.evaluate(cand)) and any(x != 0 for x in cand):
-                found[_normalize_ray(cand)] = cand
-    return list(found.values())
+            if all(sum(map(mul, row, cand)) >= 0 for row in rows):
+                found[cand] = None
+    return list(found)
 
 
-def _normalize_ray(v):
-    lead = next(x for x in v if x != 0)
-    scale = abs(lead)
-    return tuple(x / scale for x in v)
+def _primitive(v):
+    """The primitive integer vector on the ray of the nonzero rational v."""
+    ints, _ = _integer_scaled(v)
+    g = gcd(*ints)
+    return tuple(x // g for x in ints)
 
 
 def in_conical_hull(point, rays):
@@ -290,31 +338,18 @@ def cone_equals_hull(cone):
     conical hull iff it is a positive multiple of one of them."""
     if not verify_rays(cone)["all_member"]:
         return False
-    listed = {_normalize_ray(r) for r in cone.rays if any(x != 0 for x in r)}
-    return all(_normalize_ray(ext) in listed for ext in extreme_rays_from_halfspaces(cone))
+    listed = {_primitive(r) for r in cone.rays if any(x != 0 for x in r)}
+    return all(ext in listed for ext in extreme_rays_from_halfspaces(cone))
 
 
 def constraint_matrix_determinant(cone):
     """Exact determinant of the halfspace matrix (square cones only)."""
     if len(cone.halfspaces) != cone.dim:
         raise ConeError("non-square constraint matrix")
-    mat = [list(r) for r in cone.halfspaces]
-    n = cone.dim
-    det = Fraction(1)
-    for c in range(n):
-        pr = next((i for i in range(c, n) if mat[i][c] != 0), None)
-        if pr is None:
-            return _ZERO
-        if pr != c:
-            mat[c], mat[pr] = mat[pr], mat[c]
-            det = -det
-        det *= mat[c][c]
-        pv = mat[c][c]
-        for i in range(c + 1, n):
-            if mat[i][c] != 0:
-                f = mat[i][c] / pv
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[c])]
-    return det
+    _, pivots, det = _eliminate([row for row, _ in cone._integer_rows], cone.dim)
+    if len(pivots) < cone.dim:
+        return _ZERO
+    return Fraction(det, prod(scale for _, scale in cone._integer_rows))
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,24 @@
 """Exact rational linear programming.
 
-A small dense two-phase simplex over Fraction with Bland's anti-cycling
-rule. Every optimal solve returns a dual vector and is self-checked by
-exact strong duality before being handed back. Pivots touch only the
-columns where the pivot row is nonzero, since most entries of these
-programs stay zero.
+A small dense two-phase simplex with Bland's anti-cycling rule, pivoting
+on a tableau of Python ints (integer-preserving Bareiss pivots, as in
+Avis's lrs). Each canonical row is scaled by lam, the lcm of its
+denominators, so its slack column stands for lam times the slack. The
+tableau holds D times the rational tableau, D > 0 the determinant of the
+current basis, and a pivot is the exact division (p*a - f*w) // D. The
+phase-1 and phase-2 reduced costs are tableau rows too, the latter
+scaled by mu, the lcm of the objective's denominators. Fractions are
+built only from the final tableau: x_j = rhs / D and y_i = -lam_i * (the
+reduced cost of slack i) / (D * mu). Every optimal solve returns a dual
+vector and is self-checked on Fractions, by exact primal and dual
+feasibility and strong duality, before being handed back.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 
 class LPError(Exception):
@@ -81,121 +89,111 @@ def make_lp(sense, objective, rows, nonneg=True, names=()):
 # ---------------------------------------------------------------------------
 
 def _simplex_canonical(c, arows, b):
-    """Bland two-phase simplex on the canonical form.
+    """Bland two-phase simplex on the canonical form, on the integer
+    tableau of the module docstring (d is its D). A row with b_i < 0 is
+    negated and gets an artificial; the phase-1 row holds d times the
+    reduced costs of -sum(artificials).
 
     Returns (status, optimum, x, y) where y is the dual of the <= rows
     (y >= 0, y.A >= c on every column, c.x = y.b at optimality).
     """
     m = len(arows)
     n = len(c)
-    # columns: 0..n-1 structural, n..n+m-1 slack, then artificials
-    sign = [1] * m  # row multiplied by -1 when b < 0
-    rows = []
-    rhs = []
-    for i in range(m):
-        row = list(arows[i]) + [_ZERO] * m
-        row[n + i] = _ONE
-        bi = b[i]
-        if bi < 0:
-            row = [-v for v in row]
-            bi = -bi
-            sign[i] = -1
-        rows.append(row)
-        rhs.append(bi)
-    art = [i for i in range(m) if sign[i] < 0]
+    art = [i for i in range(m) if b[i] < 0]
     total = n + m + len(art)
-    for k, i in enumerate(art):
-        for r in range(m):
-            rows[r].append(_ONE if r == i else _ZERO)
+    # columns: 0..n-1 structural, n..n+m-1 slack, then artificials, then rhs
+    tab = []
+    lam = []
     basis = []
     for i in range(m):
-        basis.append(n + i if sign[i] > 0 else n + m + art.index(i))
+        vals = (*arows[i], b[i])
+        scale = lcm(*(v.denominator for v in vals))
+        sign = -1 if b[i] < 0 else 1
+        row = [sign * v.numerator * (scale // v.denominator) for v in vals]
+        row[n:n] = [0] * (total - n)
+        row[n + i] = sign
+        if sign < 0:
+            basis.append(n + m + art.index(i))
+            row[basis[-1]] = 1
+        else:
+            basis.append(n + i)
+        tab.append(row)
+        lam.append(scale)
+    mu = lcm(*(v.denominator for v in c))
+    tab.append([v.numerator * (mu // v.denominator) for v in c] + [0] * (total - n + 1))
+    if art:
+        # -1 on every artificial, priced out against their (basic) rows
+        cost1 = [0] * (n + m) + [-1] * len(art) + [0]
+        tab.append([sum(col) for col in zip(cost1, *(tab[i] for i in art))])
+    d = 1
 
     def pivot(r, col):
-        inv = _ONE / rows[r][col]
-        prow = rows[r] = [v * inv if v else v for v in rows[r]]
-        rhs[r] *= inv
-        pb = rhs[r]
-        # the other rows change only where the pivot row is nonzero
-        support = [j for j, p in enumerate(prow) if p]
-        for rr in range(m):
-            if rr == r:
-                continue
-            row = rows[rr]
+        nonlocal d
+        prow = tab[r]
+        p = prow[col]
+        for i, row in enumerate(tab):
             f = row[col]
-            if f:
-                for j in support:
-                    row[j] -= f * prow[j]
-                rhs[rr] -= f * pb
+            if i != r and (f or p != d):
+                tab[i] = [(p * a - f * w) // d for a, w in zip(row, prow)]
+        if p < 0:  # only when driving out an artificial; keep d > 0
+            tab[:] = [[-a for a in row] for row in tab]
+            p = -p
+        d = p
         basis[r] = col
 
-    def run_phase(cost, allowed):
-        # maximize cost.x restricted to allowed columns; Bland's rule
+    def run_phase(ncols):
+        # maximize the cost in the last tableau row over its first ncols
+        # columns; Bland's rule. Basic columns have reduced cost 0.
         while True:
-            # reduced costs: cost_j - cB . column_j, over the basic rows
-            # whose cost is nonzero
-            basic = set(basis)
-            priced = [(cost[basis[r]], rows[r]) for r in range(m) if cost[basis[r]]]
-            enter = -1
-            for j in range(total):
-                if not allowed[j] or j in basic:
-                    continue
-                rc = cost[j] - sum(cb * row[j] for cb, row in priced)
-                if rc > 0:
-                    enter = j
-                    break  # Bland: first improving index
+            cost = tab[-1]
+            enter = next((j for j in range(ncols) if cost[j] > 0), -1)
             if enter < 0:
                 return "optimal"
-            ratio = None
             leave = -1
             for r in range(m):
-                a = rows[r][enter]
+                a = tab[r][enter]
                 if a > 0:
-                    t = rhs[r] / a
-                    if ratio is None or t < ratio or (t == ratio and basis[r] < basis[leave]):
-                        ratio = t
-                        leave = r
+                    if leave < 0:
+                        leave, best_a, best_b = r, a, tab[r][-1]
+                        continue
+                    # rhs_r / a < best_b / best_a, by cross-multiplying
+                    lhs, rhs = tab[r][-1] * best_a, best_b * a
+                    if lhs < rhs or (lhs == rhs and basis[r] < basis[leave]):
+                        leave, best_a, best_b = r, a, tab[r][-1]
             if leave < 0:
                 return "unbounded"
             pivot(leave, enter)
 
     if art:
-        cost1 = [_ZERO] * total
-        for k in range(len(art)):
-            cost1[n + m + k] = Fraction(-1)
-        allowed = [True] * total
-        status = run_phase(cost1, allowed)
+        status = run_phase(total)
         assert status == "optimal"  # phase 1 is always bounded
-        val1 = sum(cost1[basis[r]] * rhs[r] for r in range(m))
-        if val1 != 0:
+        # the phase-1 row's rhs is d times the artificials' total value
+        if tab.pop()[-1] != 0:
             return "infeasible", None, None, None
         # drive remaining artificials out of the basis
         for r in range(m):
             if basis[r] >= n + m:
                 for j in range(n + m):
-                    if rows[r][j] != 0:
+                    if tab[r][j] != 0:
                         pivot(r, j)
                         break
                 # an all-zero row is redundant; its artificial stays basic
-                # at value 0 and never re-enters (cost column disabled below)
+                # at value 0 and never re-enters (phase 2 prices n + m columns)
 
-    cost2 = list(c) + [_ZERO] * (total - n)
-    allowed = [True] * (n + m) + [False] * len(art)
-    status = run_phase(cost2, allowed)
+    status = run_phase(n + m)
     if status == "unbounded":
         return "unbounded", None, None, None
 
     x = [_ZERO] * n
     for r in range(m):
         if basis[r] < n:
-            x[basis[r]] = rhs[r]
+            x[basis[r]] = Fraction(tab[r][-1], d)
     opt = sum(ci * xi for ci, xi in zip(c, x))
-    # dual of row i = multiplier read off its slack column; the build-time
-    # row negation is already baked into that column, so no sign fixup
-    y = []
-    for i in range(m):
-        zj = sum(cost2[basis[r]] * rows[r][n + i] for r in range(m))
-        y.append(zj)
+    # dual of row i = minus the reduced cost of its slack column, times
+    # lam[i] for the scaled slack; the build-time row negation is already
+    # baked into that column, so no sign fixup
+    cost = tab[m]
+    y = [Fraction(-lam[i] * cost[n + i], d * mu) for i in range(m)]
     return "optimal", opt, x, y
 
 
@@ -260,7 +258,7 @@ def _verify_optimal(p, x, y, opt):
         if p.nonneg[j] and x[j] < 0:
             raise LPError("primal sign violation")
     for (coeffs, rel, rhs), yi in zip(p.rows, y):
-        lhs = sum(a * xj for a, xj in zip(coeffs, x))
+        lhs = sum(a * xj for a, xj in zip(coeffs, x) if a and xj)
         if rel == "<=" and lhs > rhs:
             raise LPError("primal row violation")
         if rel == ">=" and lhs < rhs:
@@ -274,7 +272,7 @@ def _verify_optimal(p, x, y, opt):
         if rel == ">=" and s * yi > 0:
             raise LPError("dual sign violation")
     for j in range(n):
-        ya = sum(p.rows[i][0][j] * y[i] for i in range(len(p.rows)))
+        ya = sum(p.rows[i][0][j] * y[i] for i in range(len(p.rows)) if y[i])
         gap = ya - p.objective[j]
         if p.sense == "min":
             gap = -gap

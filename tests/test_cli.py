@@ -1,6 +1,10 @@
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -290,6 +294,13 @@ class TestErrorExits:
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert err == f"error: {message}\n" and "Traceback" not in err
+
+    def test_python_dash_m(self):
+        root = Path(__file__).resolve().parent.parent
+        proc = subprocess.run([sys.executable, "-m", "homdom", "lp", "--kr", "1"], cwd=root,
+                              env=dict(os.environ, PYTHONPATH=str(root / "src")),
+                              capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: need i >= 2\n")
 
     @pytest.mark.parametrize("text, key", [
         ("{}", "sense"),

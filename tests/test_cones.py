@@ -1,4 +1,6 @@
+import itertools
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -19,6 +21,90 @@ from homdom.cones import (
     verify_rays,
 )
 from homdom.formulas import even_cycle_exponent
+
+ZERO = Fraction(0)
+
+
+def fraction_kernel_basis(rows, dim):
+    """Reference kernel: Gauss-Jordan on Fractions, one vector per free
+    column with a 1 there."""
+    mat = [[Fraction(a) for a in r] for r in rows]
+    m = len(mat)
+    pivots = []
+    r = 0
+    for c in range(dim):
+        pr = next((i for i in range(r, m) if mat[i][c] != 0), None)
+        if pr is None:
+            continue
+        mat[r], mat[pr] = mat[pr], mat[r]
+        pv = mat[r][c]
+        mat[r] = [v / pv for v in mat[r]]
+        for i in range(m):
+            if i != r and mat[i][c] != 0:
+                f = mat[i][c]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+        if r == m:
+            break
+    free = [c for c in range(dim) if c not in pivots]
+    basis = []
+    for fc in free:
+        v = [ZERO] * dim
+        v[fc] = Fraction(1)
+        for ri, pc in enumerate(pivots):
+            v[pc] = -mat[ri][fc]
+        basis.append(tuple(v))
+    return basis
+
+
+def fraction_normalize_ray(v):
+    lead = next(x for x in v if x != 0)
+    return tuple(Fraction(x) / abs(lead) for x in v)
+
+
+def fraction_slacks(cone, y):
+    return tuple(sum(a * v for a, v in zip(row, y)) for row in cone.halfspaces)
+
+
+def fraction_extreme_rays(cone):
+    """Reference hull: the kernel of every (dim - 1)-subset of rows, on
+    Fractions, keyed by the ray scaled to a leading entry of +-1."""
+    rows = cone.halfspaces
+    found = set()
+    for subset in itertools.combinations(rows, cone.dim - 1):
+        kern = fraction_kernel_basis(subset, cone.dim)
+        if len(kern) != 1:
+            continue
+        for cand in (kern[0], tuple(-x for x in kern[0])):
+            if all(s >= 0 for s in fraction_slacks(cone, cand)):
+                found.add(fraction_normalize_ray(cand))
+    return found
+
+
+def fraction_determinant(rows):
+    """Reference determinant: Gaussian elimination on Fractions."""
+    mat = [[Fraction(a) for a in r] for r in rows]
+    n = len(mat)
+    det = Fraction(1)
+    for c in range(n):
+        pr = next((i for i in range(c, n) if mat[i][c] != 0), None)
+        if pr is None:
+            return ZERO
+        if pr != c:
+            mat[c], mat[pr] = mat[pr], mat[c]
+            det = -det
+        det *= mat[c][c]
+        pv = mat[c][c]
+        for i in range(c + 1, n):
+            if mat[i][c] != 0:
+                f = mat[i][c] / pv
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[c])]
+    return det
+
+
+def assert_exact_ints(rays):
+    assert all(type(x) is int for ray in rays for x in ray), rays
 
 
 class TestEvenCycleCone:
@@ -87,6 +173,82 @@ class TestEvenCycleCone:
     def test_small_k(self):
         with pytest.raises(ConeError):
             even_cycle_cone(1)
+
+
+class TestFractionOracle:
+    """The integer elimination against the Fraction code it replaced."""
+
+    CONES = [even_cycle_cone(k) for k in range(2, 11)] + [all_cycle_cone(m) for m in (2, 3, 4)]
+
+    @pytest.mark.parametrize("cone", CONES, ids=lambda c: f"dim{c.dim}-rows{len(c.halfspaces)}")
+    def test_extreme_rays(self, cone):
+        rays = extreme_rays_from_halfspaces(cone)
+        assert_exact_ints(rays)
+        assert len(set(rays)) == len(rays)
+        assert {fraction_normalize_ray(r) for r in rays} == fraction_extreme_rays(cone)
+
+    @pytest.mark.parametrize("k", range(2, 11))
+    def test_determinant(self, k):
+        cone = even_cycle_cone(k)
+        assert constraint_matrix_determinant(cone) == fraction_determinant(cone.halfspaces)
+
+    def test_random_matrices(self):
+        # fractional entries and singular matrices; slacks at fractional points
+        rng = random.Random(5)
+        for _ in range(300):
+            n = rng.randint(1, 5)
+            rows = tuple(tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 4)) if rng.random() < 0.7
+                               else ZERO for _ in range(n)) for _ in range(n))
+            cone = Cone(n, rows, ())
+            assert constraint_matrix_determinant(cone) == fraction_determinant(rows)
+            y = tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(n))
+            assert cone.evaluate(y) == fraction_slacks(cone, y)
+
+    @pytest.mark.parametrize("m", (2, 5))
+    def test_slacks(self, m):
+        cone = all_cycle_cone(m)
+        report = verify_rays(cone)
+        for ray, entry in zip(cone.rays, report["rays"]):
+            assert tuple(entry["slacks"]) == fraction_slacks(cone, ray)
+
+
+class TestExactRays:
+    def test_int_and_fraction_rows_agree(self):
+        # x >= 0, -x >= 0, y >= 0: the one extreme ray is (0, 1); int rows
+        # gave (0.0, 1) through true division before
+        rows = ((1, 0), (-1, 0), (0, 1))
+        as_ints = extreme_rays_from_halfspaces(Cone(2, rows, ((0, 1),)))
+        as_fracs = extreme_rays_from_halfspaces(
+            Cone(2, tuple(tuple(map(Fraction, r)) for r in rows), ((0, 1),)))
+        assert as_ints == as_fracs == [(0, 1)]
+        assert_exact_ints(as_ints + as_fracs)
+        for k in (3, 6):
+            cone = even_cycle_cone(k)
+            int_rows = tuple(tuple(int(a) for a in r) for r in cone.halfspaces)
+            rays = extreme_rays_from_halfspaces(Cone(k, int_rows, cone.rays))
+            assert rays == extreme_rays_from_halfspaces(cone)
+            assert_exact_ints(rays)
+
+    def test_scaled_rows_same_rays(self):
+        cone = even_cycle_cone(4)
+        scaled = tuple(tuple(a * Fraction(2, 3 + i) for a in r) for i, r in enumerate(cone.halfspaces))
+        assert extreme_rays_from_halfspaces(Cone(4, scaled, cone.rays)) == \
+            extreme_rays_from_halfspaces(cone)
+        assert cone_equals_hull(Cone(4, scaled, cone.rays))
+
+    def test_float_entries_rejected(self):
+        with pytest.raises(ConeError, match="ints or Fractions"):
+            Cone(2, ((0.5, 1),), ()).evaluate((1, 1))
+        with pytest.raises(ConeError, match="ints or Fractions"):
+            Cone(2, ((1, 0),), ()).evaluate((0.5, 1))
+
+    def test_not_pointed(self):
+        # (0, 1, 0) lies in the cone x >= 0 but is no multiple of (1, 0, 0)
+        cone = Cone(3, ((1, 0, 0),), ((1, 0, 0),))
+        with pytest.raises(ConeError, match="cone is not pointed"):
+            cone_equals_hull(cone)
+        with pytest.raises(ConeError, match="cone is not pointed"):
+            extreme_rays_from_halfspaces(Cone(2, ((1, 1), (-1, -1)), ()))
 
 
 class TestAllCycleCone:

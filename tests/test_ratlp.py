@@ -1,10 +1,11 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from homdom import formulas
+from homdom import formulas, ratlp
 from homdom.formulas import fractional_matching
 from homdom.graphs import GraphError, SimpleGraph, cycle_graph, enumerate_graphs, star_graph
 from homdom.ratlp import (
@@ -20,6 +21,152 @@ from homdom.ratlp import (
     solve_lp,
     frac_to_str,
 )
+
+ZERO = Fraction(0)
+ONE = Fraction(1)
+
+
+def fraction_simplex_oracle(c, arows, b):
+    """The reference for ratlp._simplex_canonical: the same Bland two-phase
+    simplex on a Fraction tableau, dividing the pivot row by its pivot.
+
+    Returns (status, optimum, x, y) where y is the dual of the <= rows
+    (y >= 0, y.A >= c on every column, c.x = y.b at optimality).
+    """
+    m = len(arows)
+    n = len(c)
+    # columns: 0..n-1 structural, n..n+m-1 slack, then artificials
+    sign = [1] * m  # row multiplied by -1 when b < 0
+    rows = []
+    rhs = []
+    for i in range(m):
+        row = list(arows[i]) + [ZERO] * m
+        row[n + i] = ONE
+        bi = b[i]
+        if bi < 0:
+            row = [-v for v in row]
+            bi = -bi
+            sign[i] = -1
+        rows.append(row)
+        rhs.append(bi)
+    art = [i for i in range(m) if sign[i] < 0]
+    total = n + m + len(art)
+    for k, i in enumerate(art):
+        for r in range(m):
+            rows[r].append(ONE if r == i else ZERO)
+    basis = []
+    for i in range(m):
+        basis.append(n + i if sign[i] > 0 else n + m + art.index(i))
+
+    def pivot(r, col):
+        inv = ONE / rows[r][col]
+        prow = rows[r] = [v * inv if v else v for v in rows[r]]
+        rhs[r] *= inv
+        pb = rhs[r]
+        # the other rows change only where the pivot row is nonzero
+        support = [j for j, p in enumerate(prow) if p]
+        for rr in range(m):
+            if rr == r:
+                continue
+            row = rows[rr]
+            f = row[col]
+            if f:
+                for j in support:
+                    row[j] -= f * prow[j]
+                rhs[rr] -= f * pb
+        basis[r] = col
+
+    def run_phase(cost, allowed):
+        # maximize cost.x restricted to allowed columns; Bland's rule
+        while True:
+            # reduced costs: cost_j - cB . column_j, over the basic rows
+            # whose cost is nonzero
+            basic = set(basis)
+            priced = [(cost[basis[r]], rows[r]) for r in range(m) if cost[basis[r]]]
+            enter = -1
+            for j in range(total):
+                if not allowed[j] or j in basic:
+                    continue
+                rc = cost[j] - sum(cb * row[j] for cb, row in priced)
+                if rc > 0:
+                    enter = j
+                    break  # Bland: first improving index
+            if enter < 0:
+                return "optimal"
+            ratio = None
+            leave = -1
+            for r in range(m):
+                a = rows[r][enter]
+                if a > 0:
+                    t = rhs[r] / a
+                    if ratio is None or t < ratio or (t == ratio and basis[r] < basis[leave]):
+                        ratio = t
+                        leave = r
+            if leave < 0:
+                return "unbounded"
+            pivot(leave, enter)
+
+    if art:
+        cost1 = [ZERO] * total
+        for k in range(len(art)):
+            cost1[n + m + k] = Fraction(-1)
+        allowed = [True] * total
+        status = run_phase(cost1, allowed)
+        assert status == "optimal"  # phase 1 is always bounded
+        val1 = sum(cost1[basis[r]] * rhs[r] for r in range(m))
+        if val1 != 0:
+            return "infeasible", None, None, None
+        # drive remaining artificials out of the basis
+        for r in range(m):
+            if basis[r] >= n + m:
+                for j in range(n + m):
+                    if rows[r][j] != 0:
+                        pivot(r, j)
+                        break
+                # an all-zero row is redundant; its artificial stays basic
+                # at value 0 and never re-enters (cost column disabled below)
+
+    cost2 = list(c) + [ZERO] * (total - n)
+    allowed = [True] * (n + m) + [False] * len(art)
+    status = run_phase(cost2, allowed)
+    if status == "unbounded":
+        return "unbounded", None, None, None
+
+    x = [ZERO] * n
+    for r in range(m):
+        if basis[r] < n:
+            x[basis[r]] = rhs[r]
+    opt = sum(ci * xi for ci, xi in zip(c, x))
+    # dual of row i = multiplier read off its slack column; the build-time
+    # row negation is already baked into that column, so no sign fixup
+    y = []
+    for i in range(m):
+        zj = sum(cost2[basis[r]] * rows[r][n + i] for r in range(m))
+        y.append(zj)
+    return "optimal", opt, x, y
+
+
+def random_lp(rng):
+    """A small LP with fractional data, free variables and = rows."""
+    n = rng.randint(1, 5)
+
+    def q():
+        return Fraction(rng.randint(-6, 6), rng.choice([1, 1, 2, 3, 4, 6]))
+
+    rows = [([q() for _ in range(n)], rng.choice(["<=", ">=", "="]), q())
+            for _ in range(rng.randint(1, 6))]
+    return make_lp(rng.choice(["max", "min"]), [q() for _ in range(n)], rows,
+                   nonneg=[rng.random() < 0.6 for _ in range(n)])
+
+
+def assert_matches_oracle(lp):
+    """The integer simplex and the Fraction oracle agree exactly on the
+    canonical form, and solve_lp's duality certificate accepts the result."""
+    c, arows, b, *_ = ratlp._canonicalize(lp)
+    got = ratlp._simplex_canonical(c, arows, b)
+    assert got == fraction_simplex_oracle(c, arows, b), lp
+    assert all(type(v) is Fraction for v in (got[2] or []) + (got[3] or []))
+    return solve_lp(lp).status
 
 
 class TestBasicSolves:
@@ -86,6 +233,13 @@ class TestBasicSolves:
             assert sol.status in ("optimal", "infeasible", "unbounded")
             solved += sol.status == "optimal"
         assert solved > 5
+
+    def test_matches_fraction_oracle_random(self):
+        rng = random.Random(2024)
+        statuses = Counter(assert_matches_oracle(random_lp(rng)) for _ in range(1000))
+        # about 200 optimal, 450 infeasible and 350 unbounded; most of the
+        # optimal ones drive a degenerate artificial out on a negative pivot
+        assert min(statuses[s] for s in ("optimal", "infeasible", "unbounded")) > 150
 
     def test_dimension_cap(self):
         with pytest.raises(LPError):
@@ -182,6 +336,10 @@ class TestKRFamily:
     def test_bad_index(self):
         with pytest.raises(LPError):
             kr_lp(1)
+
+    def test_matches_fraction_oracle(self):
+        for i in range(2, 31):
+            assert assert_matches_oracle(kr_lp(i)) == "optimal"
 
 
 class TestJSON:
