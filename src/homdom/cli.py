@@ -16,7 +16,6 @@ import functools
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from . import cones, constructions, formulas, ratlp, verifier
@@ -27,14 +26,6 @@ from .homcount import ResourceLimitError
 from .ratlp import LPError, frac_to_str
 
 DEFAULT_SEED = 7
-
-
-@dataclass
-class RunConfig:
-    command: str
-    seed: int
-    max_hom_steps: int
-    out: str
 
 
 def _effective_seed(args):
@@ -82,8 +73,6 @@ def parse_corpus_spec(text):
                 kwargs[key] = int(val)
             elif key == "gnp_p":
                 kwargs["gnp_p"] = parse_fraction(val)
-            elif key == "dedup":
-                kwargs["dedup"] = val not in ("0", "false", "False")
             elif key == "constructions":
                 kwargs["include_constructions"] = val not in ("0", "false", "False")
             else:
@@ -101,7 +90,7 @@ def parse_params(text):
 
 
 def _emit(config, payload, out_path):
-    doc = {"config": asdict(config), "result": payload}
+    doc = {"config": config, "result": payload}
     text = json.dumps(doc, indent=2, default=str)
     if out_path:
         with open(out_path, "w") as fh:
@@ -138,7 +127,7 @@ def cmd_verify(args, config):
     h = parse_graph_arg(args.h)
     corpus = verifier.build_corpus(parse_corpus_spec(args.corpus_spec))
     report = verifier.check_inequality(g, h, parse_fraction(args.c), corpus,
-                                       max_steps=config.max_hom_steps)
+                                       max_steps=config["max_hom_steps"])
     _emit(config, json.loads(report.to_json()), args.out)
     return report.exit_code
 
@@ -146,19 +135,19 @@ def cmd_verify(args, config):
 def cmd_search_p6(args, config):
     corpus = verifier.build_corpus(parse_corpus_spec(args.corpus_spec))
     report = verifier.search_problem6(args.i, args.j, corpus,
-                                      max_steps=config.max_hom_steps)
+                                      max_steps=config["max_hom_steps"])
     _emit(config, json.loads(report.to_json()), args.out)
     return report.exit_code
 
 
 def cmd_construct(args, config):
     params = parse_params(args.params)
-    fam = constructions.ScalingFamily(args.family, params, seed=config.seed)
+    fam = constructions.ScalingFamily(args.family, params, seed=config["seed"])
     target = fam.build(args.size)
     if isinstance(target, CliqueUnion):
         target = target.graph  # the payload encodes the expanded graph
     payload = {"family": args.family, "params": params, "size": args.size,
-               "seed": config.seed, "target": _target_payload(target)}
+               "seed": config["seed"], "target": _target_payload(target)}
     if args.emit and isinstance(target, SimpleGraph):
         payload = {"graph6": encode_graph(target, "graph6")}
     _emit(config, payload, args.out)
@@ -197,9 +186,9 @@ def cmd_estimate(args, config):
     g = parse_graph_arg(args.g)
     h = parse_graph_arg(args.h)
     kind, _, params = args.family.partition(":")
-    fam = constructions.ScalingFamily(kind, parse_params(params), seed=config.seed)
+    fam = constructions.ScalingFamily(kind, parse_params(params), seed=config["seed"])
     sizes = [int(s) for s in args.sizes.split(",")]
-    result = constructions.estimate_ratio(g, h, fam, sizes, max_steps=config.max_hom_steps)
+    result = constructions.estimate_ratio(g, h, fam, sizes, max_steps=config["max_hom_steps"])
     payload = {
         "family": args.family,
         "ratios": [{"size": s, "ratio": r} for s, r in result["ratios"]],
@@ -289,12 +278,8 @@ def main(argv=None):
     try:
         if args.max_hom_steps < 1:
             raise ValueError(f"--max-hom-steps must be at least 1, got {args.max_hom_steps}")
-        config = RunConfig(
-            command=args.command,
-            seed=_effective_seed(args),
-            max_hom_steps=args.max_hom_steps,
-            out=args.out,
-        )
+        config = {"command": args.command, "seed": _effective_seed(args),
+                  "max_hom_steps": args.max_hom_steps, "out": args.out}
         return args.func(args, config)
     except (GraphError, ResourceLimitError, LPError, ConeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -370,16 +370,19 @@ def p2_exponent(h):
     return Fraction(3, h.n) if has_path_cover(h) else None
 
 
-def subgraph_equal_nu(g, h, contains=None):
-    """C(G,H) = 1 when G is a subgraph of H with nu*(G) = nu*(H).
-    ``contains()``, when given, answers has_subgraph(h, g)."""
-    if g.num_edges == 0 or h.num_edges == 0:
+@functools.lru_cache(maxsize=256)
+def _nu_star(g):
+    """fractional_matching(g), remembered per graph."""
+    return fractional_matching(g)
+
+
+def subgraph_equal_nu(g, h):
+    """C(G,H) = 1 when G is a subgraph of H with nu*(G) = nu*(H). The
+    nu* values are compared first; G is searched for in H only when they
+    agree."""
+    if g.num_edges == 0 or h.num_edges == 0 or _nu_star(g) != _nu_star(h):
         return None
-    if not (contains() if contains else has_subgraph(h, g)):
-        return None
-    if fractional_matching(g) != fractional_matching(h):
-        return None
-    return Fraction(1)
+    return Fraction(1) if has_subgraph(h, g) else None
 
 
 # ---------------------------------------------------------------------------
@@ -424,10 +427,10 @@ def _even_cycle_lengths(g):
 _K3, _K4_MINUS_E, _PAW, _P2 = cycle_graph(3), k4_minus_e(), triangle_pendant(), path_graph(2)
 
 
-def _exact_rule(g, h, contains=None):
+def _exact_rule(g, h):
     """(value, rule-name) from a single exact closed form, else None. The
     hypotheses of every rule give a homomorphism G -> H: a value implies C
-    exists. ``contains`` is passed on to ``subgraph_equal_nu``."""
+    exists."""
     if isomorphic(g, h):
         return Fraction(1), "identical"
 
@@ -456,7 +459,7 @@ def _exact_rule(g, h, contains=None):
     if h.n <= MAX_KK_N and g.n <= h.n and (val := kk_exponent(g, h)):
         return val, "kruskal-katona"
 
-    if val := subgraph_equal_nu(g, h, contains):
+    if val := subgraph_equal_nu(g, h):
         return val, "subgraph-equal-matching"
 
     glens, hlens = _even_cycle_lengths(g), _even_cycle_lengths(h)
@@ -472,6 +475,13 @@ _COMPOSITION_CATALOG = tuple(
     [path_graph(m) for m in range(1, 7)] + [cycle_graph(m) for m in range(2, 9)])
 
 
+@functools.lru_cache(maxsize=4096)
+def _catalog_rule(g, h):
+    """_exact_rule(g, h) for a query graph and a catalog graph, remembered:
+    the same query graph meets all of the catalog again on every query."""
+    return _exact_rule(g, h)
+
+
 # scaling-family targets (kind, sizes) added to the graphs on <= 6 vertices
 _HARVEST_FAMILIES = (("two_cliques", (4, 6, 8)), ("clique_plus_isolated", (4, 6, 8)),
                      ("single_edge", (6, 10, 20)))
@@ -483,13 +493,6 @@ def _harvest_corpus():
     extra = tuple((f"{kind}({n})", simple_family(kind, n))
                   for kind, sizes in _HARVEST_FAMILIES for n in sizes)
     return Corpus(build_corpus(CorpusSpec(exhaustive_n=6)).entries + extra)
-
-
-def _search_once(found, host, pattern):
-    """has_subgraph(host, pattern), remembered in the list ``found``."""
-    if not found:
-        found.append(has_subgraph(host, pattern))
-    return found[0]
 
 
 def dispatch_exponent(g, h, harvest=False):
@@ -515,9 +518,7 @@ def dispatch_exponent(g, h, harvest=False):
     scale = Fraction(a, b)
     prov_prefix += () if scale == 1 else ("union-power",)
 
-    # subgraph_equal_nu and the subgraph-upper step share one search
-    contains = functools.partial(_search_once, [], h0, g0)
-    rule = _exact_rule(g0, h0, contains)
+    rule = _exact_rule(g0, h0)
     if rule is not None:
         val, name = rule
         return ExponentBound(scale * val, scale * val, True, prov_prefix + (name,))
@@ -530,7 +531,7 @@ def dispatch_exponent(g, h, harvest=False):
         lower, upper = odd_cycle_bounds((g0.n - 1) // 2, (h0.n - 1) // 2)
         prov.append("odd-cycle-bounds")
 
-    if g0.is_connected() and h0.is_connected() and h0.num_edges >= 1 and h0.n >= 2:
+    if g0.is_connected() and h0.is_connected():
         sl = simple_lower(g0, h0)
         if sl > lower:
             lower = sl
@@ -541,13 +542,16 @@ def dispatch_exponent(g, h, harvest=False):
         upper = cu
         prov.append("crude-upper")
 
-    if contains() and upper > 1:
+    # when nu*(G) = nu*(H), subgraph_equal_nu has searched for G in H inside
+    # the declined _exact_rule and found no copy; only differing nu* leave
+    # a search to make
+    if upper > 1 and _nu_star(g0) != _nu_star(h0) and has_subgraph(h0, g0):
         upper = Fraction(1)
         prov.append("subgraph-upper")
 
     for mid in _COMPOSITION_CATALOG:
-        left = _exact_rule(g0, mid)
-        right = left and _exact_rule(mid, h0)
+        left = _catalog_rule(g0, mid)
+        right = left and _catalog_rule(mid, h0)
         if right:
             cand = left[0] * right[0]
             if cand < upper:

@@ -170,15 +170,12 @@ def _simplex_canonical(c, arows, b):
         # the phase-1 row's rhs is d times the artificials' total value
         if tab.pop()[-1] != 0:
             return "infeasible", None, None, None
-        # drive remaining artificials out of the basis
+        # drive remaining artificials out of the basis. Every canonical row
+        # keeps its own slack column, so the first n + m columns have rank m
+        # and no tableau row is zero on all of them.
         for r in range(m):
             if basis[r] >= n + m:
-                for j in range(n + m):
-                    if tab[r][j] != 0:
-                        pivot(r, j)
-                        break
-                # an all-zero row is redundant; its artificial stays basic
-                # at value 0 and never re-enters (phase 2 prices n + m columns)
+                pivot(r, next(j for j in range(n + m) if tab[r][j]))
 
     status = run_phase(n + m)
     if status == "unbounded":

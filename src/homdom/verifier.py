@@ -52,7 +52,6 @@ class CorpusSpec:
     """Deterministic corpus recipe; seeds are part of the spec."""
 
     exhaustive_n: int = 0
-    dedup: bool = True
     gnp_count: int = 0
     gnp_n: int = 10
     gnp_p: Fraction = Fraction(1, 2)
@@ -94,10 +93,10 @@ class Corpus:
 def build_corpus(spec):
     entries = []
     if spec.exhaustive_n:
-        if spec.exhaustive_n > (6 if spec.dedup else 7):
+        if spec.exhaustive_n > 6:
             raise ResourceLimitError("exhaustive corpus capped at n <= 6 (dedup)")
         for n in range(1, spec.exhaustive_n + 1):
-            for i, g in enumerate(enumerate_graphs(n, dedup=spec.dedup)):
+            for i, g in enumerate(enumerate_graphs(n, dedup=True)):
                 entries.append((f"exhaustive-n{n}-{i}", g))
     for i in range(spec.gnp_count):
         g = gnp_graph(spec.gnp_n, spec.gnp_p, spec.gnp_seed, i)

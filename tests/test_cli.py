@@ -289,6 +289,8 @@ class TestErrorExits:
           "--corpus-spec", "exhaustive_n=2"), "--max-hom-steps must be at least 1, got -1"),
         (("--max-hom-steps", "0", "exponent", "--g", "K2", "--h", "K3"),
          "--max-hom-steps must be at least 1, got 0"),
+        (("verify", "--g", "K2", "--h", "C3", "--c", "1", "--corpus-spec", "dedup=0"),
+         "unknown corpus spec key 'dedup'"),
     ])
     def test_bad_input_exit_2(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)

@@ -1,6 +1,7 @@
 import gc
 import itertools
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -45,6 +46,18 @@ from homdom.formulas import (
 from homdom.constructions import log_fraction, simple_family
 from homdom.homcount import hom_count, hom_density, hom_exists
 from homdom.verifier import harvest_lower
+
+
+@pytest.fixture(autouse=True)
+def cold_caches():
+    """Each test starts with empty nu* and catalog-rule memos, so call
+    counts are those of a fresh process."""
+    formulas._nu_star.cache_clear()
+    formulas._catalog_rule.cache_clear()
+
+
+def bound_tuple(bound):
+    return bound.lower, bound.upper, bound.exact, bound.provenance, bound.exists
 
 
 def gnp(rng, n, p):
@@ -293,6 +306,19 @@ class TestMatchingRules:
         # K_2 in K_3: nu* differs (1 vs 3/2)
         assert subgraph_equal_nu(complete_graph(2), complete_graph(3)) is None
 
+    def test_subgraph_equal_nu_matches_definition(self):
+        # comparing nu* before searching gives the same answer as searching
+        # first, on every ordered pair of graphs with at most 5 vertices
+        graphs = [g for n in range(6) for g in enumerate_graphs(n, dedup=True)]
+        fired = 0
+        for g in graphs:
+            for h in graphs:
+                want = bool(g.edges and h.edges and has_subgraph(h, g)
+                            and fractional_matching(g) == fractional_matching(h))
+                assert subgraph_equal_nu(g, h) == (Fraction(1) if want else None), (g, h)
+                fired += want
+        assert 0 < fired < len(graphs) ** 2
+
     def test_has_subgraph(self):
         assert has_subgraph(complete_graph(4), cycle_graph(4))
         assert not has_subgraph(complete_bipartite(2, 3), complete_graph(3))
@@ -479,6 +505,54 @@ class TestDispatch:
         assert calls.count((complete_bipartite(3, 3), star_graph(3), None)) == 1
         assert (bound.lower, bound.upper, bound.exact) == (Fraction(2, 3), Fraction(1), False)
         assert bound.provenance == ("simple-lower", "crude-upper", "subgraph-upper")
+
+        # K_4 - e and a triangle with two pendant edges at one corner both
+        # have nu* = 2, and the second holds no K_4 - e: the declined rule
+        # has searched, so the subgraph-upper step does not search again
+        g = k4_minus_e()
+        h = SimpleGraph(5, frozenset({(0, 1), (0, 2), (0, 3), (0, 4), (1, 2)}))
+        assert fractional_matching(g) == fractional_matching(h)
+        calls.clear()
+        bound = dispatch_exponent(g, h)
+        assert calls.count((h, g, None)) == 1
+        assert (bound.lower, bound.upper, bound.exact) == (Fraction(1), Fraction(4), False)
+        assert bound.provenance == ("simple-lower", "crude-upper")
+
+    def test_warm_caches_change_no_bound(self):
+        # the 900 ordered pairs of connected graphs on 2..5 vertices, each
+        # from empty memos and then again with every memo filled
+        graphs = [g for n in range(2, 6) for g in enumerate_graphs(n, dedup=True)
+                  if g.is_connected()]
+        cold = []
+        for g in graphs:
+            for h in graphs:
+                formulas._nu_star.cache_clear()
+                formulas._catalog_rule.cache_clear()
+                cold.append(bound_tuple(dispatch_exponent(g, h)))
+        assert len(cold) == 900
+        for _ in range(2):  # the first pass fills the memos, the second finds them full
+            assert [bound_tuple(dispatch_exponent(g, h)) for g in graphs for h in graphs] == cold
+        assert formulas._catalog_rule.cache_info().hits > 0
+
+    def test_catalog_rule_keys_hold_a_catalog_graph(self, monkeypatch):
+        # the composition memo is keyed on (query graph, catalog graph) or
+        # (catalog graph, query graph), never on a query pair
+        keys = []
+        memo_code = formulas._catalog_rule.__wrapped__.__code__
+
+        def recorded(g, h):
+            if sys._getframe(1).f_code is memo_code:
+                keys.append((g, h))
+            return _exact_rule(g, h)
+
+        monkeypatch.setattr(formulas, "_exact_rule", recorded)
+        graphs = [g for n in range(2, 5) for g in enumerate_graphs(n, dedup=True)
+                  if g.is_connected()] + [star_graph(3), cycle_graph(5)]
+        for g in graphs:
+            for h in graphs:
+                dispatch_exponent(g, h)
+        assert len(keys) == formulas._catalog_rule.cache_info().misses > 0
+        assert all(g in _COMPOSITION_CATALOG or h in _COMPOSITION_CATALOG for g, h in keys)
 
     def test_leaves_no_cyclic_garbage(self):
         # no search leaves a reference cycle behind, so each query frees its
