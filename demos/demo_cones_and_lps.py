@@ -36,8 +36,9 @@ def main():
 
     print("\nentropy-style LP family (minimize z over 16 exact rows):")
     for i in (2, 3, 4, 5):
-        sol = solve_lp(kr_lp(i))
-        cert = check_kr_certificate(i)
+        lp = kr_lp(i)
+        sol = solve_lp(lp)
+        cert = check_kr_certificate(i, lp)
         print(f"  i={i}: optimum = {sol.optimum} (expect {2 * i - 1}), "
               f"dual certificate verified: {cert}")
 

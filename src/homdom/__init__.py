@@ -25,7 +25,6 @@ from .graphs import (
     k4_minus_e,
     path_graph,
     star_graph,
-    tensor_product,
     triangle_pendant,
 )
 from .homcount import (

@@ -177,7 +177,7 @@ def cmd_lp(args, config):
     sol = ratlp.solve_lp(problem)
     payload = json.loads(ratlp.solution_to_json(sol))
     if args.kr is not None:
-        payload["certificate_checked"] = ratlp.check_kr_certificate(args.kr)
+        payload["certificate_checked"] = ratlp.check_kr_certificate(args.kr, problem)
     _emit(config, payload, args.out)
     return 0
 

@@ -12,10 +12,10 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm, prod
+from math import gcd, prod
 from operator import mul
 
-from .ratlp import frac_to_str, make_lp, solve_lp
+from .ratlp import bareiss_pivot, frac_to_str, integer_row, make_lp, solve_lp
 
 _ZERO = Fraction(0)
 
@@ -25,6 +25,8 @@ class ConeError(Exception):
 
 
 MAX_HULL_DIM = 10
+# all_cycle_cone(m) has O(m^2) rows of dimension 2m - 1; m = 60 takes 1.4 s
+MAX_ALL_CYCLE_M = 60
 
 
 @dataclass(frozen=True)
@@ -62,18 +64,14 @@ class Cone:
             out.append(dot if den == 1 else Fraction(dot, den))
         return tuple(out)
 
-    def contains(self, y):
-        return all(s >= 0 for s in self.evaluate(y))
-
 
 def _integer_scaled(v):
-    """(integer vector, l) with the ints equal to l * v, l the lcm of the
-    denominators of the rational vector v; ConeError on any other entry."""
+    """ratlp.integer_row(v), with a ConeError on an entry that is neither
+    an int nor a Fraction."""
     try:
-        scale = lcm(*(x.denominator for x in v))
+        return integer_row(v)
     except AttributeError:
         raise ConeError(f"entries must be ints or Fractions, got {tuple(v)!r}") from None
-    return [x.numerator * (scale // x.denominator) for x in v], scale
 
 
 def _vec(dim, entries):
@@ -153,6 +151,8 @@ def all_cycle_cone(m, literal_text=False):
     """
     if m < 2:
         raise ConeError("need m >= 2")
+    if m > MAX_ALL_CYCLE_M:
+        raise ConeError(f"all-cycle cone capped at m={MAX_ALL_CYCLE_M}, got {m}")
     dim = 2 * m - 1
     rows = []
     names = []
@@ -241,8 +241,8 @@ def _eliminate(rows, dim):
     nonzero entry d on its pivot column pivots[i], zeros on the other pivot
     columns, and the rows below are zero; d is the leading minor of the
     pivot block and det is d signed by the row swaps, so det is the
-    determinant when the matrix is square and of full rank. Each update
-    (p * a - f * w) // d_prev divides exactly.
+    determinant when the matrix is square and of full rank. Each pivot is
+    one ratlp.bareiss_pivot.
     """
     mat = [list(r) for r in rows]
     m = len(mat)
@@ -258,13 +258,7 @@ def _eliminate(rows, dim):
         if pr != r:
             mat[r], mat[pr] = mat[pr], mat[r]
             sign = -sign
-        prow = mat[r]
-        p = prow[c]
-        for i in range(m):
-            f = mat[i][c]
-            if i != r and (f or p != d):
-                mat[i] = [(p * a - f * w) // d for a, w in zip(mat[i], prow)]
-        d = p
+        d = bareiss_pivot(mat, r, c, d)
         pivots.append(c)
     return mat, pivots, sign * d
 

@@ -203,7 +203,11 @@ def red_line_graph(spec, seed, num_lines=None):
 # bipartite power targets
 # ---------------------------------------------------------------------------
 
-def bipartite_power_target(i, n, mode="weighted", seed=0, max_vertices=50_000):
+# the most vertices of a random bipartite power target or a Behrend graph
+MAX_TARGET_VERTICES = 50_000
+
+
+def bipartite_power_target(i, n, mode="weighted", seed=0):
     """Bipartite target with parts of size n^(i+1) and edge density n^-i.
 
     ``random`` mode materializes a seeded random bipartite graph (the mode
@@ -222,7 +226,7 @@ def bipartite_power_target(i, n, mode="weighted", seed=0, max_vertices=50_000):
         )
     if mode != "random":
         raise GraphError(f"unknown mode {mode!r}")
-    if 2 * part > max_vertices:
+    if 2 * part > MAX_TARGET_VERTICES:
         raise ResourceLimitError("bipartite power target too large to materialize")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, i, n])))
     block = rng.random((part, part)) < 1.0 / n ** i
@@ -279,6 +283,8 @@ def behrend_graph(n):
     """
     if n < 3:
         raise GraphError("need n >= 3")
+    if 6 * n > MAX_TARGET_VERTICES:
+        raise ResourceLimitError(f"behrend graph on {6 * n} vertices exceeds the cap")
     s = ap3_free_set(n)
     edges = set()
     off_b = n

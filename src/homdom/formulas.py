@@ -470,9 +470,10 @@ def _exact_rule(g, h):
     return None
 
 
-# intermediates tried for the compositional upper bound C(F,H) <= C(F,G) C(G,H)
+# intermediates tried for the compositional upper bound C(F,H) <= C(F,G) C(G,H),
+# pairwise non-isomorphic (C2 is K2, the path P1)
 _COMPOSITION_CATALOG = tuple(
-    [path_graph(m) for m in range(1, 7)] + [cycle_graph(m) for m in range(2, 9)])
+    [path_graph(m) for m in range(1, 7)] + [cycle_graph(m) for m in range(3, 9)])
 
 
 @functools.lru_cache(maxsize=4096)
@@ -551,7 +552,8 @@ def dispatch_exponent(g, h, harvest=False):
 
     for mid in _COMPOSITION_CATALOG:
         left = _catalog_rule(g0, mid)
-        right = left and _catalog_rule(mid, h0)
+        # after "identical", mid is G again and C(mid, H) the declined chain
+        right = left and left[1] != "identical" and _catalog_rule(mid, h0)
         if right:
             cand = left[0] * right[0]
             if cand < upper:

@@ -311,19 +311,6 @@ def disjoint_union(*graphs):
     return SimpleGraph(offset, frozenset(edges))
 
 
-def tensor_product(g, h):
-    """Categorical product: (u1,v1) ~ (u2,v2) iff u1~u2 in g and v1~v2 in h."""
-    def vid(u, v):
-        return u * h.n + v
-
-    edges = set()
-    for a, b in g.edges:
-        for c, d in h.edges:
-            edges.add((vid(a, c), vid(b, d)))
-            edges.add((vid(a, d), vid(b, c)))
-    return SimpleGraph(g.n * h.n, frozenset(edges))
-
-
 def blowup(g, multiplicities):
     """Blow each vertex i up to an independent class of size multiplicities[i]."""
     if len(multiplicities) != g.n:

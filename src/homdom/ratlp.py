@@ -2,16 +2,15 @@
 
 A small dense two-phase simplex with Bland's anti-cycling rule, pivoting
 on a tableau of Python ints (integer-preserving Bareiss pivots, as in
-Avis's lrs). Each canonical row is scaled by lam, the lcm of its
-denominators, so its slack column stands for lam times the slack. The
-tableau holds D times the rational tableau, D > 0 the determinant of the
-current basis, and a pivot is the exact division (p*a - f*w) // D. The
-phase-1 and phase-2 reduced costs are tableau rows too, the latter
-scaled by mu, the lcm of the objective's denominators. Fractions are
-built only from the final tableau: x_j = rhs / D and y_i = -lam_i * (the
-reduced cost of slack i) / (D * mu). Every optimal solve returns a dual
-vector and is self-checked on Fractions, by exact primal and dual
-feasibility and strong duality, before being handed back.
+Avis's lrs). The canonical form is built on ints: each row is scaled by
+lam, the lcm of its denominators, so its slack column stands for lam
+times the slack, and the objective by mu. The tableau holds D times the
+rational tableau, D > 0 the determinant of the current basis, and a pivot
+is the exact division (p*a - f*w) // D. Fractions are built only from the
+final tableau: x_j = rhs / D and y_i = -lam_i * (the reduced cost of slack
+i) / (D * mu). Every optimal solve returns a dual vector and is
+self-checked on Fractions, by exact primal and dual feasibility and
+strong duality, before being handed back.
 """
 from __future__ import annotations
 
@@ -85,11 +84,31 @@ def make_lp(sense, objective, rows, nonneg=True, names=()):
 
 
 # ---------------------------------------------------------------------------
-# the simplex core: max c.x  s.t.  A x <= b, x >= 0
+# exact integer rows and the simplex core: max c.x  s.t.  A x <= b, x >= 0
 # ---------------------------------------------------------------------------
 
+def integer_row(v):
+    """(ints, l): l the lcm of the denominators of the ints and Fractions
+    in v, and the ints equal to l * v."""
+    scale = lcm(*(x.denominator for x in v))
+    return [x.numerator * (scale // x.denominator) for x in v], scale
+
+
+def bareiss_pivot(mat, r, col, d):
+    """One fraction-free pivot of the integer rows mat on entry p at (r, col),
+    in place: each other row a becomes (p * a - f * w) // d, w the pivot row
+    and f = a[col], exact when d is the previous pivot. Returns p."""
+    prow = mat[r]
+    p = prow[col]
+    for i, row in enumerate(mat):
+        f = row[col]
+        if i != r and (f or p != d):
+            mat[i] = [(p * a - f * w) // d for a, w in zip(row, prow)]
+    return p
+
+
 def _simplex_canonical(c, arows, b):
-    """Bland two-phase simplex on the canonical form, on the integer
+    """Bland two-phase simplex on the integer canonical form, on the
     tableau of the module docstring (d is its D). A row with b_i < 0 is
     negated and gets an artificial; the phase-1 row holds d times the
     reduced costs of -sum(artificials).
@@ -103,13 +122,10 @@ def _simplex_canonical(c, arows, b):
     total = n + m + len(art)
     # columns: 0..n-1 structural, n..n+m-1 slack, then artificials, then rhs
     tab = []
-    lam = []
     basis = []
     for i in range(m):
-        vals = (*arows[i], b[i])
-        scale = lcm(*(v.denominator for v in vals))
         sign = -1 if b[i] < 0 else 1
-        row = [sign * v.numerator * (scale // v.denominator) for v in vals]
+        row = [sign * v for v in (*arows[i], b[i])]
         row[n:n] = [0] * (total - n)
         row[n + i] = sign
         if sign < 0:
@@ -118,9 +134,7 @@ def _simplex_canonical(c, arows, b):
         else:
             basis.append(n + i)
         tab.append(row)
-        lam.append(scale)
-    mu = lcm(*(v.denominator for v in c))
-    tab.append([v.numerator * (mu // v.denominator) for v in c] + [0] * (total - n + 1))
+    tab.append(list(c) + [0] * (total - n + 1))
     if art:
         # -1 on every artificial, priced out against their (basic) rows
         cost1 = [0] * (n + m) + [-1] * len(art) + [0]
@@ -129,16 +143,10 @@ def _simplex_canonical(c, arows, b):
 
     def pivot(r, col):
         nonlocal d
-        prow = tab[r]
-        p = prow[col]
-        for i, row in enumerate(tab):
-            f = row[col]
-            if i != r and (f or p != d):
-                tab[i] = [(p * a - f * w) // d for a, w in zip(row, prow)]
-        if p < 0:  # only when driving out an artificial; keep d > 0
+        d = bareiss_pivot(tab, r, col, d)
+        if d < 0:  # only when driving out an artificial; keep d > 0
             tab[:] = [[-a for a in row] for row in tab]
-            p = -p
-        d = p
+            d = -d
         basis[r] = col
 
     def run_phase(ncols):
@@ -186,66 +194,56 @@ def _simplex_canonical(c, arows, b):
         if basis[r] < n:
             x[basis[r]] = Fraction(tab[r][-1], d)
     opt = sum(ci * xi for ci, xi in zip(c, x))
-    # dual of row i = minus the reduced cost of its slack column, times
-    # lam[i] for the scaled slack; the build-time row negation is already
-    # baked into that column, so no sign fixup
+    # dual of row i = minus the reduced cost of its slack column; the
+    # build-time row negation is already baked into that column, so no
+    # sign fixup
     cost = tab[m]
-    y = [Fraction(-lam[i] * cost[n + i], d * mu) for i in range(m)]
+    y = [Fraction(-cost[n + i], d) for i in range(m)]
     return "optimal", opt, x, y
 
 
-def _canonicalize(p):
-    """Rewrite an LPProblem as max c~.x~, A~ x~ <= b~, x~ >= 0.
+# the canonical <= rows of one original row: itself, negated, or both
+_ROW_SIGNS = {"<=": (1,), ">=": (-1,), "=": (1, -1)}
 
-    Free variables split into differences; = rows become two inequalities;
-    >= rows are negated. Returns the canonical data plus the recovery maps.
+
+def _canonicalize(p):
+    """Rewrite an LPProblem as max c~.x~, A~ x~ <= b~, x~ >= 0 on ints:
+    the objective and each row with its rhs scaled by integer_row, free
+    variables split into differences, each row in its _ROW_SIGNS copies.
+    Returns the canonical data, mu, each copy's lam and the recovery maps.
     """
-    n = p.num_vars
     colmap = []  # per original var: (pos_col, neg_col or None)
     ncols = 0
-    for j in range(n):
-        if p.nonneg[j]:
+    for nonneg in p.nonneg:
+        if nonneg:
             colmap.append((ncols, None))
             ncols += 1
         else:
             colmap.append((ncols, ncols + 1))
             ncols += 2
-    csign = 1 if p.sense == "max" else -1
-    c = [_ZERO] * ncols
-    for j in range(n):
-        pos, neg = colmap[j]
-        c[pos] = csign * p.objective[j]
-        if neg is not None:
-            c[neg] = -csign * p.objective[j]
-    arows = []
-    b = []
-    rowmap = []  # per original row: (canonical index, kind)
-    for coeffs, rel, rhs in p.rows:
-        def widen(vec, flip=False):
-            row = [_ZERO] * ncols
-            for j in range(n):
-                pos, neg = colmap[j]
-                v = -vec[j] if flip else vec[j]
-                row[pos] = v
-                if neg is not None:
-                    row[neg] = -v
-            return row
 
-        if rel == "<=":
-            rowmap.append((len(arows), "le"))
-            arows.append(widen(coeffs))
-            b.append(rhs)
-        elif rel == ">=":
-            rowmap.append((len(arows), "ge"))
-            arows.append(widen(coeffs, flip=True))
-            b.append(-rhs)
-        else:
-            rowmap.append((len(arows), "eq"))
-            arows.append(widen(coeffs))
-            b.append(rhs)
-            arows.append(widen(coeffs, flip=True))
-            b.append(-rhs)
-    return c, arows, b, colmap, rowmap, csign
+    def widen(vec, sign):
+        # sign * vec on the canonical columns; a row's rhs, last, is left out
+        row = [0] * ncols
+        for (pos, neg), v in zip(colmap, vec):
+            row[pos] = sign * v
+            if neg is not None:
+                row[neg] = -sign * v
+        return row
+
+    csign = 1 if p.sense == "max" else -1
+    obj, mu = integer_row(p.objective)
+    c = widen(obj, csign)
+    arows, b, lam = [], [], []
+    rowmap = []  # per original row: (canonical index, relation)
+    for coeffs, rel, rhs in p.rows:
+        ints, scale = integer_row((*coeffs, rhs))
+        rowmap.append((len(arows), rel))
+        for sign in _ROW_SIGNS[rel]:
+            arows.append(widen(ints, sign))
+            b.append(sign * ints[-1])
+            lam.append(scale)
+    return c, arows, b, mu, lam, colmap, rowmap, csign
 
 
 def _verify_optimal(p, x, y, opt):
@@ -290,23 +288,16 @@ def solve_lp(p):
     """Solve exactly; statuses are returned, never raised. The dual vector
     follows the usual sign convention for the problem's own sense and is
     verified by exact strong duality before return."""
-    c, arows, b, colmap, rowmap, csign = _canonicalize(p)
-    status, opt, x, y = _simplex_canonical(c, arows, b)
+    c, arows, b, mu, lam, colmap, rowmap, csign = _canonicalize(p)
+    status, _, x, y = _simplex_canonical(c, arows, b)
     if status != "optimal":
         return LPSolution(status=status)
-    primal = []
-    for pos, neg in colmap:
-        primal.append(x[pos] - (x[neg] if neg is not None else _ZERO))
-    dual = []
-    for idx, kind in rowmap:
-        if kind == "le":
-            d = y[idx]
-        elif kind == "ge":
-            d = -y[idx]
-        else:
-            d = y[idx] - y[idx + 1]
-        dual.append(csign * d)
-    optimum = csign * opt
+    primal = [x[pos] - (x[neg] if neg is not None else _ZERO) for pos, neg in colmap]
+    # an original row's dual is the signed sum over its canonical copies
+    y = [csign * scale * yi / mu for scale, yi in zip(lam, y)]
+    dual = [sum(sign * y[idx + k] for k, sign in enumerate(_ROW_SIGNS[rel]))
+            for idx, rel in rowmap]
+    optimum = sum(cj * xj for cj, xj in zip(p.objective, primal))
     _verify_optimal(p, primal, dual, optimum)
     return LPSolution("optimal", optimum, tuple(primal), tuple(dual))
 
@@ -372,9 +363,9 @@ def kr_dual_certificate(i):
     return tuple(mult)
 
 
-def check_kr_certificate(i):
-    """Verify the hand-written certificate implies z >= 2i-1 exactly."""
-    p = kr_lp(i)
+def check_kr_certificate(i, p):
+    """Verify the hand-written certificate implies z >= 2i-1 exactly on
+    p, the LP kr_lp(i)."""
     mult = kr_dual_certificate(i)
     combo = [_ZERO] * p.num_vars
     rhs = _ZERO

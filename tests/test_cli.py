@@ -291,6 +291,9 @@ class TestErrorExits:
          "--max-hom-steps must be at least 1, got 0"),
         (("verify", "--g", "K2", "--h", "C3", "--c", "1", "--corpus-spec", "dedup=0"),
          "unknown corpus spec key 'dedup'"),
+        (("cone", "--all", "100000"), "all-cycle cone capped at m=60, got 100000"),
+        (("construct", "--family", "behrend", "--size", "100000000"),
+         "behrend graph on 600000000 vertices exceeds the cap"),
     ])
     def test_bad_input_exit_2(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)

@@ -164,7 +164,7 @@ class TestBipartitePower:
     def test_size_guard(self):
         from homdom.homcount import ResourceLimitError
         with pytest.raises(ResourceLimitError):
-            bipartite_power_target(2, 100, mode="random", max_vertices=1000)
+            bipartite_power_target(2, 100, mode="random")
 
 
 class TestBehrend:

@@ -17,6 +17,7 @@ from homdom.graphs import (
     decode_graph,
     disjoint_union,
     enumerate_graphs,
+    isomorphic,
     k4_minus_e,
     path_graph,
     star_graph,
@@ -490,6 +491,27 @@ class TestDispatch:
         assert not bound.exact
         assert {h for _, h in rules} >= set(_COMPOSITION_CATALOG)
         assert len(exists) <= 2
+
+    def test_catalog_graphs_pairwise_non_isomorphic(self):
+        for g, h in itertools.combinations(_COMPOSITION_CATALOG, 2):
+            assert not isomorphic(g, h), (g, h)
+
+    def test_declined_chain_not_rerun(self, monkeypatch):
+        # C5 vs K4 declines every exact rule; its catalog twin C5 gives the
+        # left rule "identical", after which C(C5, K4) is not asked again
+        rules = []
+
+        def counted_rule(g, h):
+            rules.append((g, h))
+            return _exact_rule(g, h)
+
+        monkeypatch.setattr(formulas, "_exact_rule", counted_rule)
+        formulas._catalog_rule.cache_clear()
+        g, h = cycle_graph(5), complete_graph(4)
+        bound = dispatch_exponent(g, h)
+        assert not bound.exact
+        assert len(rules) == 1 + len(_COMPOSITION_CATALOG) == 13
+        assert rules.count((g, h)) == 1
 
     def test_subgraph_searched_once(self, monkeypatch):
         # subgraph_equal_nu and the subgraph-upper step both ask whether

@@ -25,7 +25,6 @@ from homdom.graphs import (
     k4_minus_e,
     path_graph,
     star_graph,
-    tensor_product,
     triangle_pendant,
 )
 from homdom.graphs import _canonical_ints, _graph_to_int
@@ -76,14 +75,6 @@ class TestNamedGraphs:
 
 
 class TestAlgebra:
-    def test_tensor_k2_k2(self):
-        g = tensor_product(complete_graph(2), complete_graph(2))
-        assert g.n == 4 and g.num_edges == 2
-
-    def test_tensor_k2_k3_is_c6(self):
-        assert isomorphic(tensor_product(complete_graph(2), complete_graph(3)),
-                          cycle_graph(6))
-
     def test_union(self):
         g = disjoint_union(complete_graph(3), complete_graph(3))
         assert g.n == 6 and g.num_edges == 6
@@ -103,13 +94,6 @@ class TestAlgebra:
             assert disjoint_union(*parts) == functools.reduce(pairwise, parts)
             assert disjoint_union(*parts[:2]) == functools.reduce(pairwise, parts[:2])
         assert disjoint_union() == SimpleGraph(0, frozenset())
-
-    def test_tensor_counts(self):
-        small = [path_graph(1), path_graph(2), complete_graph(3), cycle_graph(4)]
-        for g, h in itertools.product(small, repeat=2):
-            t = tensor_product(g, h)
-            assert t.n == g.n * h.n
-            assert t.num_edges == 2 * g.num_edges * h.num_edges
 
     def test_blowup(self):
         assert isomorphic(blowup(complete_graph(2), [2, 2]), cycle_graph(4))

@@ -19,7 +19,6 @@ from homdom.graphs import (
     enumerate_graphs,
     k4_minus_e,
     path_graph,
-    tensor_product,
 )
 from homdom.homcount import (
     GramCounter,
@@ -54,6 +53,16 @@ def random_graph(rng, n, p=0.5):
         pair for pair in itertools.combinations(range(n), 2) if rng.random() < p
     )
     return SimpleGraph(n, edges)
+
+
+def tensor_product(g, h):
+    """Categorical product: (u1,v1) ~ (u2,v2) iff u1~u2 in g and v1~v2 in h."""
+    edges = set()
+    for a, b in g.edges:
+        for c, d in h.edges:
+            edges.add((a * h.n + c, b * h.n + d))
+            edges.add((a * h.n + d, b * h.n + c))
+    return SimpleGraph(g.n * h.n, frozenset(edges))
 
 
 class TestHomCount:

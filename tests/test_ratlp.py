@@ -146,6 +146,61 @@ def fraction_simplex_oracle(c, arows, b):
     return "optimal", opt, x, y
 
 
+def fraction_canonicalize_oracle(p):
+    """The reference for ratlp._canonicalize, on Fractions: rewrite an
+    LPProblem as max c~.x~, A~ x~ <= b~, x~ >= 0.
+
+    Free variables split into differences; = rows become two inequalities;
+    >= rows are negated. Returns the canonical data plus the recovery maps.
+    """
+    n = p.num_vars
+    colmap = []  # per original var: (pos_col, neg_col or None)
+    ncols = 0
+    for j in range(n):
+        if p.nonneg[j]:
+            colmap.append((ncols, None))
+            ncols += 1
+        else:
+            colmap.append((ncols, ncols + 1))
+            ncols += 2
+    csign = 1 if p.sense == "max" else -1
+    c = [ZERO] * ncols
+    for j in range(n):
+        pos, neg = colmap[j]
+        c[pos] = csign * p.objective[j]
+        if neg is not None:
+            c[neg] = -csign * p.objective[j]
+    arows = []
+    b = []
+    rowmap = []  # per original row: (canonical index, kind)
+    for coeffs, rel, rhs in p.rows:
+        def widen(vec, flip=False):
+            row = [ZERO] * ncols
+            for j in range(n):
+                pos, neg = colmap[j]
+                v = -vec[j] if flip else vec[j]
+                row[pos] = v
+                if neg is not None:
+                    row[neg] = -v
+            return row
+
+        if rel == "<=":
+            rowmap.append((len(arows), "le"))
+            arows.append(widen(coeffs))
+            b.append(rhs)
+        elif rel == ">=":
+            rowmap.append((len(arows), "ge"))
+            arows.append(widen(coeffs, flip=True))
+            b.append(-rhs)
+        else:
+            rowmap.append((len(arows), "eq"))
+            arows.append(widen(coeffs))
+            b.append(rhs)
+            arows.append(widen(coeffs, flip=True))
+            b.append(-rhs)
+    return c, arows, b, colmap, rowmap, csign
+
+
 def random_lp(rng):
     """A small LP with fractional data, free variables and = rows."""
     n = rng.randint(1, 5)
@@ -167,6 +222,20 @@ def assert_matches_oracle(lp):
     assert got == fraction_simplex_oracle(c, arows, b), lp
     assert all(type(v) is Fraction for v in (got[2] or []) + (got[3] or []))
     return solve_lp(lp).status
+
+
+def assert_integer_canonical_form(lp):
+    """ratlp._canonicalize is the Fraction canonical form with each row
+    scaled by its lam and the objective by mu, on ints."""
+    c, arows, b, mu, lam, colmap, rowmap, csign = ratlp._canonicalize(lp)
+    want_c, want_rows, want_b, *want_maps = fraction_canonicalize_oracle(lp)
+    assert all(type(v) is int for v in c + b + [x for row in arows for x in row]), lp
+    kinds = {"<=": "le", ">=": "ge", "=": "eq"}
+    assert [colmap, [(i, kinds[rel]) for i, rel in rowmap], csign] == want_maps
+    assert len(lam) == len(want_rows) == len(arows)
+    for row, rhs, scale, want_row, want_rhs in zip(arows, b, lam, want_rows, want_b):
+        assert row == [scale * v for v in want_row] and rhs == scale * want_rhs, lp
+    assert c == [mu * v for v in want_c], lp
 
 
 class TestBasicSolves:
@@ -240,6 +309,13 @@ class TestBasicSolves:
         # about 200 optimal, 450 infeasible and 350 unbounded; most of the
         # optimal ones drive a degenerate artificial out on a negative pivot
         assert min(statuses[s] for s in ("optimal", "infeasible", "unbounded")) > 150
+
+    def test_integer_canonical_form(self):
+        rng = random.Random(2024)  # the LPs of test_matches_fraction_oracle_random
+        for _ in range(1000):
+            assert_integer_canonical_form(random_lp(rng))
+        for i in range(2, 31):
+            assert_integer_canonical_form(kr_lp(i))
 
     def test_dimension_cap(self):
         with pytest.raises(LPError):
@@ -325,7 +401,7 @@ class TestKRFamily:
 
     @pytest.mark.parametrize("i", [2, 3, 4, 5])
     def test_certificate(self, i):
-        assert check_kr_certificate(i)
+        assert check_kr_certificate(i, kr_lp(i))
 
     def test_certificate_structure(self):
         mult = kr_dual_certificate(3)
