@@ -90,6 +90,7 @@ def parse_params(text):
 
 
 def _emit(config, payload, out_path):
+    """Print or write the config and a verb's plain-data result: the one JSON writer."""
     doc = {"config": config, "result": payload}
     text = json.dumps(doc, indent=2, default=str)
     if out_path:
@@ -118,8 +119,8 @@ def cmd_exponent(args, config):
     g = parse_graph_arg(args.g)
     h = parse_graph_arg(args.h)
     bound = formulas.dispatch_exponent(g, h, harvest=args.harvest)
-    _emit(config, json.loads(bound.to_json()), args.out)
-    return 3 if not bound.exists else 0
+    _emit(config, bound.to_data(), args.out)
+    return 0 if bound.exists else 3
 
 
 def cmd_verify(args, config):
@@ -128,7 +129,7 @@ def cmd_verify(args, config):
     corpus = verifier.build_corpus(parse_corpus_spec(args.corpus_spec))
     report = verifier.check_inequality(g, h, parse_fraction(args.c), corpus,
                                        max_steps=config["max_hom_steps"])
-    _emit(config, json.loads(report.to_json()), args.out)
+    _emit(config, report.to_data(), args.out)
     return report.exit_code
 
 
@@ -136,7 +137,7 @@ def cmd_search_p6(args, config):
     corpus = verifier.build_corpus(parse_corpus_spec(args.corpus_spec))
     report = verifier.search_problem6(args.i, args.j, corpus,
                                       max_steps=config["max_hom_steps"])
-    _emit(config, json.loads(report.to_json()), args.out)
+    _emit(config, report.to_data(), args.out)
     return report.exit_code
 
 
@@ -161,10 +162,10 @@ def cmd_cone(args, config):
     else:
         cone = cones.all_cycle_cone(args.all, literal_text=args.literal_text)
         equality = "conjectured (hull-in-cone inclusion reported only)"
-    payload = json.loads(cones.cone_to_json(cone))
-    payload["rays_ok"] = cones.verify_rays(cone)["all_member"]
-    payload["equality"] = equality
-    _emit(config, payload, args.out)
+    # cone_equals_hull answers True only once every listed ray is in the cone
+    rays_ok = equality is True or cones.verify_rays(cone)["all_member"]
+    _emit(config, {**cones.cone_to_data(cone), "rays_ok": rays_ok, "equality": equality},
+          args.out)
     return 0
 
 
@@ -174,8 +175,7 @@ def cmd_lp(args, config):
     else:
         with open(args.file) as fh:
             problem = ratlp.lp_from_json(fh.read())
-    sol = ratlp.solve_lp(problem)
-    payload = json.loads(ratlp.solution_to_json(sol))
+    payload = ratlp.solution_to_data(ratlp.solve_lp(problem))
     if args.kr is not None:
         payload["certificate_checked"] = ratlp.check_kr_certificate(args.kr, problem)
     _emit(config, payload, args.out)

@@ -8,7 +8,6 @@ explicit generator rays and exact verification utilities.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -381,8 +380,8 @@ def union_exponent_lp(g_cycles, h_cycles, k):
 # JSON
 # ---------------------------------------------------------------------------
 
-def cone_to_json(cone):
-    return json.dumps({
+def cone_to_data(cone):
+    return {
         "dim": cone.dim,
         "coords": list(cone.coord_names),
         "halfspaces": [[frac_to_str(a) for a in row] for row in cone.halfspaces],
@@ -391,4 +390,4 @@ def cone_to_json(cone):
                 [frac_to_str(a) for a in ray]
             for i, ray in enumerate(cone.rays)
         },
-    })
+    }

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -35,33 +34,31 @@ MAX_KK_N = 10  # largest H of the Kruskal-Katona all-subsets check
 
 @dataclass(frozen=True)
 class ExponentBound:
-    """lower <= C(G,H) <= upper; upper None means C does not exist."""
+    """lower <= C(G,H) <= upper, with both None when C does not exist."""
 
     lower: Fraction = None
     upper: Fraction = None
-    exact: bool = False
     provenance: tuple = ()
-    exists: bool = True
 
     def __post_init__(self):
-        if self.exists and self.lower is not None and self.upper is not None:
-            if self.lower > self.upper:
-                raise GraphError(f"crossed bounds {self.lower} > {self.upper}")
-            if self.exact and self.lower != self.upper:
-                raise GraphError("exact bound must have lower == upper")
+        if (self.lower is None) != (self.upper is None):
+            raise GraphError("a bound needs both ends, or neither when C does not exist")
+        if self.exists and self.lower > self.upper:
+            raise GraphError(f"crossed bounds {self.lower} > {self.upper}")
 
-    def to_json(self):
-        if not self.exists:
-            return json.dumps({
-                "lower": "nonexistent", "upper": "nonexistent",
-                "exact": True, "provenance": list(self.provenance),
-            })
-        return json.dumps({
-            "lower": frac_to_str(self.lower) if self.lower is not None else "0",
-            "upper": frac_to_str(self.upper) if self.upper is not None else "unbounded",
-            "exact": self.exact,
-            "provenance": list(self.provenance),
-        })
+    @property
+    def exists(self):
+        return self.upper is not None
+
+    @property
+    def exact(self):
+        return self.lower == self.upper
+
+    def to_data(self):
+        """The JSON fields; both bounds read "nonexistent" when C does not exist."""
+        end = frac_to_str if self.exists else (lambda _: "nonexistent")
+        return {"lower": end(self.lower), "upper": end(self.upper), "exact": self.exact,
+                "provenance": list(self.provenance)}
 
 
 # ---------------------------------------------------------------------------
@@ -82,8 +79,12 @@ def crude_upper(g, h):
     """
     if not exists_exponent(g, h):
         raise GraphError("exponent does not exist")
-    rmax = min(g.n, h.n)
-    return max(Fraction(g.n, r) ** r for r in range(1, rmax + 1))
+    return _crude_bound(g, h)
+
+
+def _crude_bound(g, h):
+    """crude_upper(g, h) for a pair already known to have a homomorphism."""
+    return max(Fraction(g.n, r) ** r for r in range(1, min(g.n, h.n) + 1))
 
 
 def simple_lower(g, h):
@@ -508,12 +509,12 @@ def dispatch_exponent(g, h, harvest=False):
     the witness. Crossed bounds raise GraphError.
     """
     if not exists_exponent(g, h):
-        return ExponentBound(exists=False, exact=True, provenance=("nonexistent",))
+        return ExponentBound(provenance=("nonexistent",))
 
     g1, h1 = _without_isolated(g), _without_isolated(h)
     prov_prefix = () if g1 is g and h1 is h else ("isolated-vertices-dropped",)
     if not g1.edges:
-        return ExponentBound(Fraction(0), Fraction(0), True, prov_prefix + ("edgeless-g",))
+        return ExponentBound(Fraction(0), Fraction(0), prov_prefix + ("edgeless-g",))
     g0, a = _component_power(g1)
     h0, b = _component_power(h1)
     scale = Fraction(a, b)
@@ -522,7 +523,7 @@ def dispatch_exponent(g, h, harvest=False):
     rule = _exact_rule(g0, h0)
     if rule is not None:
         val, name = rule
-        return ExponentBound(scale * val, scale * val, True, prov_prefix + (name,))
+        return ExponentBound(scale * val, scale * val, prov_prefix + (name,))
 
     lower, upper = Fraction(0), None
     prov = list(prov_prefix)
@@ -538,7 +539,8 @@ def dispatch_exponent(g, h, harvest=False):
             lower = sl
             prov.append("simple-lower")
 
-    cu = crude_upper(g0, h0)
+    # existence is decided above: G0 -> H0 whenever G -> H
+    cu = _crude_bound(g0, h0)
     if upper is None or cu < upper:
         upper = cu
         prov.append("crude-upper")
@@ -566,4 +568,4 @@ def dispatch_exponent(g, h, harvest=False):
             lower = found[0]
             prov.append(f"harvested({found[1]})")
 
-    return ExponentBound(scale * lower, scale * upper, False, tuple(prov))
+    return ExponentBound(scale * lower, scale * upper, tuple(prov))

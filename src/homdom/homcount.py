@@ -203,10 +203,8 @@ def hom_counts(h, adjs, max_steps=None):
     When the plan needs more than ``max_steps`` multiply-adds per target,
     or a factor past the entry cap, each target is counted by the
     backtracker instead, which stops once it has expanded ``max_steps``
-    candidates (never returning a wrong number). Then, after every target
-    has been tried, the first stopped target's ResourceLimitError is
-    raised with ``counts``: each target's count, or the error that
-    stopped it.
+    candidates (never returning a wrong number); the entry of a target it
+    stops on is the ResourceLimitError that stopped it.
     """
     counts = _eliminate(h, adjs, max_steps=max_steps)
     if counts is None:
@@ -216,10 +214,6 @@ def hom_counts(h, adjs, max_steps=None):
                 counts.append(_backtrack(h, a, max_steps))
             except ResourceLimitError as exc:
                 counts.append(exc)
-        failed = [c for c in counts if isinstance(c, ResourceLimitError)]
-        if failed:
-            failed[0].counts = counts
-            raise failed[0]
     return counts
 
 
@@ -281,13 +275,16 @@ def hom_count(h, t, max_steps=None):
     target's walk kernel (the Gram kernel of a ``CliqueUnion``), which
     ``max_steps`` does not bound; every other pair by elimination on the
     target (the expanded graph of a ``CliqueUnion``), with ``max_steps``
-    bounding the work as in ``hom_counts``.
+    bounding the work as in ``hom_counts``: past it, ResourceLimitError.
     """
     if t.n > WALK_MIN_ORDER and (h.is_cycle() or (h.n == 2 and h.num_edges == 1)):
         return _walks(t).closed(h.n)
     if isinstance(t, CliqueUnion):
         t = t.graph
-    return hom_counts(h, t.adjacency_matrix()[None], max_steps)[0]
+    count = hom_counts(h, t.adjacency_matrix()[None], max_steps)[0]
+    if isinstance(count, ResourceLimitError):
+        raise count
+    return count
 
 
 def hom_density(h, t, max_steps=None):

@@ -442,10 +442,10 @@ def lp_from_json(text):
     )
 
 
-def solution_to_json(sol):
+def solution_to_data(sol):
     out = {"status": sol.status}
     if sol.status == "optimal":
         out["optimum"] = frac_to_str(sol.optimum)
         out["primal"] = [frac_to_str(v) for v in sol.primal]
         out["dual"] = [frac_to_str(v) for v in sol.dual]
-    return json.dumps(out)
+    return out

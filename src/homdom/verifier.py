@@ -140,8 +140,9 @@ class VerificationReport:
             return 4
         return 0
 
-    def to_json(self):
-        return json.dumps({
+    def to_data(self):
+        """The report's JSON fields."""
+        return {
             "descriptor": self.descriptor,
             "num_targets": len(self.results) + len(self.skipped),
             "violations": self.violations,
@@ -149,7 +150,10 @@ class VerificationReport:
             "min_slack": self.min_slack,
             "ok": self.ok,
             "complete": not self.skipped,
-        }, default=str)
+        }
+
+    def to_json(self):
+        return json.dumps(self.to_data(), default=str)
 
 
 def _witness(target):
@@ -170,10 +174,7 @@ def _corpus_densities(pattern, corpus, max_steps):
     for n, (idx, adjs) in corpus.stacks.items():
         totals, scale = [1] * len(idx), n ** pattern.n
         for part, k in parts.items():
-            try:
-                counts = hom_counts(part, adjs, max_steps=max_steps)
-            except ResourceLimitError as exc:
-                counts = exc.counts
+            counts = hom_counts(part, adjs, max_steps=max_steps)
             totals = counts if len(parts) == k == 1 else [
                 t if isinstance(t, ResourceLimitError) else
                 c if isinstance(c, ResourceLimitError) else t * c ** k

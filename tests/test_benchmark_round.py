@@ -1,21 +1,39 @@
-"""One round of the benchmark's ``exponent-queries`` workload, in-process.
+"""One round of each of the benchmark's workloads, in-process.
 
 ``perfbench/workloads.py`` checks every answer of a round against its own
-oracles; this runs that round at seed 1 and asks the same check. The round
-holds every ``lp --kr`` and ``cone --even`` query of the benchmark.
+oracles; this runs each workload's round at seed 1 and asks the same check.
+The ``exponent-queries`` round holds every ``lp --kr`` and ``cone --even``
+query of the benchmark; ``corpus-verify`` and ``family-estimates`` cover the
+corpus checker and the counting engines behind it.
 """
 import importlib
 from pathlib import Path
 
+import pytest
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def test_exponent_queries_round_passes_its_check(monkeypatch):
+def run_round(monkeypatch, name):
+    """(workload, inputs, outputs) of one seed-1 round; an operation that
+    raises fails the test."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
-    workload = importlib.import_module("workloads").WORKLOADS["exponent-queries"]
+    workload = importlib.import_module("workloads").WORKLOADS[name]
     inputs = workload.prepare(1)
-    outputs = [(name, thunk()) for name, thunk in workload.round(inputs)]
+    outputs = [(op, thunk()) for op, thunk in workload.round(inputs)]
+    return workload, inputs, outputs
+
+
+def test_exponent_queries_round_passes_its_check(monkeypatch):
+    workload, inputs, outputs = run_round(monkeypatch, "exponent-queries")
     assert len(outputs) == 1153
     assert workload.check(inputs, outputs) == []
     # P9/P9 and C9/C9 exit 2: canonical forms are capped at 8 vertices
     assert sum(workload.failed(name, result) for name, result in outputs) <= 2
+
+
+@pytest.mark.parametrize("name", ["corpus-verify", "family-estimates"])
+def test_round_passes_its_check(monkeypatch, name):
+    workload, inputs, outputs = run_round(monkeypatch, name)
+    assert workload.check(inputs, outputs) == []
+    assert not any(workload.failed(op, result) for op, result in outputs)

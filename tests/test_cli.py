@@ -80,9 +80,10 @@ class TestExponentCommand:
 
 
 class TestIsomorphismCost:
-    # results as printed before isomorphic checked invariants first
+    # results as printed when every isomorphism test reached the canonical
+    # form; C(P3, C8) is exact because its bounds meet
     RESULTS = {
-        ("P3", "C8"): {"lower": "1/2", "upper": "1/2", "exact": False, "provenance": [
+        ("P3", "C8"): {"lower": "1/2", "upper": "1/2", "exact": True, "provenance": [
             "simple-lower", "crude-upper", "subgraph-upper",
             "composition(path-formula*even-cycle-formula)",
             "composition(path-formula*kruskal-katona)",
@@ -349,6 +350,16 @@ class TestConeCommand:
         assert code == 0
         doc = json.loads(out)["result"]
         assert doc["rays_ok"] is True and doc["equality"] is True
+
+    def test_even_checks_rays_once(self, capsys, monkeypatch):
+        # the hull comparison answers True only after every ray passed, so
+        # rays_ok reuses that answer
+        from homdom import cones
+        calls, real = [], cones.verify_rays
+        monkeypatch.setattr(cones, "verify_rays", lambda cone: calls.append(cone) or real(cone))
+        code, out, _ = run(capsys, "cone", "--even", "5")
+        assert code == 0 and json.loads(out)["result"]["rays_ok"] is True
+        assert len(calls) == 1
 
     def test_all(self, capsys):
         code, out, _ = run(capsys, "cone", "--all", "3")

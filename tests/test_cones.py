@@ -1,5 +1,4 @@
 import itertools
-import json
 import random
 from fractions import Fraction
 
@@ -10,7 +9,7 @@ from homdom.cones import (
     ConeError,
     all_cycle_cone,
     cone_equals_hull,
-    cone_to_json,
+    cone_to_data,
     constraint_matrix_determinant,
     even_cycle_cone,
     even_cycle_expected_slack_row,
@@ -282,7 +281,7 @@ class TestAllCycleCone:
         assert not verify_rays(literal)["all_member"]
 
     def test_json(self):
-        doc = json.loads(cone_to_json(all_cycle_cone(2)))
+        doc = cone_to_data(all_cycle_cone(2))
         assert doc["dim"] == 3
         assert doc["coords"] == ["y2", "y3", "y4"]
         assert set(doc["rays"]) == {"r3", "s3", "r5", "s5"}

@@ -473,8 +473,8 @@ class TestDispatch:
         assert any(p.startswith("composition(") for p in bound.provenance)
 
     def test_composition_asks_no_existence(self, monkeypatch):
-        # K_1,3 vs K_3 reaches the composition step: the query's own check
-        # and crude_upper's guard are its only existence tests
+        # K_1,3 vs K_3 reaches the crude bound and the composition step:
+        # the query's own check is its only existence test
         exists, rules = [], []
 
         def counted_exists(g, h):
@@ -490,7 +490,7 @@ class TestDispatch:
         bound = dispatch_exponent(star_graph(3), complete_graph(3))
         assert not bound.exact
         assert {h for _, h in rules} >= set(_COMPOSITION_CATALOG)
-        assert len(exists) <= 2
+        assert len(exists) == 1
 
     def test_catalog_graphs_pairwise_non_isomorphic(self):
         for g, h in itertools.combinations(_COMPOSITION_CATALOG, 2):
@@ -612,26 +612,42 @@ class TestDispatch:
         assert rich.lower <= rich.upper
 
     def test_crossed_bounds_rejected(self):
-        with pytest.raises(GraphError):
+        with pytest.raises(GraphError, match="crossed bounds"):
             ExponentBound(Fraction(2), Fraction(1))
-        with pytest.raises(GraphError):
-            ExponentBound(Fraction(1), Fraction(2), exact=True)
+        with pytest.raises(GraphError, match="both ends"):
+            ExponentBound(Fraction(1))
+
+    def test_exact_when_bounds_meet(self):
+        # the printed fields, over the 900 pairs of connected graphs on 2..5
+        # vertices and P_1..P_12 against C_3..C_12 (but for the four pairs
+        # of equal order above the canonical-form cap of 8 vertices):
+        # "exact" says the bounds meet. C(P4, K3) in [2, 2] is one of them.
+        graphs = [g for n in range(2, 6) for g in enumerate_graphs(n, dedup=True)
+                  if g.is_connected()]
+        grid = [dispatch_exponent(g, h).to_data() for g in graphs for h in graphs]
+        paths = [dispatch_exponent(path_graph(k), cycle_graph(m)).to_data()
+                 for k in range(1, 13) for m in range(3, 13) if k + 1 != m or m <= 8]
+        for doc in grid + paths:
+            assert doc["exact"] == (doc["lower"] == doc["upper"]), doc
+        answered = [doc for doc in grid if doc["upper"] != "nonexistent"]
+        assert (len(grid), len(answered)) == (900, 607)
+        assert sum(doc["exact"] for doc in answered) == 302
+        p4_k3 = dispatch_exponent(path_graph(4), complete_graph(3))
+        assert (p4_k3.lower, p4_k3.upper, p4_k3.exact) == (2, 2, True)
 
     def test_unsound_upper_bound_raises(self, monkeypatch):
         # a rule giving an upper bound below the lower one is reported, not
         # clamped away: C5 vs K3 has lower bound 15/7
-        monkeypatch.setattr(formulas, "crude_upper", lambda g, h: Fraction(1, 100))
+        monkeypatch.setattr(formulas, "_crude_bound", lambda g, h: Fraction(1, 100))
         with pytest.raises(GraphError, match="crossed bounds"):
             dispatch_exponent(cycle_graph(5), complete_graph(3))
 
     def test_json(self):
-        import json
-        bound = dispatch_exponent(path_graph(5), path_graph(13))
-        doc = json.loads(bound.to_json())
+        doc = dispatch_exponent(path_graph(5), path_graph(13)).to_data()
         assert doc["lower"] == "17/39" and doc["exact"] is True
-        doc = json.loads(dispatch_exponent(complete_graph(3),
-                                           complete_graph(2)).to_json())
-        assert doc["lower"] == "nonexistent"
+        doc = dispatch_exponent(complete_graph(3), complete_graph(2)).to_data()
+        assert doc == {"lower": "nonexistent", "upper": "nonexistent", "exact": True,
+                       "provenance": ["nonexistent"]}
 
 
 def fraction_power_harvest(g, h):
@@ -696,7 +712,7 @@ class TestHarvest:
         rng = random.Random(11)
         pairs = [(g, h) for g in self.GRAPHS for h in self.GRAPHS
                  if (b := dispatch_exponent(g, h)).exists and not b.exact]
-        assert len(pairs) == 314
+        assert len(pairs) == 305
         for g, h in rng.sample(pairs, 4):
             old = fraction_power_harvest(g, h)
             new = harvest_lower(g, h, formulas._harvest_corpus())

@@ -449,18 +449,16 @@ class TestEliminationEngine:
         assert len(fallbacks) == 1
         with pytest.raises(ResourceLimitError):
             hom_count(cycle_graph(4), t, max_steps=50)
-        with pytest.raises(ResourceLimitError):
-            hom_counts(complete_graph(4), np.stack([complete_graph(30).adjacency_matrix()] * 2),
-                       max_steps=10)
+        counts = hom_counts(complete_graph(4),
+                            np.stack([complete_graph(30).adjacency_matrix()] * 2), max_steps=10)
+        assert len(counts) == 2 and all(isinstance(c, ResourceLimitError) for c in counts)
 
     def test_ceiling_keeps_every_target_of_the_stack(self, fallbacks):
-        # the error of the target past the ceiling carries the other
-        # targets' counts, so a caller need not count them again
+        # the target past the ceiling gets its error as its entry, and the
+        # other targets keep their counts, so a caller need not count them again
         stack = np.stack([complete_graph(30).adjacency_matrix(),
                           disjoint_union(cycle_graph(4), SimpleGraph(26)).adjacency_matrix()])
-        with pytest.raises(ResourceLimitError) as info:
-            hom_counts(cycle_graph(4), stack, max_steps=200)
-        first, second = info.value.counts
+        first, second = hom_counts(cycle_graph(4), stack, max_steps=200)
         assert isinstance(first, ResourceLimitError) and second == 32  # 2^4 + (-2)^4
         assert len(fallbacks) == 2
 

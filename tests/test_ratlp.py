@@ -17,7 +17,7 @@ from homdom.ratlp import (
     lp_from_json,
     lp_to_json,
     make_lp,
-    solution_to_json,
+    solution_to_data,
     solve_lp,
     frac_to_str,
 )
@@ -430,10 +430,7 @@ class TestJSON:
         assert solve_lp(again).optimum == 5
 
     def test_solution_json(self):
-        import json
-        sol = solve_lp(kr_lp(2))
-        doc = json.loads(solution_to_json(sol))
+        doc = solution_to_data(solve_lp(kr_lp(2)))
         assert doc["status"] == "optimal" and doc["optimum"] == "3"
-        doc = json.loads(solution_to_json(
-            solve_lp(make_lp("max", [1], [([1], ">=", 2), ([1], "<=", 1)]))))
+        doc = solution_to_data(solve_lp(make_lp("max", [1], [([1], ">=", 2), ([1], "<=", 1)])))
         assert doc == {"status": "infeasible"}

@@ -38,3 +38,15 @@ def test_no_imports_inside_functions():
                 if isinstance(node, (ast.Import, ast.ImportFrom)):
                     found.append(f"{path.name}:{node.lineno} in {func.name}")
     assert sorted(set(found)) == []
+
+
+def test_cli_encodes_json_once():
+    # every verb hands _emit plain data; nothing is encoded to be parsed back
+    tree = ast.parse((SRC / "cli.py").read_text())
+    calls = []
+    for func in ast.walk(tree):
+        if isinstance(func, FUNCTIONS):
+            calls += [(func.name, node.attr) for node in ast.walk(func)
+                      if isinstance(node, ast.Attribute) and node.attr in ("dumps", "loads")
+                      and isinstance(node.value, ast.Name) and node.value.id == "json"]
+    assert calls == [("_emit", "dumps")]

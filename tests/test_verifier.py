@@ -113,9 +113,10 @@ class TestCheckInequality:
     def test_json_shape(self):
         report = check_inequality(cycle_graph(4), complete_graph(2),
                                   4, self.corpus)
-        doc = json.loads(report.to_json())
+        doc = report.to_data()
         assert doc["ok"] is True and doc["complete"] is True
         assert doc["num_targets"] == len(self.corpus)
+        assert json.loads(report.to_json()) == doc
 
     def test_skip_policy(self):
         # K4 on a target past the work ceiling cannot be densified exactly:
