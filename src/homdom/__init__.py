@@ -6,6 +6,7 @@ tropicalization cones, and corpus-based inequality verification.
 """
 
 from .graphs import (
+    Biadjacency,
     CliqueUnion,
     GraphError,
     SimpleGraph,

@@ -20,8 +20,8 @@ from fractions import Fraction
 
 from . import cones, constructions, formulas, ratlp, verifier
 from .cones import ConeError
-from .graphs import (CliqueUnion, GraphError, SimpleGraph, decode_graph, encode_graph,
-                     from_shorthand)
+from .graphs import (Biadjacency, CliqueUnion, GraphError, SimpleGraph, decode_graph,
+                     encode_graph, from_shorthand)
 from .homcount import ResourceLimitError
 from .ratlp import LPError, frac_to_str
 
@@ -145,7 +145,7 @@ def cmd_construct(args, config):
     params = parse_params(args.params)
     fam = constructions.ScalingFamily(args.family, params, seed=config["seed"])
     target = fam.build(args.size)
-    if isinstance(target, CliqueUnion):
+    if isinstance(target, (CliqueUnion, Biadjacency)):
         target = target.graph  # the payload encodes the expanded graph
     payload = {"family": args.family, "params": params, "size": args.size,
                "seed": config["seed"], "target": _target_payload(target)}

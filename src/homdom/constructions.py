@@ -12,8 +12,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graphs import (CliqueUnion, GraphError, SimpleGraph, complete_graph, cycle_graph,
-                     disjoint_union)
+from .graphs import (Biadjacency, CliqueUnion, GraphError, SimpleGraph, complete_graph,
+                     cycle_graph, disjoint_union)
 from .homcount import (
     ResourceLimitError,
     WeightedPattern,
@@ -210,10 +210,11 @@ MAX_TARGET_VERTICES = 50_000
 def bipartite_power_target(i, n, mode="weighted", seed=0):
     """Bipartite target with parts of size n^(i+1) and edge density n^-i.
 
-    ``random`` mode materializes a seeded random bipartite graph (the mode
-    that exhibits the degenerate-walk exponents); ``weighted`` returns the
-    two-class step graphon with the same density (kept as a contrast
-    fixture: its even-cycle exponents are -2ji for every j).
+    ``random`` mode draws a seeded random bipartite graph, kept as its
+    part x part ``Biadjacency`` block (the mode that exhibits the
+    degenerate-walk exponents); ``weighted`` returns the two-class step
+    graphon with the same density (kept as a contrast fixture: its
+    even-cycle exponents are -2ji for every j).
     """
     if i < 1 or n < 2:
         raise GraphError("need i >= 1 and n >= 2")
@@ -229,9 +230,7 @@ def bipartite_power_target(i, n, mode="weighted", seed=0):
     if 2 * part > MAX_TARGET_VERTICES:
         raise ResourceLimitError("bipartite power target too large to materialize")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, i, n])))
-    block = rng.random((part, part)) < 1.0 / n ** i
-    us, vs = np.nonzero(block)
-    return SimpleGraph(2 * part, frozenset(zip(us.tolist(), (vs + part).tolist())))
+    return Biadjacency(rng.random((part, part)) < 1.0 / n ** i)
 
 
 # ---------------------------------------------------------------------------

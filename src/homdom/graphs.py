@@ -205,6 +205,60 @@ class CliqueUnion:
         return SimpleGraph(self.n, self.edges)
 
 
+@dataclass(frozen=True, eq=False)
+class Biadjacency:
+    """A bipartite graph kept as its r x c boolean biadjacency block B: row
+    u is vertex u, column v is vertex r + v, and B[u, v] marks the edge
+    {u, r + v}.
+
+    Its closed walks reduce to powers of B B^T (``homcount.WalkCounter``).
+    The block is a read-only copy; two targets are equal when their blocks
+    are, and the hash is computed once, from the packed bits. The expanded
+    ``graph`` and its ``edges`` are built only when asked for, once each.
+    """
+
+    block: np.ndarray
+
+    def __post_init__(self):
+        block = np.array(self.block, dtype=bool)
+        if block.ndim != 2:
+            raise GraphError(f"biadjacency block must be 2-dimensional, got shape {block.shape}")
+        block.flags.writeable = False
+        object.__setattr__(self, "block", block)
+
+    @property
+    def n(self):
+        return sum(self.block.shape)
+
+    @functools.cached_property
+    def num_edges(self):
+        return int(np.count_nonzero(self.block))
+
+    @functools.cached_property
+    def _hash(self):
+        return hash((self.block.shape, np.packbits(self.block).tobytes()))
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        if not isinstance(other, Biadjacency):
+            return NotImplemented
+        # a WeakKeyDictionary lookup compares a target with itself
+        return other is self or np.array_equal(self.block, other.block)
+
+    @functools.cached_property
+    def edges(self):
+        """The edge set of the expanded graph, normalised as in ``SimpleGraph``."""
+        us, vs = np.nonzero(self.block)
+        return frozenset(zip(us.tolist(), (vs + len(self.block)).tolist()))
+
+    @functools.cached_property
+    def graph(self):
+        """The expanded ``SimpleGraph``."""
+        return SimpleGraph(self.n, self.edges)
+
+
 # ---------------------------------------------------------------------------
 # named graphs
 # ---------------------------------------------------------------------------

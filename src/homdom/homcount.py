@@ -11,12 +11,15 @@ Cycles and K2 on targets of more than 64 vertices are counted instead
 by the target's walk kernel ``WalkCounter``, which stays exact on BLAS by
 choosing each product's arithmetic from the entry bound
 A^k[i, j] <= D^(k-1), D the maximum degree: float32 below 2**24, float64
-below 2**53, Python ints above. A ``CliqueUnion`` target (the red-line
-graphs) has the Gram kernel ``GramCounter`` instead, which counts closed
-walks of length up to 4 from r x r products of its clique incidence
-matrix, by the same rule; any other question about it goes to its
-expanded graph. Sums of entrywise products run as float64 dot products
-below 2**53, in int64 above, or in Python ints if int64 could overflow.
+below 2**53, Python ints above. A ``Biadjacency`` target (the random
+bipartite power graphs) has a ``WalkCounter`` built from its block B
+alone, which counts closed walks by powers of B B^T. A ``CliqueUnion``
+target (the red-line graphs) has the Gram kernel ``GramCounter`` instead,
+which counts closed walks of length up to 4 from r x r products of its
+clique incidence matrix, by the same rule. Any other question about
+either goes to its expanded graph. Sums of entrywise products run as
+float64 dot products below 2**53, in int64 above, or in Python ints if
+int64 could overflow.
 """
 from __future__ import annotations
 
@@ -29,7 +32,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graphs import CliqueUnion, GraphError, SimpleGraph
+from .graphs import Biadjacency, CliqueUnion, GraphError, SimpleGraph
 
 
 class ResourceLimitError(RuntimeError):
@@ -274,12 +277,13 @@ def hom_count(h, t, max_steps=None):
     A cycle or K2 on a target of more than 64 vertices is counted by the
     target's walk kernel (the Gram kernel of a ``CliqueUnion``), which
     ``max_steps`` does not bound; every other pair by elimination on the
-    target (the expanded graph of a ``CliqueUnion``), with ``max_steps``
-    bounding the work as in ``hom_counts``: past it, ResourceLimitError.
+    target (the expanded graph of a ``CliqueUnion`` or a ``Biadjacency``),
+    with ``max_steps`` bounding the work as in ``hom_counts``: past it,
+    ResourceLimitError.
     """
     if t.n > WALK_MIN_ORDER and (h.is_cycle() or (h.n == 2 and h.num_edges == 1)):
         return _walks(t).closed(h.n)
-    if isinstance(t, CliqueUnion):
+    if isinstance(t, (CliqueUnion, Biadjacency)):
         t = t.graph
     count = hom_counts(h, t.adjacency_matrix()[None], max_steps)[0]
     if isinstance(count, ResourceLimitError):
@@ -439,6 +443,17 @@ class _PowerChain:
         return _exact_sum(len(self[1]) * self.bound(k), self[lo], self[k - lo])
 
 
+def _half_chain(block, degree):
+    """The chain of M = B B^T for the biadjacency block B of a bipartite
+    graph of maximum degree ``degree``, taken over the smaller side: M^j
+    counts walks of 2j steps between vertices of that side, and M's
+    entries are codegrees, at most ``degree`` (exact in float32)."""
+    b = np.asarray(block, dtype=np.float32)
+    if b.shape[0] > b.shape[1]:
+        b = b.T
+    return _PowerChain(b @ b.T, degree, 2)
+
+
 class WalkCounter:
     """Exact walk statistics of one simple target from a shared power chain.
 
@@ -446,7 +461,9 @@ class WalkCounter:
     the powers of A that earlier ones built, so tr(A^3) and tr(A^4) share
     the single product A^2. On a bipartite target, closed walks use the
     half-size block M = B B^T of A^2 instead: tr(A^(2j)) = 2 tr(M^j), and
-    there are no odd closed walks.
+    there are no odd closed walks. ``from_block`` builds the counter of a
+    bipartite target from its biadjacency block B alone; it has only that
+    half chain, so it answers ``closed`` and not ``entries``.
     """
 
     def __init__(self, adj):
@@ -454,10 +471,20 @@ class WalkCounter:
         self.num_edges = int(np.count_nonzero(a)) // 2
         self.full = _PowerChain(a, int(a.sum(axis=1).max(initial=0)), 1)
 
+    @classmethod
+    def from_block(cls, block):
+        """The counter of the bipartite graph with biadjacency block
+        ``block``, without its adjacency matrix."""
+        walks = cls.__new__(cls)
+        walks.num_edges = int(np.count_nonzero(block))
+        degree = max(block.sum(axis=0).max(initial=0), block.sum(axis=1).max(initial=0))
+        walks.half = _half_chain(block, int(degree))
+        return walks
+
     @functools.cached_property
     def half(self):
-        """The chain of M = B B^T (entries <= D, exact in float32) if the
-        target is bipartite, else None."""
+        """The half chain of the target's block B (see ``_half_chain``) if
+        the target is bipartite, else None."""
         a = self.full[1]
         colour = np.where(a.any(axis=1), -1, 0).astype(np.int8)
         while (todo := np.flatnonzero(colour < 0)).size:
@@ -468,9 +495,7 @@ class WalkCounter:
                 if (colour[reach] == c).any():
                     return None
                 frontier, c = np.flatnonzero(reach & (colour < 0)), 1 - c
-        small, large = sorted((np.flatnonzero(colour == 0), np.flatnonzero(colour == 1)), key=len)
-        b = a[np.ix_(small, large)]
-        return _PowerChain(b @ b.T, self.full.degree, 2)
+        return _half_chain(a[np.ix_(colour == 0, colour == 1)], self.full.degree)
 
     def closed(self, m):
         """tr(A^m), the number of closed walks of length m >= 1."""
@@ -558,12 +583,18 @@ _walk_counters = weakref.WeakKeyDictionary()
 
 def _walks(t):
     """The walk kernel of target ``t``, a ``GramCounter`` for a
-    ``CliqueUnion``: one per target, shared by every count on it (so C4 then
-    C3 build A^2, or the Grams, once) and freed with it."""
+    ``CliqueUnion`` and the block's ``WalkCounter`` for a ``Biadjacency``:
+    one per target, shared by every count on it (so C4 then C3 build A^2,
+    or the Grams, once) and freed with it."""
     walks = _walk_counters.get(t)
     if walks is None:
-        walks = _walk_counters[t] = (GramCounter(t) if isinstance(t, CliqueUnion)
-                                     else WalkCounter(t.adjacency_matrix(np.float32)))
+        if isinstance(t, CliqueUnion):
+            walks = GramCounter(t)
+        elif isinstance(t, Biadjacency):
+            walks = WalkCounter.from_block(t.block)
+        else:
+            walks = WalkCounter(t.adjacency_matrix(np.float32))
+        _walk_counters[t] = walks
     return walks
 
 

@@ -162,27 +162,36 @@ def _witness(target):
     return "weighted-target"
 
 
-def _corpus_densities(pattern, corpus, max_steps):
+def _corpus_densities(pattern, corpus, max_steps, skip=frozenset()):
     """t(pattern, T) for every corpus target as an exact pair (count,
-    denominator), or the ResourceLimitError that stopped it. Densities
+    denominator), or the ResourceLimitError that stopped it; the targets
+    whose indices are in ``skip`` are not counted and stay None. Densities
     multiply over disjoint unions, so each distinct component is counted
-    once, under its own ``max_steps``: in one batch per order n of simple
+    once, under its own ``max_steps``, and not at all on a target where an
+    earlier component was stopped: in one batch per order n of simple
     targets, giving hom(pattern, T) over n^v(pattern), else by
     ``hom_density``, giving the product of its numerators and denominators."""
     parts = Counter(pattern.subgraph(c) for c in pattern.components())
     out = [None] * len(corpus)
     for n, (idx, adjs) in corpus.stacks.items():
-        totals, scale = [1] * len(idx), n ** pattern.n
-        for part, k in parts.items():
+        totals = [None if i in skip else 1 for i in idx] if skip else [1] * len(idx)
+        for m, (part, k) in enumerate(parts.items()):
+            if m or skip:  # count nothing where G or an earlier component was stopped
+                keep = [j for j, t in enumerate(totals) if isinstance(t, int)]
+                if len(keep) < len(idx):
+                    for i, t in zip(idx, totals):
+                        if isinstance(t, ResourceLimitError):
+                            out[i] = t
+                    idx, adjs, totals = [idx[j] for j in keep], adjs[keep], [totals[j] for j in keep]
             counts = hom_counts(part, adjs, max_steps=max_steps)
             totals = counts if len(parts) == k == 1 else [
-                t if isinstance(t, ResourceLimitError) else
                 c if isinstance(c, ResourceLimitError) else t * c ** k
                 for t, c in zip(totals, counts)]
+        scale = n ** pattern.n
         for i, t in zip(idx, totals):
             out[i] = t if isinstance(t, ResourceLimitError) else (t, scale)
     for i, (_, target) in enumerate(corpus):
-        if out[i] is None:
+        if out[i] is None and i not in skip:
             count = scale = 1
             try:
                 for part, k in parts.items():
@@ -218,7 +227,9 @@ def _verdicts(descriptor, g, h, p, q, corpus, max_steps):
     slack and a violation's densities are built as Fractions."""
     report = VerificationReport(descriptor)
     g_dens = _corpus_densities(g, corpus, max_steps)
-    h_dens = _corpus_densities(h, corpus, max_steps)
+    # a target G could not be counted on is skipped whatever H gives
+    h_dens = _corpus_densities(h, corpus, max_steps, skip={
+        i for i, tg in enumerate(g_dens) if isinstance(tg, ResourceLimitError)})
     g_scales, h_scales = {}, {}  # da -> da^q and db -> db^p, each powered once
     least_num, least_den = 0, 0
     for (tag, target), tg, th in zip(corpus, g_dens, h_dens):

@@ -159,7 +159,8 @@ class TestBipartitePower:
     def test_random_determinism(self):
         a = bipartite_power_target(1, 10, mode="random", seed=3)
         b = bipartite_power_target(1, 10, mode="random", seed=3)
-        assert a == b
+        assert a == b and hash(a) == hash(b)
+        assert a != bipartite_power_target(1, 10, mode="random", seed=4)
 
     def test_size_guard(self):
         from homdom.homcount import ResourceLimitError

@@ -1,11 +1,13 @@
 import functools
 import itertools
 import random
+import weakref
 
 import numpy as np
 import pytest
 
 from homdom.graphs import (
+    Biadjacency,
     CliqueUnion,
     GraphError,
     SimpleGraph,
@@ -342,6 +344,52 @@ class TestCliqueUnion:
     def test_rejects(self, n, cliques, message):
         with pytest.raises(GraphError, match=message):
             CliqueUnion(n, cliques)
+
+
+class TestBiadjacency:
+    def test_expanded_graph(self):
+        block = np.array([[1, 0, 1], [0, 0, 0]], dtype=bool)
+        t = Biadjacency(block)
+        assert t.n == 5 and t.num_edges == 2
+        assert t.edges == frozenset({(0, 2), (0, 4)})
+        assert t.graph == SimpleGraph(5, t.edges)
+        assert (t.graph.adjacency_matrix()[:2, 2:] == block).all()
+        empty = Biadjacency(np.zeros((0, 3), dtype=bool))
+        assert empty.n == 3 and empty.num_edges == 0 and empty.graph == SimpleGraph(3)
+
+    def test_read_only_copy(self):
+        block = np.eye(3, dtype=bool)
+        t = Biadjacency(block)
+        block[0, 1] = True
+        assert t.num_edges == 3 and not t.block[0, 1]
+        with pytest.raises(ValueError):
+            t.block[0, 1] = True
+
+    def test_equality_and_hash(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        block = rng.random((40, 30)) < 0.3
+        a, b = Biadjacency(block), Biadjacency(block.copy())
+        packed = []
+        packbits = np.packbits
+
+        def counted(x, *args, **kwargs):
+            packed.append(x.shape)
+            return packbits(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "packbits", counted)
+        memo = weakref.WeakKeyDictionary({a: 1})
+        assert a == b and hash(a) == hash(b) and memo[b] == 1
+        assert all(memo[a] == 1 for _ in range(5))
+        assert packed == [(40, 30), (40, 30)]  # once per target
+        other = block.copy()
+        other[0, 0] ^= True
+        assert a != Biadjacency(other) and a not in {Biadjacency(block.T): 1}
+        zeros = np.zeros((2, 3), dtype=bool)
+        assert Biadjacency(zeros) != Biadjacency(zeros.T)  # same bits, other shape
+
+    def test_rejects_other_shapes(self):
+        with pytest.raises(GraphError, match="2-dimensional"):
+            Biadjacency(np.zeros(4, dtype=bool))
 
 
 class TestShapeRecognisers:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from homdom.graphs import (
+    Biadjacency,
     CliqueUnion,
     GraphError,
     SimpleGraph,
@@ -21,6 +22,7 @@ from homdom.graphs import (
     path_graph,
 )
 from homdom.homcount import (
+    WALK_MIN_ORDER,
     GramCounter,
     ResourceLimitError,
     WalkCounter,
@@ -34,7 +36,9 @@ from homdom.homcount import (
 )
 from homdom import homcount
 from homdom.homcount import _backtrack, _exact_sum, hom_counts, hom_exists
-from homdom.constructions import ProjectivePlaneSpec, path_blowup_pattern, red_line_graph
+from homdom import graphs
+from homdom.constructions import (ProjectivePlaneSpec, bipartite_power_target,
+                                  exponent_vector_estimate, path_blowup_pattern, red_line_graph)
 from homdom.verifier import CorpusSpec, _corpus_densities, build_corpus
 
 
@@ -332,6 +336,44 @@ class TestGramCounter:
         assert _exact_sum(total, x, y if total > 2 ** 53 else y.astype(np.float64)) == total
 
 
+class TestBiadjacencyWalks:
+    """Counts on a biadjacency target against elimination on its expanded
+    graph."""
+
+    @staticmethod
+    def random_block(rng, rows, cols, p):
+        block = rng.random((rows, cols)) < p
+        block[rng.random(rows) < 0.2] = False  # some empty rows
+        block[:, rng.random(cols) < 0.2] = False  # and columns
+        return block
+
+    def test_matches_expanded_graph(self):
+        rng = np.random.default_rng(83)
+        blocks = [self.random_block(rng, r, c, rng.uniform(0.05, 0.4))
+                  for r, c in ((30, 30), (10, 40), (40, 10), (33, 32), (40, 40), (20, 55), (70, 3))]
+        blocks += [np.zeros((40, 40), dtype=bool), np.zeros((0, 70), dtype=bool),
+                   np.zeros((20, 20), dtype=bool)]
+        patterns = [cycle_graph(m) for m in range(2, 9)] + [path_graph(3)]  # C2 is K2
+        for block in blocks:
+            t = Biadjacency(block)
+            counts = [hom_count(h, t) for h in patterns[:-1]]
+            # cycles on more than 64 vertices never expand the target
+            assert ("graph" in vars(t)) == (t.n <= WALK_MIN_ORDER), block.shape
+            counts.append(hom_count(patterns[-1], t))
+            adj = t.graph.adjacency_matrix()[None]
+            assert counts == [hom_counts(h, adj)[0] for h in patterns], block.shape
+            assert counts[1:7:2] == [0, 0, 0]  # odd cycles
+
+    def test_block_and_adjacency_kernels_agree(self):
+        rng = np.random.default_rng(84)
+        for r, c in ((50, 50), (12, 70), (70, 12)):
+            t = Biadjacency(self.random_block(rng, r, c, 0.3))
+            walks = WalkCounter.from_block(t.block)
+            bfs = WalkCounter(t.graph.adjacency_matrix())
+            assert len(walks.half[1]) == min(r, c)
+            assert [walks.closed(m) for m in range(1, 13)] == [bfs.closed(m) for m in range(1, 13)]
+
+
 class TestWeightedTargets:
     def test_single_class(self):
         w = WeightedTarget((Fraction(1),), ((Fraction(1, 2),),))
@@ -592,6 +634,30 @@ class TestWalkRouting:
         walks = WalkCounter(t.graph.adjacency_matrix())
         assert (c3, c4) == (walks.closed(3), walks.closed(4))
         assert (t3, t4) == (Fraction(c3, t.n ** 3), Fraction(c4, t.n ** 4))
+
+    def test_random_bipartite_cycles_skip_the_expanded_graph(self, monkeypatch):
+        # neither the n x n adjacency, nor the edge set, nor a bipartition
+        # search is used for the cycles of a random bipartite power target
+        def refuse(*args, **kwargs):
+            raise AssertionError("expanded graph used")
+
+        def normalize_small(n, edges):  # the patterns are still built
+            if n > WALK_MIN_ORDER:
+                refuse()
+            return normalize(n, edges)
+
+        normalize = graphs._normalize_edges
+        monkeypatch.setattr(SimpleGraph, "adjacency_matrix", refuse)
+        monkeypatch.setattr(graphs, "_normalize_edges", normalize_small)
+        monkeypatch.setattr(Biadjacency, "graph", property(refuse))
+        monkeypatch.setattr(Biadjacency, "edges", property(refuse))
+        monkeypatch.setattr(WalkCounter, "__init__", refuse)  # the kernel of an adjacency
+        t = bipartite_power_target(1, 12, mode="random", seed=3)
+        y = exponent_vector_estimate(t, [2, 4, 6], scale=12)
+        odd = [hom_count(cycle_graph(m), t) for m in (3, 5)]
+        monkeypatch.undo()
+        assert odd == [0, 0]
+        assert y == exponent_vector_estimate(t.graph, [2, 4, 6], scale=12)
 
     def test_weighted_target(self):
         w = WeightedTarget((1, 2, 3), ((0, Fraction(1, 2), 1), (Fraction(1, 2), 1, 0), (1, 0, 0)))

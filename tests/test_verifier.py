@@ -391,7 +391,9 @@ class TestProblem6:
     def test_each_pair_backtracked_once(self, monkeypatch):
         # the plans of C_5 on 3 and 4 vertices and of C_3 on 4 vertices
         # need more than 60 multiply-adds, so those targets are backtracked,
-        # and the batch that trips the ceiling is not counted again
+        # and the batch that trips the ceiling is not counted again; nor is
+        # H = 3 C_3 counted on a target where G's C_5 tripped it (which
+        # would make 26 calls)
         calls = []
 
         def counted(h, adj, max_steps, first=False):
@@ -402,7 +404,27 @@ class TestProblem6:
         monkeypatch.setattr(homcount, "_backtrack", counted)
         report = search_problem6(2, 1, build_corpus(CorpusSpec(exhaustive_n=4)), max_steps=60)
         assert report.skipped and calls
-        assert len(calls) == len(set(calls))
+        assert len(calls) == len(set(calls)) == 22
+
+    def test_later_components_skip_stopped_targets(self, monkeypatch):
+        # C_5 trips a ceiling of 60 on some 4-vertex targets, and C_3 is
+        # then not counted there (which would make 26 backtracker calls)
+        calls = []
+
+        def counted(h, adj, max_steps, first=False):
+            calls.append(h)
+            return backtrack(h, adj, max_steps, first)
+
+        backtrack = homcount._backtrack
+        monkeypatch.setattr(homcount, "_backtrack", counted)
+        pattern = disjoint_union(cycle_graph(5), cycle_graph(3))
+        corpus = build_corpus(CorpusSpec(exhaustive_n=4))
+        got = _corpus_densities(pattern, corpus, 60)
+        monkeypatch.undo()
+        stopped = [isinstance(x, homcount.ResourceLimitError) for x in got]
+        assert any(stopped) and len(calls) == 22
+        assert [Fraction(*x) for x, s in zip(got, stopped) if not s] == \
+            [hom_density(pattern, t) for (_, t), s in zip(corpus, stopped) if not s]
 
     def test_unions_not_encoded(self, monkeypatch):
         # at i = 40 both unions have 6241 vertices; the report names the
