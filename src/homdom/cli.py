@@ -7,7 +7,8 @@ configurations reproduce identical output. Rationals are printed as
 
 Exit codes: 0 success / no violations; 1 violation found; 2 usage or
 parse error; 3 requested exponent does not exist; 4 verification had
-skipped targets (result incomplete).
+skipped targets (result incomplete); 5 internal error (a bug: the
+traceback goes to stderr).
 """
 from __future__ import annotations
 
@@ -284,6 +285,10 @@ def main(argv=None):
     except (GraphError, ResourceLimitError, LPError, ConeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        sys.__excepthook__(type(exc), exc, exc.__traceback__)  # the traceback, to stderr
+        return 5
 
 
 if __name__ == "__main__":

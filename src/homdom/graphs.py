@@ -480,16 +480,16 @@ def isomorphic(g, h):
     """Whether g and h are isomorphic.
 
     Cheap invariants decide first: orders, edge counts and sorted degree
-    sequences that differ give False, and equal edge sets give True. Only
-    the remaining pairs pay for canonical_form. Equal orders above
-    MAX_CANONICAL_N are refused before any invariant is looked at.
+    sequences that differ give False. Pairs they do not tell apart are
+    refused above MAX_CANONICAL_N; below it, equal edge sets give True, and
+    only the remaining pairs pay for canonical_form.
     """
     if g.n != h.n:
         return False
-    if g.n > MAX_CANONICAL_N:
-        raise GraphError(f"canonical form capped at n={MAX_CANONICAL_N}")
     if g.num_edges != h.num_edges or sorted(g._structure[1]) != sorted(h._structure[1]):
         return False
+    if g.n > MAX_CANONICAL_N:
+        raise GraphError(f"canonical form capped at n={MAX_CANONICAL_N}")
     if g.edges == h.edges:
         return True
     return canonical_form(g) == canonical_form(h)

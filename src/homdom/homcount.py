@@ -8,8 +8,9 @@ targets of one order at once. It runs in int64 while the a priori bound
 on every intermediate entry fits, on Python ints above. A plan that needs
 more work than the caller allows falls back to a budgeted backtracker.
 Cycles and K2 on targets of more than 64 vertices are counted instead
-by the target's walk kernel ``WalkCounter``, which stays exact on BLAS by
-choosing each product's arithmetic from the entry bound
+by the target's walk kernel ``WalkCounter``, built on the target's
+non-isolated vertices only, which stays exact on BLAS by choosing each
+product's arithmetic from the entry bound
 A^k[i, j] <= D^(k-1), D the maximum degree: float32 below 2**24, float64
 below 2**53, Python ints above. A ``Biadjacency`` target (the random
 bipartite power graphs) has a ``WalkCounter`` built from its block B
@@ -407,20 +408,40 @@ def _exact_sum(bound, x, y):
                for r in range(0, len(x), 256))
 
 
-class _PowerChain:
-    """Memoised powers of a symmetric non-negative integer matrix P.
+class WalkCounter:
+    """Exact closed walks of one simple target from memoised powers of a
+    symmetric non-negative integer matrix P, shared by every statistic (so
+    tr(A^3) and tr(A^4) share the single product A^2).
 
-    P^k counts walks of ``step * k`` steps in a graph of maximum degree
-    ``degree``, so its entries are at most ``degree ** (step * k - 1)``.
-    Each product runs in the narrowest exact arithmetic for that bound:
-    the factors are non-negative, so every partial sum of a float GEMM is
-    bounded by the final entry.
+    ``WalkCounter(adj)`` takes P = A, the target's 0/1 adjacency matrix
+    (``step`` 1). ``from_block`` takes P = B B^T for the biadjacency block B
+    of a bipartite target, over its smaller side (``step`` 2): then
+    tr(A^(2j)) = 2 tr(P^j), there are no odd closed walks, and the entries
+    of A^k are not at hand. P^k counts walks of ``step * k`` steps in a
+    graph of maximum degree ``degree``, so its entries are at most
+    ``degree ** (step * k - 1)``. Each product runs in the narrowest exact
+    arithmetic for that bound: the factors are non-negative, so every
+    partial sum of a float GEMM is bounded by the final entry.
     """
 
-    def __init__(self, base, degree, step):
-        self.powers = {1: base}
-        self.degree = degree
+    def __init__(self, adj, *, step=1, degree=None, num_edges=None):
+        """``degree`` and ``num_edges`` default to those of adjacency ``adj``."""
+        p = np.asarray(adj, dtype=np.float32)
+        self.powers = {1: p}
         self.step = step
+        self.degree = int(p.sum(axis=1).max(initial=0)) if degree is None else degree
+        self.num_edges = int(np.count_nonzero(p)) // 2 if num_edges is None else num_edges
+
+    @classmethod
+    def from_block(cls, block):
+        """The counter of the bipartite graph with biadjacency block
+        ``block``, without its adjacency matrix. P's entries are codegrees,
+        at most the maximum degree, so B B^T is exact in float32."""
+        degree = max(block.sum(axis=0).max(initial=0), block.sum(axis=1).max(initial=0))
+        b = np.asarray(block, dtype=np.float32)
+        if b.shape[0] > b.shape[1]:
+            b = b.T
+        return cls(b @ b.T, step=2, degree=int(degree), num_edges=int(np.count_nonzero(block)))
 
     def bound(self, k):
         return self.degree ** (self.step * k - 1)
@@ -442,74 +463,26 @@ class _PowerChain:
         lo = k // 2
         return _exact_sum(len(self[1]) * self.bound(k), self[lo], self[k - lo])
 
-
-def _half_chain(block, degree):
-    """The chain of M = B B^T for the biadjacency block B of a bipartite
-    graph of maximum degree ``degree``, taken over the smaller side: M^j
-    counts walks of 2j steps between vertices of that side, and M's
-    entries are codegrees, at most ``degree`` (exact in float32)."""
-    b = np.asarray(block, dtype=np.float32)
-    if b.shape[0] > b.shape[1]:
-        b = b.T
-    return _PowerChain(b @ b.T, degree, 2)
-
-
-class WalkCounter:
-    """Exact walk statistics of one simple target from a shared power chain.
-
-    Built from the target's 0/1 adjacency matrix A. Every statistic reuses
-    the powers of A that earlier ones built, so tr(A^3) and tr(A^4) share
-    the single product A^2. On a bipartite target, closed walks use the
-    half-size block M = B B^T of A^2 instead: tr(A^(2j)) = 2 tr(M^j), and
-    there are no odd closed walks. ``from_block`` builds the counter of a
-    bipartite target from its biadjacency block B alone; it has only that
-    half chain, so it answers ``closed`` and not ``entries``.
-    """
-
-    def __init__(self, adj):
-        a = np.asarray(adj, dtype=np.float32)
-        self.num_edges = int(np.count_nonzero(a)) // 2
-        self.full = _PowerChain(a, int(a.sum(axis=1).max(initial=0)), 1)
-
-    @classmethod
-    def from_block(cls, block):
-        """The counter of the bipartite graph with biadjacency block
-        ``block``, without its adjacency matrix."""
-        walks = cls.__new__(cls)
-        walks.num_edges = int(np.count_nonzero(block))
-        degree = max(block.sum(axis=0).max(initial=0), block.sum(axis=1).max(initial=0))
-        walks.half = _half_chain(block, int(degree))
-        return walks
-
-    @functools.cached_property
-    def half(self):
-        """The half chain of the target's block B (see ``_half_chain``) if
-        the target is bipartite, else None."""
-        a = self.full[1]
-        colour = np.where(a.any(axis=1), -1, 0).astype(np.int8)
-        while (todo := np.flatnonzero(colour < 0)).size:
-            frontier, c = todo[:1], 0
-            while frontier.size:
-                colour[frontier] = c
-                reach = a[frontier].any(axis=0)
-                if (colour[reach] == c).any():
-                    return None
-                frontier, c = np.flatnonzero(reach & (colour < 0)), 1 - c
-        return _half_chain(a[np.ix_(colour == 0, colour == 1)], self.full.degree)
-
     def closed(self, m):
         """tr(A^m), the number of closed walks of length m >= 1."""
         if m < 1:
             raise GraphError("need m >= 1")
-        if m <= 2:
+        if m <= 2 or m % self.step:
             return 2 * self.num_edges if m == 2 else 0
-        if self.half is not None:
-            return 0 if m % 2 else 2 * self.half.trace(m // 2)
-        return self.full.trace(m)
+        return self.step * self.trace(m // self.step)
 
     def entries(self, k, rows, cols):
         """The entries A^k[rows[i], cols[i]] for k >= 1, as Python ints."""
-        return [int(x) for x in self.full[k][rows, cols].tolist()]
+        if self.step != 1:
+            raise GraphError("a block counter holds no powers of A")
+        return [int(x) for x in self[k][rows, cols].tolist()]
+
+
+def _dense_walks(adj):
+    """The ``WalkCounter`` of adjacency matrix ``adj`` on its non-isolated
+    vertices only: no closed walk visits an isolated vertex."""
+    keep = adj.any(axis=1)
+    return WalkCounter(adj[np.ix_(keep, keep)])
 
 
 class GramCounter:
@@ -531,9 +504,8 @@ class GramCounter:
     entries at most k d^j, every row of G0 sums to at most s = k d, so G0^2
     has entries at most k s, and each trace in the expansion of tr(A^m) is
     at most r s^m. These bounds choose each product's arithmetic as in
-    ``_PowerChain``.
-    Other walk lengths go to the ``WalkCounter`` of the expanded adjacency
-    matrix, built on first use.
+    ``WalkCounter``. Other walk lengths go to the ``WalkCounter`` of the
+    expanded adjacency matrix, built on first use.
     """
 
     def __init__(self, t):
@@ -563,12 +535,13 @@ class GramCounter:
 
     @functools.cached_property
     def walks(self):
-        """The ``WalkCounter`` of the expanded adjacency matrix."""
+        """The ``WalkCounter`` of the expanded adjacency matrix on its
+        non-isolated vertices."""
         a = np.zeros((self.n, self.n), dtype=np.float32)
         for c in self.cliques:
             a[np.ix_(c, c)] = 1
         np.fill_diagonal(a, 0)
-        return WalkCounter(a)
+        return _dense_walks(a)
 
     def closed(self, m):
         """tr(A^m), the number of closed walks of length m >= 1."""
@@ -582,10 +555,10 @@ _walk_counters = weakref.WeakKeyDictionary()
 
 
 def _walks(t):
-    """The walk kernel of target ``t``, a ``GramCounter`` for a
-    ``CliqueUnion`` and the block's ``WalkCounter`` for a ``Biadjacency``:
-    one per target, shared by every count on it (so C4 then C3 build A^2,
-    or the Grams, once) and freed with it."""
+    """The walk kernel of target ``t``: a ``GramCounter`` for a
+    ``CliqueUnion``, the block's ``WalkCounter`` for a ``Biadjacency``, else
+    ``_dense_walks``. One per target, shared by every count on it (so C4
+    then C3 build A^2, or the Grams, once) and freed with it."""
     walks = _walk_counters.get(t)
     if walks is None:
         if isinstance(t, CliqueUnion):
@@ -593,7 +566,7 @@ def _walks(t):
         elif isinstance(t, Biadjacency):
             walks = WalkCounter.from_block(t.block)
         else:
-            walks = WalkCounter(t.adjacency_matrix(np.float32))
+            walks = _dense_walks(t.adjacency_matrix(np.float32))
         _walk_counters[t] = walks
     return walks
 

@@ -113,6 +113,13 @@ class TestIsomorphismCost:
             assert code == 0 and json.loads(out)["result"] == want
         assert 8 not in orders
 
+    @pytest.mark.parametrize("g, h", [("P8", "C9"), ("P9", "C10"), ("C10", "P9"),
+                                      ("P10", "C11"), ("P11", "C12"), ("C12", "P11")])
+    def test_invariants_answer_past_the_cap(self, capsys, g, h):
+        # different edge counts: no canonical form is needed above n = 8
+        code, out, err = run(capsys, "exponent", "--g", g, "--h", h)
+        assert code == 0 and err == "" and "lower" in json.loads(out)["result"]
+
 
 class TestHarvest:
     def test_witness_certifies_the_bound(self, capsys):
@@ -318,6 +325,16 @@ class TestErrorExits:
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert err == f"error: {message}\n" and "Traceback" not in err
+
+    def test_internal_error_exit_5(self, capsys, monkeypatch):
+        def broken(i):
+            raise RuntimeError("broken solver")
+
+        monkeypatch.setattr(cli.ratlp, "kr_lp", broken)
+        code, out, err = run(capsys, "lp", "--kr", "3")
+        assert code == 5 and out == ""
+        assert err.startswith("internal error: RuntimeError('broken solver')\nTraceback")
+        assert err.endswith("RuntimeError: broken solver\n")
 
     def test_python_dash_m(self):
         root = Path(__file__).resolve().parent.parent

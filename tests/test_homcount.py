@@ -234,7 +234,7 @@ class TestWalkCounter:
         walks = WalkCounter(complete_graph(n).adjacency_matrix())
         d = n - 1
         assert walks.closed(m) == d ** m + d * (-1) ** m
-        assert walks.full.powers[m - m // 2].dtype == dtype
+        assert walks.powers[m - m // 2].dtype == dtype
         off, diag = (d ** m - (-1) ** m) // n, (d ** m + d * (-1) ** m) // n
         assert walks.entries(m, [0, 0, n - 1], [1, 0, n - 1]) == [off, diag, diag]
 
@@ -244,11 +244,16 @@ class TestWalkCounter:
         (7, 7, 38, object),      # entries of M^10 = A^20 <= 7^19 > 2^53
     ])
     def test_complete_bipartite_tiers(self, a, b, m, dtype):
-        walks = WalkCounter(complete_bipartite(a, b).adjacency_matrix())
+        walks = WalkCounter.from_block(np.ones((a, b), dtype=bool))
         assert walks.closed(m) == 2 * (a * b) ** (m // 2) and walks.closed(m + 1) == 0
         j = m // 2
-        assert walks.half.powers[j - j // 2].dtype == dtype
-        assert len(walks.half.powers[1]) == min(a, b)
+        assert walks.powers[j - j // 2].dtype == dtype
+        assert len(walks.powers[1]) == min(a, b)
+
+    def test_block_counter_has_no_entries(self):
+        walks = WalkCounter.from_block(np.ones((3, 4), dtype=bool))
+        with pytest.raises(GraphError):
+            walks.entries(2, [0], [1])
 
     def test_bipartite_half_block(self):
         rng = random.Random(32)
@@ -256,20 +261,16 @@ class TestWalkCounter:
             left, right = rng.randint(1, 6), rng.randint(1, 6)
             label = list(range(left + right))
             rng.shuffle(label)
-            edges = [(label[u], label[left + v]) for u in range(left) for v in range(right)
-                     if rng.random() < 0.5]
+            block = np.array([[rng.random() < 0.5 for _ in range(right)] for _ in range(left)])
+            edges = [(label[u], label[left + v]) for u, v in zip(*np.nonzero(block))]
             t = SimpleGraph(left + right + 2, frozenset(edges))  # two isolated vertices
-            walks = WalkCounter(t.adjacency_matrix())
-            assert walks.half is not None
+            walks, half = WalkCounter(t.adjacency_matrix()), WalkCounter.from_block(block)
             a = int_adjacency(t)
             for m in range(1, 11):
                 am = int_matpow(a, m)
-                assert walks.closed(m) == sum(am[i][i] for i in range(t.n))
+                assert walks.closed(m) == half.closed(m) == sum(am[i][i] for i in range(t.n))
                 if m % 2:
                     assert walks.closed(m) == 0
-        assert WalkCounter(cycle_graph(5).adjacency_matrix()).half is None
-        odd = disjoint_union(cycle_graph(4), complete_graph(3))
-        assert WalkCounter(odd.adjacency_matrix()).half is None
 
 
 def random_clique_union(rng, n, draws):
@@ -369,9 +370,9 @@ class TestBiadjacencyWalks:
         for r, c in ((50, 50), (12, 70), (70, 12)):
             t = Biadjacency(self.random_block(rng, r, c, 0.3))
             walks = WalkCounter.from_block(t.block)
-            bfs = WalkCounter(t.graph.adjacency_matrix())
-            assert len(walks.half[1]) == min(r, c)
-            assert [walks.closed(m) for m in range(1, 13)] == [bfs.closed(m) for m in range(1, 13)]
+            dense = WalkCounter(t.graph.adjacency_matrix())
+            assert len(walks[1]) == min(r, c)
+            assert [walks.closed(m) for m in range(1, 13)] == [dense.closed(m) for m in range(1, 13)]
 
 
 class TestWeightedTargets:
@@ -555,6 +556,23 @@ class TestWalkRouting:
             for h in patterns:
                 assert hom_count(h, t) == hom_counts(h, adj)[0], (n, h)
 
+    def test_cycles_on_targets_with_isolated_vertices(self):
+        # the walk kernel drops isolated vertices; counts are those of the
+        # whole adjacency matrix
+        rng = random.Random(63)
+        targets = [SimpleGraph(100)]
+        for _ in range(6):
+            n, core = rng.randint(65, 120), rng.randint(2, 60)
+            used = rng.sample(range(n), core)
+            edges = [(used[i], used[j]) for i, j in itertools.combinations(range(core), 2)
+                     if rng.random() < rng.uniform(0.05, 0.5)]
+            targets.append(SimpleGraph(n, frozenset(edges)))
+        assert any(t.degree(v) == 0 for t in targets[1:] for v in range(t.n))
+        for t in targets:
+            adj = t.adjacency_matrix()[None]
+            for m in range(2, 9):  # C2 is K2
+                assert hom_count(cycle_graph(m), t) == hom_counts(cycle_graph(m), adj)[0], (t.n, m)
+
     def test_long_paths_stay_on_elimination(self, monkeypatch):
         # a path with two or more edges needs no n x n matrix product: it is
         # counted by elimination, and no walk kernel is built for it
@@ -636,22 +654,27 @@ class TestWalkRouting:
         assert (t3, t4) == (Fraction(c3, t.n ** 3), Fraction(c4, t.n ** 4))
 
     def test_random_bipartite_cycles_skip_the_expanded_graph(self, monkeypatch):
-        # neither the n x n adjacency, nor the edge set, nor a bipartition
-        # search is used for the cycles of a random bipartite power target
+        # neither the n x n adjacency, nor the edge set, nor a counter of
+        # powers of A is used for the cycles of a random bipartite power target
         def refuse(*args, **kwargs):
             raise AssertionError("expanded graph used")
+
+        def block_only(self, base, *, step=1, **kwargs):
+            if step == 1:
+                refuse()
+            init(self, base, step=step, **kwargs)
 
         def normalize_small(n, edges):  # the patterns are still built
             if n > WALK_MIN_ORDER:
                 refuse()
             return normalize(n, edges)
 
-        normalize = graphs._normalize_edges
+        normalize, init = graphs._normalize_edges, WalkCounter.__init__
         monkeypatch.setattr(SimpleGraph, "adjacency_matrix", refuse)
         monkeypatch.setattr(graphs, "_normalize_edges", normalize_small)
         monkeypatch.setattr(Biadjacency, "graph", property(refuse))
         monkeypatch.setattr(Biadjacency, "edges", property(refuse))
-        monkeypatch.setattr(WalkCounter, "__init__", refuse)  # the kernel of an adjacency
+        monkeypatch.setattr(WalkCounter, "__init__", block_only)
         t = bipartite_power_target(1, 12, mode="random", seed=3)
         y = exponent_vector_estimate(t, [2, 4, 6], scale=12)
         odd = [hom_count(cycle_graph(m), t) for m in (3, 5)]
