@@ -31,20 +31,17 @@ from .homcount import (WALK_MIN_ORDER, ResourceLimitError, WalkCounter, hom_coun
                        hom_counts, hom_density)
 
 GNP_CONTRACT = "gnp-pcg64-v1"
+COUNT_TABLE_KEYS = 4096  # keys of one corpus's count table
 
 
 def gnp_graph(n, p, seed, index):
     """Seeded G(n,p): PCG64 stream SeedSequence([seed, index]); one uniform
-    draw per vertex pair in lexicographic order. This layout is the
-    versioned contract GNP_CONTRACT."""
+    draw per vertex pair in lexicographic order, drawn as one array. This
+    layout is the versioned contract GNP_CONTRACT."""
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, index])))
-    p = float(p)
-    edges = []
-    for u in range(n):
-        for v in range(u + 1, n):
-            if rng.random() < p:
-                edges.append((u, v))
-    return SimpleGraph(n, frozenset(edges))
+    us, vs = np.triu_indices(n, 1)
+    hit = rng.random(len(us)) < float(p)
+    return SimpleGraph(n, frozenset(zip(us[hit].tolist(), vs[hit].tolist())))
 
 
 @dataclass(frozen=True)
@@ -82,6 +79,25 @@ class Corpus:
                 groups.setdefault(t.n, []).append(i)
         return {n: (idx, np.stack([self.entries[i][1].adjacency_matrix() for i in idx]))
                 for n, idx in groups.items()}
+
+    @functools.cached_property
+    def counts(self):
+        """The count table: (connected component, max_steps, order n) -> a
+        list aligned with ``stacks[n]`` holding hom(component, T) for each
+        target, the ResourceLimitError that stopped it, or None while it
+        is uncounted. It lives as long as the corpus and holds at most
+        COUNT_TABLE_KEYS keys, dropping the oldest first."""
+        return {}
+
+    def count_row(self, part, max_steps, n):
+        """The table's list for (part, max_steps, n), made on first use."""
+        key = (part, max_steps, n)
+        row = self.counts.get(key)
+        if row is None:
+            if len(self.counts) >= COUNT_TABLE_KEYS:
+                del self.counts[next(iter(self.counts))]
+            row = self.counts[key] = [None] * len(self.stacks[n][0])
+        return row
 
     def __iter__(self):
         return iter(self.entries)
@@ -167,29 +183,37 @@ def _corpus_densities(pattern, corpus, max_steps, skip=frozenset()):
     denominator), or the ResourceLimitError that stopped it; the targets
     whose indices are in ``skip`` are not counted and stay None. Densities
     multiply over disjoint unions, so each distinct component is counted
-    once, under its own ``max_steps``, and not at all on a target where an
-    earlier component was stopped: in one batch per order n of simple
-    targets, giving hom(pattern, T) over n^v(pattern), else by
-    ``hom_density``, giving the product of its numerators and denominators."""
+    under its own ``max_steps``, and not at all on a target where an
+    earlier component was stopped. On the simple targets of one order n
+    the counts come from the corpus's count table ``Corpus.counts``: a
+    component is counted, in one batch, only on the targets still None in
+    its list, so no (component, max_steps, target) is counted twice in the
+    corpus's lifetime; the pair is hom(pattern, T) over n^v(pattern).
+    Other targets go through ``hom_density``, giving the product of its
+    numerators and denominators."""
     parts = Counter(pattern.subgraph(c) for c in pattern.components())
     out = [None] * len(corpus)
     for n, (idx, adjs) in corpus.stacks.items():
-        totals = [None if i in skip else 1 for i in idx] if skip else [1] * len(idx)
-        for m, (part, k) in enumerate(parts.items()):
-            if m or skip:  # count nothing where G or an earlier component was stopped
-                keep = [j for j, t in enumerate(totals) if isinstance(t, int)]
-                if len(keep) < len(idx):
-                    for i, t in zip(idx, totals):
-                        if isinstance(t, ResourceLimitError):
-                            out[i] = t
-                    idx, adjs, totals = [idx[j] for j in keep], adjs[keep], [totals[j] for j in keep]
-            counts = hom_counts(part, adjs, max_steps=max_steps)
-            totals = counts if len(parts) == k == 1 else [
-                c if isinstance(c, ResourceLimitError) else t * c ** k
-                for t, c in zip(totals, counts)]
+        live = [j for j, i in enumerate(idx) if i not in skip] if skip else range(len(idx))
+        totals = [1] * len(idx)
+        for part, k in parts.items():
+            row = corpus.count_row(part, max_steps, n)
+            todo = [j for j in live if row[j] is None]
+            if todo:
+                stack = adjs if len(todo) == len(idx) else adjs[todo]
+                for j, count in zip(todo, hom_counts(part, stack, max_steps=max_steps)):
+                    row[j] = count
+            kept = []  # count nothing where G or an earlier component was stopped
+            for j in live:
+                if isinstance(count := row[j], ResourceLimitError):
+                    out[idx[j]] = count
+                else:
+                    totals[j] *= count ** k
+                    kept.append(j)
+            live = kept
         scale = n ** pattern.n
-        for i, t in zip(idx, totals):
-            out[i] = t if isinstance(t, ResourceLimitError) else (t, scale)
+        for j in live:
+            out[idx[j]] = (totals[j], scale)
     for i, (_, target) in enumerate(corpus):
         if out[i] is None and i not in skip:
             count = scale = 1

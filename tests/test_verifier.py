@@ -1,6 +1,7 @@
 import functools
 import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,13 +13,14 @@ from homdom.graphs import (
     disjoint_union,
     decode_graph,
     encode_graph,
+    enumerate_graphs,
     k4_minus_e,
     path_graph,
 )
 from homdom import homcount, verifier
 from homdom.homcount import WALK_MIN_ORDER, WalkCounter, WeightedTarget, hom_count, hom_density
 from homdom.constructions import simple_family
-from homdom.formulas import odd_cycle_bounds, path_exponent
+from homdom.formulas import fractional_matching, odd_cycle_bounds, path_exponent
 from homdom.verifier import (
     GNP_CONTRACT,
     Corpus,
@@ -242,6 +244,97 @@ class TestDisjointUnions:
         corpus = build_corpus(CorpusSpec(exhaustive_n=4))
         report = check_inequality(disjoint_union(c5, c5), c5, 2, corpus, max_steps=400)
         assert not report.skipped and report.ok
+
+
+class TestCountTable:
+    """``Corpus.counts`` keeps hom(component, T) per (component, max_steps,
+    order), so a corpus counts no component twice on a target."""
+
+    CONNECTED = [g for n in range(1, 5) for g in enumerate_graphs(n, dedup=True)
+                 if g.is_connected()]
+
+    def test_matches_fresh_corpus_and_oracle(self):
+        rng = random.Random(20)
+        entries = build_corpus(CorpusSpec(exhaustive_n=5, gnp_count=6, gnp_seed=21)).entries
+        patterns = [functools.reduce(disjoint_union, rng.choices(self.CONNECTED, k=rng.randint(1, 3)))
+                    for _ in range(10)]
+        cases = [(p, steps, frozenset(rng.sample(range(len(entries)), 5)) if rng.random() < 0.3
+                  else frozenset()) for p in patterns for steps in (None, 60, 2 * 10 ** 8)]
+        rng.shuffle(cases)
+        warm = Corpus(entries)
+
+        def shown(xs):  # errors do not compare equal; their texts do
+            return [str(x) if isinstance(x, homcount.ResourceLimitError) else x for x in xs]
+
+        for pattern, steps, skip in cases:
+            got = _corpus_densities(pattern, warm, steps, skip)
+            assert shown(got) == shown(_corpus_densities(pattern, Corpus(entries), steps, skip))
+            for i, ((_, t), x) in enumerate(zip(entries, got)):
+                if i in skip:
+                    assert x is None
+                elif not isinstance(x, homcount.ResourceLimitError):
+                    assert Fraction(*x) == hom_density(pattern, t)
+                else:
+                    assert steps == 60  # no count stopped under 60 is reused under None
+        rows = warm.counts.items()
+        assert any(s == 60 and any(isinstance(x, homcount.ResourceLimitError) for x in row)
+                   for (_, s, _), row in rows)
+        assert not any(isinstance(x, homcount.ResourceLimitError)
+                       for (_, s, _), row in rows if s is None)
+
+    def test_bounded_oldest_key_dropped_first(self, monkeypatch):
+        monkeypatch.setattr(verifier, "COUNT_TABLE_KEYS", 4)
+        corpus = build_corpus(CorpusSpec(exhaustive_n=3))  # orders 1, 2 and 3
+        k2, p2 = complete_graph(2), path_graph(2)
+        _corpus_densities(k2, corpus, None)
+        assert list(corpus.counts) == [(k2, None, n) for n in (1, 2, 3)]
+        got = _corpus_densities(p2, corpus, None)
+        assert list(corpus.counts) == [(k2, None, 3)] + [(p2, None, n) for n in (1, 2, 3)]
+        assert [Fraction(*x) for x in got] == [hom_density(p2, t) for _, t in corpus]
+        for (_, _, n), row in corpus.counts.items():
+            assert len(row) == len(corpus.stacks[n][0]) and None not in row
+        # a dropped key is counted again, and gives the same densities
+        assert [Fraction(*x) for x in _corpus_densities(k2, corpus, None)] == \
+            [hom_density(k2, t) for _, t in corpus]
+
+    @staticmethod
+    def recorded(monkeypatch):
+        """The (component, max_steps, target) triples counted, one per target."""
+        calls = []
+
+        def counted(h, adjs, max_steps=None):
+            calls.extend((h, max_steps, a.tobytes()) for a in adjs)
+            return hom_counts(h, adjs, max_steps=max_steps)
+
+        hom_counts = verifier.hom_counts
+        monkeypatch.setattr(verifier, "hom_counts", counted)
+        return calls
+
+    def test_rules_count_each_part_once(self, monkeypatch):
+        # the edge rule and then the P2 rule on the same H count H's
+        # components once per order, and K2 and P2 once per target
+        corpus = build_corpus(CorpusSpec(exhaustive_n=5))
+        calls = self.recorded(monkeypatch)
+        hs = [path_graph(4), cycle_graph(5), k4_minus_e(),
+              disjoint_union(cycle_graph(3), path_graph(1)), disjoint_union(path_graph(2), path_graph(2))]
+        for h in hs:
+            assert check_inequality(complete_graph(2), h, 1 / fractional_matching(h), corpus).ok
+            assert check_inequality(path_graph(2), h, Fraction(3, h.n), corpus).ok
+        assert calls and len(calls) == len(set(calls))
+        parts = {h.subgraph(c) for h in hs for c in h.components()}
+        assert {h for h, _, _ in calls} == parts | {complete_graph(2), path_graph(2)}
+
+    def test_problem6_counts_no_cycle_again(self, monkeypatch):
+        corpus = build_corpus(CorpusSpec(exhaustive_n=5, gnp_count=8, gnp_seed=22))
+        c3, c4, c5 = cycle_graph(3), cycle_graph(4), cycle_graph(5)
+        check_inequality(c5, c3, Fraction(11, 5), corpus)
+        check_inequality(c4, c3, Fraction(8, 5), corpus)
+        calls = self.recorded(monkeypatch)
+        report = search_problem6(2, 1, corpus)
+        assert report.ok and not report.skipped
+        # only C2 = K2 is new
+        assert {h for h, _, _ in calls} == {cycle_graph(2)}
+        assert len(calls) == len(set(calls)) == len(corpus)
 
 
 class TestRatioCertifiedLower:
