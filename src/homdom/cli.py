@@ -5,10 +5,10 @@ whose header records the full effective configuration, so identical
 configurations reproduce identical output. Rationals are printed as
 "p/q" strings in machine output.
 
-Exit codes: 0 success / no violations; 1 violation found; 2 usage or
-parse error; 3 requested exponent does not exist; 4 verification had
-skipped targets (result incomplete); 5 internal error (a bug: the
-traceback goes to stderr).
+Exit codes: 0 success / no violations; 1 violation found; 2 a refusal of
+the input: exactly a ``HomdomError`` or an ``OSError``; 3 requested exponent
+does not exist; 4 verification had skipped targets (result incomplete); 5
+any other exception, an internal error (a bug: the traceback goes to stderr).
 """
 from __future__ import annotations
 
@@ -20,28 +20,34 @@ import sys
 from fractions import Fraction
 
 from . import cones, constructions, formulas, ratlp, verifier
-from .cones import ConeError
-from .graphs import (Biadjacency, CliqueUnion, GraphError, SimpleGraph, decode_graph,
-                     encode_graph, from_shorthand)
-from .homcount import ResourceLimitError
-from .ratlp import LPError, frac_to_str
+from .graphs import (Biadjacency, CliqueUnion, GraphError, HomdomError, SimpleGraph,
+                     decode_graph, encode_graph, from_shorthand)
+from .ratlp import frac_to_str
 
 DEFAULT_SEED = 7
 
 
+def _int(text, what):
+    try:
+        return int(text)
+    except ValueError:
+        raise GraphError(f"{what} must be an integer, got {text!r}") from None
+
+
 def _effective_seed(args):
     env = os.environ.get("HOMDOM_SEED")
-    try:
-        return args.seed if env is None else int(env)
-    except ValueError:
-        raise ValueError(f"HOMDOM_SEED must be an integer, got {env!r}") from None
+    name = "--seed" if env is None else "HOMDOM_SEED"
+    seed = args.seed if env is None else _int(env, name)
+    if seed < 0:
+        raise GraphError(f"{name} must be nonnegative, got {seed}")
+    return seed
 
 
 def parse_graph_arg(text):
     """Named shorthand (K4-e, C5, P13, C5+, ...), a file path, inline JSON,
     or an inline graph6 string."""
     if os.path.isfile(text):
-        with open(text) as fh:
+        with open(text, errors="replace") as fh:  # a parser refuses what does not decode
             text = fh.read().strip()
     stripped = text.strip()
     if stripped.startswith("{"):
@@ -59,6 +65,8 @@ def parse_fraction(text):
         return Fraction(text)
     except ZeroDivisionError as exc:
         raise GraphError(f"zero denominator in {text!r}") from exc
+    except ValueError:
+        raise GraphError(f"not a rational number: {text!r}") from None
 
 
 def parse_corpus_spec(text):
@@ -68,10 +76,9 @@ def parse_corpus_spec(text):
     if text:
         for part in text.split(","):
             key, _, val = part.partition("=")
-            key = key.strip()
-            val = val.strip()
+            key, val = key.strip(), val.strip()
             if key in ("exhaustive_n", "gnp_count", "gnp_n", "gnp_seed"):
-                kwargs[key] = int(val)
+                kwargs[key] = _int(val, f"corpus spec {key}")
             elif key == "gnp_p":
                 kwargs["gnp_p"] = parse_fraction(val)
             elif key == "constructions":
@@ -86,7 +93,7 @@ def parse_params(text):
     if text:
         for part in text.split(","):
             key, _, val = part.partition("=")
-            out[key.strip()] = int(val)
+            out[key.strip()] = _int(val, f"parameter {key.strip()!r}")
     return out
 
 
@@ -174,7 +181,7 @@ def cmd_lp(args, config):
     if args.kr is not None:
         problem = ratlp.kr_lp(args.kr)
     else:
-        with open(args.file) as fh:
+        with open(args.file, errors="replace") as fh:
             problem = ratlp.lp_from_json(fh.read())
     payload = ratlp.solution_to_data(ratlp.solve_lp(problem))
     if args.kr is not None:
@@ -188,7 +195,7 @@ def cmd_estimate(args, config):
     h = parse_graph_arg(args.h)
     kind, _, params = args.family.partition(":")
     fam = constructions.ScalingFamily(kind, parse_params(params), seed=config["seed"])
-    sizes = [int(s) for s in args.sizes.split(",")]
+    sizes = [_int(s, "--sizes entry") for s in args.sizes.split(",")]
     result = constructions.estimate_ratio(g, h, fam, sizes, max_steps=config["max_hom_steps"])
     payload = {
         "family": args.family,
@@ -278,11 +285,11 @@ def main(argv=None):
     args = _parser().parse_args(argv)
     try:
         if args.max_hom_steps < 1:
-            raise ValueError(f"--max-hom-steps must be at least 1, got {args.max_hom_steps}")
+            raise GraphError(f"--max-hom-steps must be at least 1, got {args.max_hom_steps}")
         config = {"command": args.command, "seed": _effective_seed(args),
                   "max_hom_steps": args.max_hom_steps, "out": args.out}
         return args.func(args, config)
-    except (GraphError, ResourceLimitError, LPError, ConeError, ValueError, OSError) as exc:
+    except (HomdomError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

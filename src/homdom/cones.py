@@ -14,12 +14,13 @@ from functools import cached_property
 from math import gcd, prod
 from operator import mul
 
+from .graphs import HomdomError
 from .ratlp import bareiss_pivot, frac_to_str, integer_row, make_lp, solve_lp
 
 _ZERO = Fraction(0)
 
 
-class ConeError(Exception):
+class ConeError(HomdomError):
     pass
 
 

@@ -352,8 +352,7 @@ class ScalingFamily:
             spec = ProjectivePlaneSpec(p=size, k=p["k"])
             return red_line_graph(spec, self.seed)
         if self.kind == "bipartite_power":
-            mode = p.get("mode", "random")
-            return bipartite_power_target(p["i"], size, mode=mode, seed=self.seed)
+            return bipartite_power_target(p["i"], size, mode="random", seed=self.seed)
         if self.kind in ("two_cliques", "clique_plus_isolated", "single_edge"):
             return simple_family(self.kind, size)
         if self.kind == "behrend":
@@ -365,7 +364,7 @@ def log_fraction(x):
     """Natural log of a positive Fraction, accurate for huge numerators."""
     x = Fraction(x)
     if x <= 0:
-        raise ValueError("log of nonpositive value")
+        raise GraphError("log of nonpositive value")
     return math.log(x.numerator) - math.log(x.denominator)
 
 

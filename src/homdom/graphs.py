@@ -25,7 +25,11 @@ from dataclasses import dataclass
 import numpy as np
 
 
-class GraphError(ValueError):
+class HomdomError(Exception):
+    """A refusal of the input: every error homdom raises derives from it."""
+
+
+class GraphError(HomdomError, ValueError):
     """Invalid graph data or parameters."""
 
 

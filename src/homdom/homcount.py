@@ -33,10 +33,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graphs import Biadjacency, CliqueUnion, GraphError, SimpleGraph
+from .graphs import Biadjacency, CliqueUnion, GraphError, HomdomError, SimpleGraph
 
 
-class ResourceLimitError(RuntimeError):
+class ResourceLimitError(HomdomError, RuntimeError):
     """A counting task exceeded its configured work ceiling."""
 
 
@@ -57,7 +57,7 @@ def _fill(nbrs, x):
 @functools.lru_cache(maxsize=1024)
 def _plan(h, weighted):
     """Elimination plan of H: (steps per connected component with an edge,
-    number of isolated vertices).
+    number of isolated vertices), or None when one step outgrows the labels.
 
     A step is (einsum subscripts, operands, width). An operand is -1 for
     the edge matrix M, -2 for the vertex weights u (only when
@@ -81,6 +81,8 @@ def _plan(h, weighted):
             used = [f for f in live if x in f[1]]
             live = [f for f in live if x not in f[1]]
             union = sorted({v for _, scope in used for v in scope})
+            if len(union) > len(_LETTERS):
+                return None
             out = tuple(v for v in union if v != x)
             letter = dict(zip(union, _LETTERS))
             subs = ",".join("z" + "".join(letter[v] for v in scope) for _, scope in used)
@@ -99,15 +101,17 @@ def _eliminate(h, m, u=None, max_steps=None):
     """sum over maps phi: V(H) -> [n] of prod_v u[phi(v)] * prod_{ab in E(H)}
     m[phi(a), phi(b)], for each target of a stack: ``m`` (B, n, n) and ``u``
     (B, n) non-negative integers, u None meaning all ones (then the sum is
-    hom(H, T)). Returns B Python ints, or None when the plan needs more
-    than ``max_steps`` multiply-adds per target or a factor larger than
-    the entry cap.
+    hom(H, T)). Returns B Python ints, or None when H has no plan, or its
+    plan needs more than ``max_steps`` multiply-adds per target or a
+    factor larger than the entry cap.
 
     Every intermediate entry is a partial sum of the final one, so all of
     them are at most (sum u)^v(H) * (max m)^e(H); the pass runs in int64
     below 2**63 and on Python ints above.
     """
-    plans, isolated = _plan(h, u is not None)
+    if (plan := _plan(h, u is not None)) is None:
+        return None
+    plans, isolated = plan
     b, n = len(m), m.shape[-1]
     widths = [w for steps in plans for _, _, w in steps]
     if max_steps is not None and sum(n ** w for w in widths) > max_steps:

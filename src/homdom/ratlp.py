@@ -19,8 +19,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
+from .graphs import HomdomError
 
-class LPError(Exception):
+
+class LPError(HomdomError):
     pass
 
 
@@ -430,7 +432,10 @@ def _number(value, key):
 
 
 def lp_from_json(text):
-    d = json.loads(text)
+    try:
+        d = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise LPError(f"LP JSON: {exc}") from None
     return make_lp(
         _key(d, "sense"),
         [_number(c, "objective") for c in _key(d, "objective", list)],

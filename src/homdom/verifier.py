@@ -56,7 +56,7 @@ class CorpusSpec:
     include_constructions: bool = False
 
     def __post_init__(self):
-        for key in ("exhaustive_n", "gnp_count", "gnp_n"):
+        for key in ("exhaustive_n", "gnp_count", "gnp_n", "gnp_seed"):
             if (value := getattr(self, key)) < 0:
                 raise GraphError(f"corpus spec {key} must be nonnegative, got {value}")
         if not 0 <= self.gnp_p <= 1:
@@ -325,7 +325,7 @@ def harvest_lower(g, h, corpus):
 def problem6_exponents(i, j):
     """Integer exponents of t(C_2j)^2 t(C_{2i+1})^{2i-1-2j} >= t(C_{2i-1})^{2i+1-2j}."""
     if not i > j >= 1:
-        raise ValueError("need i > j >= 1")
+        raise GraphError("need i > j >= 1")
     return 2, 2 * i - 1 - 2 * j, 2 * i + 1 - 2 * j
 
 
@@ -351,7 +351,7 @@ def check_eq_main(k, ell, target):
     """hom(C+_{2k+1}, T) = sum over ordered edges (u,v) of the two rooted
     arc-closures: walks of length 2l and 2k+1-2l between the chord ends."""
     if not k > ell >= 1:
-        raise ValueError("need k > ell >= 1")
+        raise GraphError("need k > ell >= 1")
     chorded = cycle_with_chord(k, ell)
     lhs = hom_count(chorded, target)
     walks = WalkCounter(target.adjacency_matrix(np.float32))

@@ -320,6 +320,18 @@ class TestErrorExits:
         (("cone", "--all", "100000"), "all-cycle cone capped at m=60, got 100000"),
         (("construct", "--family", "behrend", "--size", "100000000"),
          "behrend graph on 600000000 vertices exceeds the cap"),
+        (("construct", "--family", "bipartite_power", "--params", "k=x", "--size", "3"),
+         "parameter 'k' must be an integer, got 'x'"),
+        (("estimate", "--g", "K2", "--h", "K3", "--family", "clique_plus_isolated",
+          "--sizes", "4,x"), "--sizes entry must be an integer, got 'x'"),
+        (("verify", "--g", "C4", "--h", "K2", "--c", "abc"), "not a rational number: 'abc'"),
+        (("verify", "--g", "K2", "--h", "C3", "--c", "1", "--corpus-spec", "gnp_n=x"),
+         "corpus spec gnp_n must be an integer, got 'x'"),
+        (("--seed", "-1", "exponent", "--g", "K2", "--h", "K3"),
+         "--seed must be nonnegative, got -1"),
+        (("verify", "--g", "K2", "--h", "C3", "--c", "1", "--corpus-spec",
+          "gnp_count=1,gnp_seed=-1"), "corpus spec gnp_seed must be nonnegative, got -1"),
+        (("search-p6", "--i", "1", "--j", "1"), "need i > j >= 1"),
     ])
     def test_bad_input_exit_2(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)
@@ -335,6 +347,26 @@ class TestErrorExits:
         assert code == 5 and out == ""
         assert err.startswith("internal error: RuntimeError('broken solver')\nTraceback")
         assert err.endswith("RuntimeError: broken solver\n")
+
+    def test_internal_value_error_exit_5(self, capsys, monkeypatch):
+        # a ValueError that no refusal of the input raised is a bug, not a
+        # usage error: only HomdomError and OSError exit 2
+        def broken(g, h, harvest=False):
+            raise ValueError("broken dispatch")
+
+        monkeypatch.setattr(cli.formulas, "dispatch_exponent", broken)
+        code, out, err = run(capsys, "exponent", "--g", "K2", "--h", "K3")
+        assert code == 5 and out == ""
+        assert err.startswith("internal error: ValueError('broken dispatch')\nTraceback")
+
+    @pytest.mark.parametrize("g, h, code, lower", [("K52", "K2", 3, "nonexistent"),
+                                                   ("K52", "K60", 0, "13/15")])
+    def test_pattern_wider_than_the_plan_labels(self, capsys, g, h, code, lower):
+        # a step of K52's plan spans more vertices than einsum has labels;
+        # the existence check answers without the plan
+        got, out, err = run(capsys, "exponent", "--g", g, "--h", h)
+        assert (got, err) == (code, "")
+        assert json.loads(out)["result"]["lower"] == lower
 
     def test_python_dash_m(self):
         root = Path(__file__).resolve().parent.parent
@@ -364,6 +396,8 @@ class TestErrorExits:
          "key 'rhs' holds [1], not a number"),
         ('{"sense": "max", "objective": [1], "rows": [], "nonneg": 5}',
          "key 'nonneg' must be a list, got 5"),
+        ('{"sense": "max",', "Expecting property name enclosed in double quotes: "
+                            "line 1 column 17 (char 16)"),
     ])
     def test_lp_file_wrong_type(self, capsys, tmp_path, text, message):
         f = tmp_path / "lp.json"
@@ -377,6 +411,11 @@ class TestErrorExits:
         code, out, err = run(capsys, "exponent", "--g", "K2", "--h", "K3")
         assert code == 2 and out == ""
         assert err == "error: HOMDOM_SEED must be an integer, got 'abc'\n"
+
+    def test_negative_seed_env(self, capsys, monkeypatch):
+        monkeypatch.setenv("HOMDOM_SEED", "-5")
+        code, out, err = run(capsys, "exponent", "--g", "K2", "--h", "K3")
+        assert (code, out, err) == (2, "", "error: HOMDOM_SEED must be nonnegative, got -5\n")
 
 
 class TestConeCommand:

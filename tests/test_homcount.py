@@ -476,9 +476,9 @@ class TestEliminationEngine:
     def fallbacks(self, monkeypatch):
         calls = []
 
-        def counted(*args):
+        def counted(*args, **kwargs):
             calls.append(args)
-            return _backtrack(*args)
+            return _backtrack(*args, **kwargs)
 
         monkeypatch.setattr(homcount, "_backtrack", counted)
         return calls
@@ -509,6 +509,19 @@ class TestEliminationEngine:
         # K5 on 100 vertices needs a factor of 100^4 entries, past the cap
         t = disjoint_union(complete_graph(5), SimpleGraph(95))
         assert hom_count(complete_graph(5), t) == 120 and len(fallbacks) == 1
+
+    def test_step_wider_than_the_labels_has_no_plan(self, fallbacks):
+        # eliminating the first vertex of K52 spans all 52 vertices, one more
+        # than einsum has labels besides the batch axis: the plan declines
+        # and the clique check or the backtracker answers
+        k52 = complete_graph(52)
+        assert homcount._plan(complete_graph(51), False) is not None
+        assert homcount._plan(k52, False) is None
+        assert hom_count(k52, complete_graph(3)) == 0 and len(fallbacks) == 1
+        assert not hom_exists(k52, complete_graph(51))
+        assert hom_exists(k52, complete_graph(60)) and len(fallbacks) == 2
+        with pytest.raises(ResourceLimitError):
+            weighted_hom_density(k52, WeightedTarget((Fraction(1),), ((Fraction(1, 2),),)))
 
 
 class TestCliqueGuard:

@@ -1,5 +1,6 @@
 """Shape checks on the package source, made by parsing it."""
 import ast
+import builtins
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "homdom"
@@ -50,3 +51,56 @@ def test_cli_encodes_json_once():
                       if isinstance(node, ast.Attribute) and node.attr in ("dumps", "loads")
                       and isinstance(node.value, ast.Name) and node.value.id == "json"]
     assert calls == [("_emit", "dumps")]
+
+
+def _parsed():
+    return [(path, ast.parse(path.read_text(), filename=str(path)))
+            for path in sorted(SRC.glob("*.py"))]
+
+
+def test_every_exception_class_derives_from_homdom_error():
+    # whose fault a failure is gets decided where it is raised: a refusal of
+    # the input is a HomdomError, so the CLI needs no list of error types
+    classes = {node.name: [b.id for b in node.bases if isinstance(b, ast.Name)]
+               for _, tree in _parsed() for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef)}
+
+    def is_error(name):
+        if name in classes:
+            return any(map(is_error, classes[name]))
+        return isinstance(getattr(builtins, name, None), type) and \
+            issubclass(getattr(builtins, name), BaseException)
+
+    def homdom_error(name):
+        return name == "HomdomError" or any(map(homdom_error, classes.get(name, ())))
+
+    errors = [name for name in classes if is_error(name)]
+    assert "HomdomError" in errors and len(errors) >= 5
+    assert [name for name in errors if not homdom_error(name)] == []
+
+
+def test_no_bare_builtin_raises():
+    found = []
+    for path, tree in _parsed():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name) and exc.id in ("ValueError", "RuntimeError",
+                                                             "Exception"):
+                    found.append(f"{path.name}:{node.lineno} raises {exc.id}")
+    assert found == []
+
+
+def test_cli_exit_2_is_homdom_error_or_os_error():
+    tree = ast.parse((SRC / "cli.py").read_text())
+    main = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "main")
+    handlers = {}
+    for node in ast.walk(main):
+        if isinstance(node, ast.ExceptHandler):
+            returns = [r.value.value for r in ast.walk(node) if isinstance(r, ast.Return)
+                       and isinstance(r.value, ast.Constant)]
+            caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            for code in returns:
+                handlers.setdefault(code, []).extend(ast.unparse(c) for c in caught)
+    assert handlers == {2: ["HomdomError", "OSError"], 5: ["Exception"]}
