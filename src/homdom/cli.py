@@ -8,7 +8,8 @@ configurations reproduce identical output. Rationals are printed as
 Exit codes: 0 success / no violations; 1 violation found; 2 a refusal of
 the input: exactly a ``HomdomError`` or an ``OSError``; 3 requested exponent
 does not exist; 4 verification had skipped targets (result incomplete); 5
-any other exception, an internal error (a bug: the traceback goes to stderr).
+any other exception, an internal error (a bug: the traceback goes to stderr),
+a failed self-check's ``AssertionError`` among them.
 """
 from __future__ import annotations
 

@@ -373,7 +373,7 @@ def union_exponent_lp(g_cycles, h_cycles, k):
     lp = make_lp("max", obj, rows, nonneg=False)
     sol = solve_lp(lp)
     if sol.status != "optimal":
-        raise ConeError(f"union exponent LP is {sol.status}; modeling violation")
+        raise AssertionError(f"union exponent LP is {sol.status}; modeling violation")
     return sol.optimum
 
 

@@ -25,7 +25,7 @@ from .graphs import (
 from .cones import union_exponent_lp
 from .constructions import simple_family
 from .homcount import hom_exists
-from .ratlp import LPError, frac_to_str
+from .ratlp import frac_to_str
 from .verifier import Corpus, CorpusSpec, build_corpus, harvest_lower
 
 MAX_SEARCH_N = 12  # largest H of the Hamiltonian-cycle and path-cover searches
@@ -44,7 +44,7 @@ class ExponentBound:
         if (self.lower is None) != (self.upper is None):
             raise GraphError("a bound needs both ends, or neither when C does not exist")
         if self.exists and self.lower > self.upper:
-            raise GraphError(f"crossed bounds {self.lower} > {self.upper}")
+            raise AssertionError(f"crossed bounds {self.lower} > {self.upper}")
 
     @property
     def exists(self):
@@ -246,7 +246,7 @@ def fractional_matching(h):
     The value is certified exactly by LP duality: x_e = ([uv' in M] +
     [vu' in M])/2 is a fractional matching of H, y_v = ([v in K] + [v' in
     K])/2 for the Konig cover K of the double cover is a fractional vertex
-    cover, and their totals agree. LPError when they do not.
+    cover, and their totals agree; AssertionError (a bug) when they do not.
     """
     if not h.edges:
         raise GraphError("H has no edges")
@@ -261,12 +261,12 @@ def fractional_matching(h):
         load[u] += xe
         load[v] += xe
         if y2[u] + y2[v] < 2:
-            raise LPError(f"fractional cover misses edge {(u, v)}")
+            raise AssertionError(f"fractional cover misses edge {(u, v)}")
     if max(load) > 2:
-        raise LPError("fractional matching overloads a vertex")
+        raise AssertionError("fractional matching overloads a vertex")
     total = sum(x2.values())
     if total != sum(y2):
-        raise LPError(f"matching {total}/2 and cover {sum(y2)}/2 differ")
+        raise AssertionError(f"matching {total}/2 and cover {sum(y2)}/2 differ")
     return Fraction(total, 2)
 
 
@@ -506,7 +506,7 @@ def dispatch_exponent(g, h, harvest=False):
     bounds, the simple lower bound, the crude upper bound, depth-2
     compositions through a small catalog). harvest=True also tries
     ``verifier.harvest_lower`` on the harvest corpus, whose provenance names
-    the witness. Crossed bounds raise GraphError.
+    the witness. Crossed bounds (an unsound rule) raise AssertionError.
     """
     if not exists_exponent(g, h):
         return ExponentBound(provenance=("nonexistent",))

@@ -26,7 +26,7 @@ import numpy as np
 
 
 class HomdomError(Exception):
-    """A refusal of the input: every error homdom raises derives from it."""
+    """A refusal of the input; a failed self-check raises AssertionError."""
 
 
 class GraphError(HomdomError, ValueError):
@@ -332,13 +332,9 @@ def from_shorthand(text):
         return k4_minus_e()
     if s in ("paw", "K3+e", "triangle_pendant"):
         return triangle_pendant()
-    if s.startswith("C") and s.endswith("+"):
-        m = int(s[1:-1])
-        if m % 2 == 0 or m < 5:
-            raise GraphError("chorded cycle shorthand needs an odd length >= 5")
-        k = (m - 1) // 2
-        return cycle_with_chord(k, 1)
     try:
+        if s.startswith("C") and s.endswith("+") and (m := int(s[1:-1])) % 2:
+            return cycle_with_chord((m - 1) // 2, 1)  # refuses m < 5
         if s.startswith("K") and "," in s:
             a, b = s[1:].split(",")
             return complete_bipartite(int(a), int(b))

@@ -253,21 +253,21 @@ def _verify_optimal(p, x, y, opt):
     n = p.num_vars
     for j in range(n):
         if p.nonneg[j] and x[j] < 0:
-            raise LPError("primal sign violation")
+            raise AssertionError("primal sign violation")
     for (coeffs, rel, rhs), yi in zip(p.rows, y):
         lhs = sum(a * xj for a, xj in zip(coeffs, x) if a and xj)
         if rel == "<=" and lhs > rhs:
-            raise LPError("primal row violation")
+            raise AssertionError("primal row violation")
         if rel == ">=" and lhs < rhs:
-            raise LPError("primal row violation")
+            raise AssertionError("primal row violation")
         if rel == "=" and lhs != rhs:
-            raise LPError("primal row violation")
+            raise AssertionError("primal row violation")
         # dual sign convention (for max: <= rows y>=0, >= rows y<=0)
         s = 1 if p.sense == "max" else -1
         if rel == "<=" and s * yi < 0:
-            raise LPError("dual sign violation")
+            raise AssertionError("dual sign violation")
         if rel == ">=" and s * yi > 0:
-            raise LPError("dual sign violation")
+            raise AssertionError("dual sign violation")
     for j in range(n):
         ya = sum(p.rows[i][0][j] * y[i] for i in range(len(p.rows)) if y[i])
         gap = ya - p.objective[j]
@@ -276,14 +276,14 @@ def _verify_optimal(p, x, y, opt):
         # for max: y.A_j >= c_j on nonneg vars, = on free vars
         if p.nonneg[j]:
             if gap < 0:
-                raise LPError("dual row violation")
+                raise AssertionError("dual row violation")
             if gap != 0 and x[j] != 0:
-                raise LPError("complementary slackness violation")
+                raise AssertionError("complementary slackness violation")
         elif gap != 0:
-            raise LPError("dual row violation (free var)")
+            raise AssertionError("dual row violation (free var)")
     yb = sum(y[i] * p.rows[i][2] for i in range(len(p.rows)))
     if yb != opt:
-        raise LPError("strong duality violation")
+        raise AssertionError("strong duality violation")
 
 
 def solve_lp(p):

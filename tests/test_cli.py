@@ -332,6 +332,10 @@ class TestErrorExits:
         (("verify", "--g", "K2", "--h", "C3", "--c", "1", "--corpus-spec",
           "gnp_count=1,gnp_seed=-1"), "corpus spec gnp_seed must be nonnegative, got -1"),
         (("search-p6", "--i", "1", "--j", "1"), "need i > j >= 1"),
+        (("exponent", "--g", "Cx+", "--h", "K2"), "invalid graph6 character '+'"),
+        (("exponent", "--g", "C+", "--h", "K2"), "invalid graph6 character '+'"),
+        (("exponent", "--g", "C" + "9" * 5000 + "+", "--h", "K2"),
+         "invalid graph6 character '9'"),
     ])
     def test_bad_input_exit_2(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)
@@ -358,6 +362,13 @@ class TestErrorExits:
         code, out, err = run(capsys, "exponent", "--g", "K2", "--h", "K3")
         assert code == 5 and out == ""
         assert err.startswith("internal error: ValueError('broken dispatch')\nTraceback")
+
+    def test_failed_self_check_exit_5(self, capsys, monkeypatch):
+        # an unsound rule crosses the bounds: a bug, reported as one
+        monkeypatch.setattr(cli.formulas, "_crude_bound", lambda g, h: Fraction(1, 100))
+        code, out, err = run(capsys, "exponent", "--g", "C5", "--h", "K3")
+        assert code == 5 and out == ""
+        assert err.startswith("internal error: AssertionError('crossed bounds 15/7 > 1/100')")
 
     @pytest.mark.parametrize("g, h, code, lower", [("K52", "K2", 3, "nonexistent"),
                                                    ("K52", "K60", 0, "13/15")])

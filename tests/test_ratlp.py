@@ -380,13 +380,13 @@ class TestFractionalMatchingLP:
             return mate
 
         monkeypatch.setattr(formulas, "_double_cover_matching", drop_one)
-        with pytest.raises(LPError, match="differ"):
+        with pytest.raises(AssertionError, match="differ"):
             fractional_matching(cycle_graph(5))
 
     def test_certificate_rejects_an_overloaded_vertex(self, monkeypatch):
         # every leaf of the star K_{1,3} matched to the centre's copy
         monkeypatch.setattr(formulas, "_double_cover_matching", lambda adj: [1, 0, 0, 0])
-        with pytest.raises(LPError, match="overloads"):
+        with pytest.raises(AssertionError, match="overloads"):
             fractional_matching(star_graph(3))
 
 

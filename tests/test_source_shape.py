@@ -1,7 +1,9 @@
 """Shape checks on the package source, made by parsing it."""
 import ast
-import builtins
+import importlib
 from pathlib import Path
+
+from homdom.graphs import HomdomError
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "homdom"
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
@@ -61,22 +63,16 @@ def _parsed():
 def test_every_exception_class_derives_from_homdom_error():
     # whose fault a failure is gets decided where it is raised: a refusal of
     # the input is a HomdomError, so the CLI needs no list of error types
-    classes = {node.name: [b.id for b in node.bases if isinstance(b, ast.Name)]
-               for _, tree in _parsed() for node in ast.walk(tree)
-               if isinstance(node, ast.ClassDef)}
-
-    def is_error(name):
-        if name in classes:
-            return any(map(is_error, classes[name]))
-        return isinstance(getattr(builtins, name, None), type) and \
-            issubclass(getattr(builtins, name), BaseException)
-
-    def homdom_error(name):
-        return name == "HomdomError" or any(map(homdom_error, classes.get(name, ())))
-
-    errors = [name for name in classes if is_error(name)]
-    assert "HomdomError" in errors and len(errors) >= 5
-    assert [name for name in errors if not homdom_error(name)] == []
+    errors = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "__main__":
+            continue
+        module = importlib.import_module(f"homdom.{path.stem}".removesuffix(".__init__"))
+        errors += [obj for obj in vars(module).values()
+                   if isinstance(obj, type) and issubclass(obj, BaseException)
+                   and obj.__module__ == module.__name__]
+    assert HomdomError in errors and len(errors) >= 5
+    assert [e.__name__ for e in errors if not issubclass(e, HomdomError)] == []
 
 
 def test_no_bare_builtin_raises():
