@@ -23,7 +23,7 @@ def main():
         print(f"  {terms} >= 0")
     print("generator rays:")
     for name, ray in zip(cone.ray_names, cone.rays):
-        print(f"  {name} = {tuple(map(int, ray))}")
+        print(f"  {name} = {ray}")
     print(f"all rays inside the cone: {verify_rays(cone)['all_member']}")
     print(f"cone equals the conical hull of the rays: {cone_equals_hull(cone)}\n")
 

@@ -9,15 +9,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import cached_property
-from math import gcd, prod
+from math import gcd
 from operator import mul
 
 from .graphs import HomdomError
-from .ratlp import bareiss_pivot, frac_to_str, integer_row, make_lp, solve_lp
-
-_ZERO = Fraction(0)
+from .ratlp import bareiss_pivot, make_lp, solve_lp
 
 
 class ConeError(HomdomError):
@@ -25,59 +21,45 @@ class ConeError(HomdomError):
 
 
 MAX_HULL_DIM = 10
-# all_cycle_cone(m) has O(m^2) rows of dimension 2m - 1; m = 60 takes 1.4 s
+# all_cycle_cone(m) has O(m^2) rows of dimension 2m - 1; cone --all 60 takes 1.4-1.9 s
 MAX_ALL_CYCLE_M = 60
 
 
 @dataclass(frozen=True)
 class Cone:
-    """Halfspace rows a with meaning a.y >= 0, plus listed generator rays."""
+    """Integer halfspace rows a with meaning a.y >= 0, plus listed integer
+    generator rays."""
 
     dim: int
-    halfspaces: tuple  # tuple of coefficient tuples
-    rays: tuple        # tuple of rational vectors
+    halfspaces: tuple  # tuple of int tuples
+    rays: tuple        # tuple of int tuples
     coord_names: tuple = ()
     ray_names: tuple = ()
 
     def __post_init__(self):
         for row in self.halfspaces:
-            if len(row) != self.dim:
-                raise ConeError("halfspace dimension mismatch")
+            _check_ints(row, self.dim, "halfspace")
         for ray in self.rays:
-            if len(ray) != self.dim:
-                raise ConeError("ray dimension mismatch")
-
-    @cached_property
-    def _integer_rows(self):
-        """Each halfspace row as (integer row, lcm of its denominators)."""
-        return tuple(_integer_scaled(row) for row in self.halfspaces)
+            _check_ints(ray, self.dim, "ray")
 
     def evaluate(self, y):
-        """Exact slack a.y per halfspace: an int when it is one, else a
-        Fraction. The dot products run on the integer-scaled rows and point."""
-        if len(y) != self.dim:
-            raise ConeError("point dimension mismatch")
-        ints, scale = _integer_scaled(y)
-        out = []
-        for row, row_scale in self._integer_rows:
-            dot, den = sum(map(mul, row, ints)), row_scale * scale
-            out.append(dot if den == 1 else Fraction(dot, den))
-        return tuple(out)
+        """Exact int slack a.y per halfspace, at the int point y."""
+        _check_ints(y, self.dim, "point")
+        return tuple(sum(map(mul, row, y)) for row in self.halfspaces)
 
 
-def _integer_scaled(v):
-    """ratlp.integer_row(v), with a ConeError on an entry that is neither
-    an int nor a Fraction."""
-    try:
-        return integer_row(v)
-    except AttributeError:
-        raise ConeError(f"entries must be ints or Fractions, got {tuple(v)!r}") from None
+def _check_ints(v, dim, what):
+    """ConeError unless v has dim entries, each an int (not a bool)."""
+    if len(v) != dim:
+        raise ConeError(f"{what} dimension mismatch")
+    if not all(type(x) is int for x in v):
+        raise ConeError(f"{what} entries must be ints, got {tuple(v)!r}")
 
 
 def _vec(dim, entries):
-    v = [_ZERO] * dim
+    v = [0] * dim
     for idx, val in entries.items():
-        v[idx] += Fraction(val)
+        v[idx] += val
     return tuple(v)
 
 
@@ -92,9 +74,9 @@ def even_cycle_ray(i, k):
     out = []
     for j in range(1, k + 1):
         if j <= i + 1:
-            out.append(Fraction(-i - (j - 1) * (2 * i + 1)))
+            out.append(-i - (j - 1) * (2 * i + 1))
         else:
-            out.append(Fraction(-i * 2 * j))
+            out.append(-i * 2 * j)
     return tuple(out)
 
 
@@ -114,7 +96,7 @@ def even_cycle_cone(k):
     rows.append(_vec(k, {k - 2: 2 * k, k - 1: -(2 * k - 2)}))
     rows.append(_vec(k, {0: -2 * k, k - 1: 1}))
     rays = [even_cycle_ray(i, k) for i in range(1, k)]
-    rays.append(tuple(Fraction(-j) for j in range(1, k + 1)))
+    rays.append(tuple(-j for j in range(1, k + 1)))
     names = tuple(f"y{2 * j}" for j in range(1, k + 1))
     rnames = tuple(f"r{i}" for i in range(1, k)) + ("s",)
     return Cone(k, tuple(rows), tuple(rays), names, rnames)
@@ -197,14 +179,8 @@ def all_cycle_cone(m, literal_text=False):
     rnames = []
     for i in range(1, m + 1):
         cutoff = 2 * i + 1
-        r = tuple(
-            Fraction(0) if (j % 2 == 1 and j < cutoff) else Fraction(j)
-            for j in range(2, 2 * m + 1)
-        )
-        s = tuple(
-            Fraction(0) if (j % 2 == 1 and j < cutoff) else Fraction(1)
-            for j in range(2, 2 * m + 1)
-        )
+        r = tuple(0 if (j % 2 == 1 and j < cutoff) else j for j in range(2, 2 * m + 1))
+        s = tuple(0 if (j % 2 == 1 and j < cutoff) else 1 for j in range(2, 2 * m + 1))
         rays.append(r)
         rnames.append(f"r{cutoff}")
         rays.append(s)
@@ -292,7 +268,7 @@ def extreme_rays_from_halfspaces(cone):
     """
     if cone.dim > MAX_HULL_DIM:
         raise ConeError("dimension cap for hull computation")
-    rows = [row for row, _ in cone._integer_rows]
+    rows = cone.halfspaces
     if len(_eliminate(rows, cone.dim)[1]) < cone.dim:
         raise ConeError("cone is not pointed")
     found = {}
@@ -308,10 +284,9 @@ def extreme_rays_from_halfspaces(cone):
 
 
 def _primitive(v):
-    """The primitive integer vector on the ray of the nonzero rational v."""
-    ints, _ = _integer_scaled(v)
-    g = gcd(*ints)
-    return tuple(x // g for x in ints)
+    """The primitive integer vector on the ray of the nonzero int vector v."""
+    g = gcd(*v)
+    return tuple(x // g for x in v)
 
 
 def in_conical_hull(point, rays):
@@ -320,7 +295,7 @@ def in_conical_hull(point, rays):
     dim = len(point)
     rows = []
     for d in range(dim):
-        rows.append(([Fraction(r[d]) for r in rays], "=", Fraction(point[d])))
+        rows.append(([r[d] for r in rays], "=", point[d]))
     lp = make_lp("max", [0] * n, rows, nonneg=True)
     return solve_lp(lp).status == "optimal"
 
@@ -340,10 +315,8 @@ def constraint_matrix_determinant(cone):
     """Exact determinant of the halfspace matrix (square cones only)."""
     if len(cone.halfspaces) != cone.dim:
         raise ConeError("non-square constraint matrix")
-    _, pivots, det = _eliminate([row for row, _ in cone._integer_rows], cone.dim)
-    if len(pivots) < cone.dim:
-        return _ZERO
-    return Fraction(det, prod(scale for _, scale in cone._integer_rows))
+    _, pivots, det = _eliminate(cone.halfspaces, cone.dim)
+    return det if len(pivots) == cone.dim else 0
 
 
 # ---------------------------------------------------------------------------
@@ -362,14 +335,14 @@ def union_exponent_lp(g_cycles, h_cycles, k):
         if c % 2 != 0 or not (2 <= c <= 2 * k):
             raise ConeError(f"cycle length {c} not even in [2, {2 * k}]")
     cone = even_cycle_cone(k)
-    obj = [_ZERO] * k
+    obj = [0] * k
     for c in g_cycles:
         obj[c // 2 - 1] -= 1
-    rows = [(list(row), ">=", _ZERO) for row in cone.halfspaces]
-    norm = [_ZERO] * k
+    rows = [(row, ">=", 0) for row in cone.halfspaces]
+    norm = [0] * k
     for c in h_cycles:
         norm[c // 2 - 1] += 1
-    rows.append((norm, "=", Fraction(-1)))
+    rows.append((norm, "=", -1))
     lp = make_lp("max", obj, rows, nonneg=False)
     sol = solve_lp(lp)
     if sol.status != "optimal":
@@ -385,10 +358,9 @@ def cone_to_data(cone):
     return {
         "dim": cone.dim,
         "coords": list(cone.coord_names),
-        "halfspaces": [[frac_to_str(a) for a in row] for row in cone.halfspaces],
+        "halfspaces": [[str(a) for a in row] for row in cone.halfspaces],
         "rays": {
-            (cone.ray_names[i] if cone.ray_names else str(i)):
-                [frac_to_str(a) for a in ray]
+            (cone.ray_names[i] if cone.ray_names else str(i)): [str(a) for a in ray]
             for i, ray in enumerate(cone.rays)
         },
     }

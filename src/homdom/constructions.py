@@ -251,8 +251,6 @@ def ap3_free_set(n):
     best = []
     for q in range(3, 13):
         h = (q - 1) // 2
-        if h < 1:
-            continue
         ndigits = 1
         while q ** ndigits <= n:
             ndigits += 1

@@ -526,6 +526,8 @@ def _decode_edge_json(text):
         edges = data["edges"]
     except (json.JSONDecodeError, KeyError, TypeError) as exc:
         raise GraphError(f"malformed graph JSON: {exc}") from exc
+    except RecursionError:
+        raise GraphError("malformed graph JSON: nested too deeply") from None
     if not _is_int(n):
         raise GraphError("n must be an integer")
     if not isinstance(edges, list):

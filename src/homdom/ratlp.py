@@ -89,7 +89,7 @@ def make_lp(sense, objective, rows, nonneg=True, names=()):
 # exact integer rows and the simplex core: max c.x  s.t.  A x <= b, x >= 0
 # ---------------------------------------------------------------------------
 
-def integer_row(v):
+def _integer_row(v):
     """(ints, l): l the lcm of the denominators of the ints and Fractions
     in v, and the ints equal to l * v."""
     scale = lcm(*(x.denominator for x in v))
@@ -210,7 +210,7 @@ _ROW_SIGNS = {"<=": (1,), ">=": (-1,), "=": (1, -1)}
 
 def _canonicalize(p):
     """Rewrite an LPProblem as max c~.x~, A~ x~ <= b~, x~ >= 0 on ints:
-    the objective and each row with its rhs scaled by integer_row, free
+    the objective and each row with its rhs scaled by _integer_row, free
     variables split into differences, each row in its _ROW_SIGNS copies.
     Returns the canonical data, mu, each copy's lam and the recovery maps.
     """
@@ -234,12 +234,12 @@ def _canonicalize(p):
         return row
 
     csign = 1 if p.sense == "max" else -1
-    obj, mu = integer_row(p.objective)
+    obj, mu = _integer_row(p.objective)
     c = widen(obj, csign)
     arows, b, lam = [], [], []
     rowmap = []  # per original row: (canonical index, relation)
     for coeffs, rel, rhs in p.rows:
-        ints, scale = integer_row((*coeffs, rhs))
+        ints, scale = _integer_row((*coeffs, rhs))
         rowmap.append((len(arows), rel))
         for sign in _ROW_SIGNS[rel]:
             arows.append(widen(ints, sign))
@@ -436,6 +436,8 @@ def lp_from_json(text):
         d = json.loads(text)
     except json.JSONDecodeError as exc:
         raise LPError(f"LP JSON: {exc}") from None
+    except RecursionError:
+        raise LPError("LP JSON: nested too deeply") from None
     return make_lp(
         _key(d, "sense"),
         [_number(c, "objective") for c in _key(d, "objective", list)],

@@ -32,6 +32,7 @@ from .homcount import (WALK_MIN_ORDER, ResourceLimitError, WalkCounter, hom_coun
 
 GNP_CONTRACT = "gnp-pcg64-v1"
 COUNT_TABLE_KEYS = 4096  # keys of one corpus's count table
+MAX_GNP_N = 2000  # gnp_graph draws one uniform per pair: about 2e6 at the cap
 
 
 def gnp_graph(n, p, seed, index):
@@ -59,6 +60,8 @@ class CorpusSpec:
         for key in ("exhaustive_n", "gnp_count", "gnp_n", "gnp_seed"):
             if (value := getattr(self, key)) < 0:
                 raise GraphError(f"corpus spec {key} must be nonnegative, got {value}")
+        if self.gnp_n > MAX_GNP_N:
+            raise GraphError(f"corpus spec gnp_n capped at {MAX_GNP_N}, got {self.gnp_n}")
         if not 0 <= self.gnp_p <= 1:
             raise GraphError(f"corpus spec gnp_p must lie in [0, 1], got {self.gnp_p}")
 

@@ -336,11 +336,40 @@ class TestErrorExits:
         (("exponent", "--g", "C+", "--h", "K2"), "invalid graph6 character '+'"),
         (("exponent", "--g", "C" + "9" * 5000 + "+", "--h", "K2"),
          "invalid graph6 character '9'"),
+        (("exponent", "--g", '{"n": 2, "edges": ' + "[" * 100000, "--h", "K2"),
+         "malformed graph JSON: nested too deeply"),
+        (("verify", "--g", "K2", "--h", "K3", "--c", "1", "--corpus-spec",
+          "gnp_count=1,gnp_n=10000000000"), "corpus spec gnp_n capped at 2000, got 10000000000"),
+        (("exponent", "--g", "", "--h", "K2"), "empty graph6 string"),
+        (("exponent", "--g", "~~??", "--h", "K2"), "unsupported graph6 size form"),
+        (("exponent", "--g", "C~~", "--h", "K2"), "graph6 body length mismatch"),
+        (("exponent", "--g", "Ao", "--h", "K2"), "nonzero padding bits in graph6 input"),
+        (("exponent", "--g", "{bad", "--h", "K2"), "malformed graph JSON: Expecting property "
+         "name enclosed in double quotes: line 1 column 2 (char 1)"),
+        (("exponent", "--g", '{"n": 2}', "--h", "K2"), "malformed graph JSON: 'edges'"),
+        (("exponent", "--g", '{"n": 2, "edges": [[0, 1], [1, 0]]}', "--h", "K2"),
+         "duplicate edge [1, 0]"),
+        (("cone", "--all", "1"), "need m >= 2"),
+        (("cone", "--even", "11"), "dimension cap for hull computation"),
+        (("construct", "--family", "projective", "--params", "k=2", "--size", "4"),
+         "4 is not prime"),
+        (("construct", "--family", "projective", "--params", "k=1", "--size", "5"),
+         "need k >= 2"),
+        (("construct", "--family", "bipartite_power", "--params", "i=0", "--size", "5"),
+         "need i >= 1 and n >= 2"),
+        (("construct", "--family", "behrend", "--size", "2"), "need n >= 3"),
+        (("construct", "--family", "two_cliques", "--size", "1"), "need n >= 2"),
+        (("construct", "--family", "path_blowup", "--params", "k=3,l=2,m=1", "--size", "1"),
+         "need scale n > 1"),
     ])
     def test_bad_input_exit_2(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert err == f"error: {message}\n" and "Traceback" not in err
+
+    def test_graph6_header_accepted(self, capsys):
+        result = run(capsys, "exponent", "--g", ">>graph6<<A_", "--h", "K2")
+        assert result[0] == 0 and result == run(capsys, "exponent", "--g", "K2", "--h", "K2")
 
     def test_internal_error_exit_5(self, capsys, monkeypatch):
         def broken(i):
@@ -409,6 +438,7 @@ class TestErrorExits:
          "key 'nonneg' must be a list, got 5"),
         ('{"sense": "max",', "Expecting property name enclosed in double quotes: "
                             "line 1 column 17 (char 16)"),
+        pytest.param("[" * 100000, "nested too deeply", id="nested-too-deeply"),
     ])
     def test_lp_file_wrong_type(self, capsys, tmp_path, text, message):
         f = tmp_path / "lp.json"

@@ -55,6 +55,15 @@ def test_cli_encodes_json_once():
     assert calls == [("_emit", "dumps")]
 
 
+def test_cones_name_no_fraction():
+    # a Cone holds ints only, so its module neither imports nor builds a Fraction
+    tree = ast.parse((SRC / "cones.py").read_text())
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    assert "Fraction" not in names | imported
+
+
 def _parsed():
     return [(path, ast.parse(path.read_text(), filename=str(path)))
             for path in sorted(SRC.glob("*.py"))]
