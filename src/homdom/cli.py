@@ -23,7 +23,7 @@ from fractions import Fraction
 from . import cones, constructions, formulas, ratlp, verifier
 from .graphs import (Biadjacency, CliqueUnion, GraphError, HomdomError, SimpleGraph,
                      decode_graph, encode_graph, from_shorthand)
-from .ratlp import frac_to_str
+from .ratlp import MAX_RATIONAL_DIGITS, frac_to_str, rational_too_long
 
 DEFAULT_SEED = 7
 
@@ -62,6 +62,8 @@ def parse_graph_arg(text):
 
 def parse_fraction(text):
     """A rational from "p/q" or decimal text."""
+    if rational_too_long(text):
+        raise GraphError(f"rational {text!r} needs {MAX_RATIONAL_DIGITS} or more digits")
     try:
         return Fraction(text)
     except ZeroDivisionError as exc:

@@ -33,6 +33,15 @@ class GraphError(HomdomError, ValueError):
     """Invalid graph data or parameters."""
 
 
+def exact_dtype(bound):
+    """The one rule of every exact kernel: the narrowest arithmetic holding
+    the integers up to ``bound`` exactly (float32 below 2**24, float64 below
+    2**53, int64 below 2**63, else Python ints). Non-negative integer sums
+    and products bounded by ``bound`` never round in it, in any order."""
+    return (np.float32 if bound < 2 ** 24 else np.float64 if bound < 2 ** 53
+            else np.int64 if bound < 2 ** 63 else object)
+
+
 def _normalize_edges(n, edges):
     out = set()
     for e in edges:
@@ -411,12 +420,12 @@ def _int_to_graph(n, x):
 
 @functools.lru_cache(maxsize=None)
 def _image_weights(n):
-    """The (n!, C(n,2)) float64 matrix W with W[p, i] = 2**j, where j is the
-    pair that pair i moves to under the p-th permutation of range(n).
+    """The (n!, C(n,2)) matrix W with W[p, i] = 2**j, where j is the pair
+    that pair i moves to under the p-th permutation of range(n).
 
     For the 0/1 pair vector x of a graph, W @ x lists the integers of all
     its n! relabellings at once, exactly: each is a sum of distinct powers
-    of two below 2**C(n,2), at most 2**28 up to MAX_CANONICAL_N.
+    of two below 2**C(n,2), and W is in ``exact_dtype`` of that bound.
     """
     u, v = np.triu_indices(n, 1)  # the pairs in _pairs order
     pos = np.zeros((n, n), dtype=np.intp)
@@ -424,12 +433,13 @@ def _image_weights(n):
     count = math.factorial(n)
     perms = np.fromiter(itertools.chain.from_iterable(itertools.permutations(range(n))),
                         dtype=np.intp, count=count * n).reshape(count, n)
-    return np.ldexp(1.0, pos).ravel()[perms[:, u] * n + perms[:, v]]
+    one = exact_dtype((1 << len(u)) - 1)(1)
+    return np.ldexp(one, pos).ravel()[perms[:, u] * n + perms[:, v]]
 
 
 def _pair_bits(xs, npairs):
-    """The 0/1 pair vectors of the graph integers ``xs``, one row each."""
-    return (np.asarray(xs, dtype=np.int64)[..., None] >> np.arange(npairs) & 1).astype(np.float64)
+    """The 0/1 pair vectors of the graph integers ``xs``, one row each, as uint8."""
+    return (np.asarray(xs, dtype=np.int64)[..., None] >> np.arange(npairs) & 1).astype(np.uint8)
 
 
 def canonical_form(g):
@@ -449,7 +459,7 @@ _CANONICAL_BLOCK = 512  # labelled graphs per product in _canonical_ints
 def _canonical_ints(n):
     """The canonical integer of every labelled graph on n vertices: the
     least of its images under ``_image_weights(n)``, a block of graphs per
-    matrix product."""
+    matrix product, in W's arithmetic (float32 up to n = 7)."""
     w = _image_weights(n)
     best = np.empty(1 << w.shape[1], dtype=np.int64)
     for s in range(0, len(best), _CANONICAL_BLOCK):

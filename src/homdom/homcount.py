@@ -1,26 +1,25 @@
 """Exact homomorphism counting and densities.
 
 All counts are exact Python integers; densities are exact Fractions.
+Every exact kernel here runs in ``graphs.exact_dtype`` of an a priori
+bound on its result entries (float32 below 2**24, float64 below 2**53,
+int64 below 2**63, Python ints above): on non-negative integers no
+partial sum or product, in any order, exceeds the final entry or rounds.
+
 One engine counts hom(H, T) by variable elimination: the vertices of H
 are summed out one at a time along a min-fill order, each by a single
 ``np.einsum`` over the factors that contain it, for a whole stack of
-targets of one order at once. It runs in int64 while the a priori bound
-on every intermediate entry fits, on Python ints above. A plan that needs
-more work than the caller allows falls back to a budgeted backtracker.
-Cycles and K2 on targets of more than 64 vertices are counted instead
-by the target's walk kernel ``WalkCounter``, built on the target's
-non-isolated vertices only, which stays exact on BLAS by choosing each
-product's arithmetic from the entry bound
-A^k[i, j] <= D^(k-1), D the maximum degree: float32 below 2**24, float64
-below 2**53, Python ints above. A ``Biadjacency`` target (the random
-bipartite power graphs) has a ``WalkCounter`` built from its block B
-alone, which counts closed walks by powers of B B^T. A ``CliqueUnion``
-target (the red-line graphs) has the Gram kernel ``GramCounter`` instead,
-which counts closed walks of length up to 4 from r x r products of its
-clique incidence matrix, by the same rule. Any other question about
-either goes to its expanded graph. Sums of entrywise products run as
-float64 dot products below 2**53, in int64 above, or in Python ints if
-int64 could overflow.
+targets of one order at once. A plan that needs more work than the
+caller allows falls back to a budgeted backtracker. Cycles and K2 on
+targets of more than 64 vertices are counted instead by the target's
+walk kernel ``WalkCounter``, built on the target's non-isolated vertices
+only, with the entry bound A^k[i, j] <= D^(k-1), D the maximum degree. A
+``Biadjacency`` target (the random bipartite power graphs) has a
+``WalkCounter`` built from its block B alone, which counts closed walks
+by powers of B B^T. A ``CliqueUnion`` target (the red-line graphs) has
+the Gram kernel ``GramCounter`` instead, which counts closed walks of
+length up to 4 from r x r products of its clique incidence matrix. Any
+other question about either goes to its expanded graph.
 """
 from __future__ import annotations
 
@@ -33,7 +32,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graphs import Biadjacency, CliqueUnion, GraphError, HomdomError, SimpleGraph
+from .graphs import (Biadjacency, CliqueUnion, GraphError, HomdomError, SimpleGraph,
+                     exact_dtype)
 
 
 class ResourceLimitError(HomdomError, RuntimeError):
@@ -105,9 +105,12 @@ def _eliminate(h, m, u=None, max_steps=None):
     plan needs more than ``max_steps`` multiply-adds per target or a
     factor larger than the entry cap.
 
-    Every intermediate entry is a partial sum of the final one, so all of
-    them are at most (sum u)^v(H) * (max m)^e(H); the pass runs in int64
-    below 2**63 and on Python ints above.
+    A factor entry, einsum's pairwise intermediates included, sums over the
+    maps of the vertices summed out so far products of their weights u and
+    of the edge weights m taken in; so every entry, product of entries over
+    disjoint vertices and edges, and partial sum is a non-negative integer
+    at most (sum u)^v(H) * (max m)^e(H) (n^v(H) when u is None), and the
+    pass runs in ``exact_dtype`` of that bound.
     """
     if (plan := _plan(h, u is not None)) is None:
         return None
@@ -125,9 +128,8 @@ def _eliminate(h, m, u=None, max_steps=None):
     else:
         sums = [int(s) for s in u.sum(axis=1)]
         bound = max(sums, default=0) ** h.n * int(m.max(initial=0)) ** h.num_edges
-    dtype = np.int64 if bound < 2 ** 63 else object
-    m = m.astype(dtype, copy=False)
-    u = None if u is None else u.astype(dtype, copy=False)
+    m = _narrowest(m, bound)
+    u = None if u is None else _narrowest(u, bound)
     counts = [s ** isolated for s in sums]
     chunk = max(1, _MAX_ENTRIES // peak)
     for lo in range(0, b, chunk):
@@ -141,7 +143,7 @@ def _eliminate(h, m, u=None, max_steps=None):
                 ops[k] = np.einsum(subs, *(ops.pop(r) if r >= 0 else ops[r] for r in refs),
                                    optimize="greedy" if pairwise else False)
             for i, x in enumerate(ops.pop(len(steps) - 1).tolist(), lo):
-                counts[i] *= x
+                counts[i] *= int(x)
     return counts
 
 
@@ -268,7 +270,7 @@ def hom_exists(h, t):
     bipartite target), else by a backtracker that stops at its first map.
     A homomorphism maps a clique of H injectively onto a clique of T, so
     when T lacks a K_r that H has, the answer is no without the search."""
-    counts = _eliminate(h, t.adjacency_matrix()[None])
+    counts = _eliminate(h, t.adjacency_matrix(np.float32)[None])
     if counts is not None:
         return counts[0] > 0
     if not _has_clique(t.adjacency_masks(), _clique_number(h.adjacency_masks())):
@@ -290,7 +292,7 @@ def hom_count(h, t, max_steps=None):
         return _walks(t).closed(h.n)
     if isinstance(t, (CliqueUnion, Biadjacency)):
         t = t.graph
-    count = hom_counts(h, t.adjacency_matrix()[None], max_steps)[0]
+    count = hom_counts(h, t.adjacency_matrix(np.float32)[None], max_steps)[0]
     if isinstance(count, ResourceLimitError):
         raise count
     return count
@@ -380,35 +382,21 @@ def weighted_hom_density(h, w, max_steps=None):
 # walk-based counts: cycles and single entries of powers
 # ---------------------------------------------------------------------------
 
-def _exact(x, wide):
-    """Integer-valued array ``x`` as int64, or as Python ints when ``wide``."""
-    if x.dtype.kind == "f":
-        x = np.rint(x).astype(np.int64)
-    return x.astype(object if wide else np.int64, copy=False)
-
-
 def _narrowest(x, bound):
-    """Non-negative integer array ``x`` in the narrowest dtype whose matrix
-    products stay exact while every result entry is below ``bound``."""
-    if bound < 2 ** 24:
-        return x.astype(np.float32, copy=False)
-    if bound < 2 ** 53:
-        return x.astype(np.float64, copy=False)
-    return _exact(x, True)
+    """Non-negative integer array ``x`` in ``exact_dtype(bound)``; a float
+    array bound for Python ints goes through int64, which holds it."""
+    dtype = exact_dtype(bound)
+    if dtype is object and x.dtype.kind == "f":
+        x = x.astype(np.int64)
+    return x.astype(dtype, copy=False)
 
 
 def _exact_sum(bound, x, y):
     """Exact sum of the entrywise product of two non-negative integer arrays,
-    given a bound on it, a few rows at a time so that the copies stay small.
-    Below 2**53 each block is one float64 dot product, exact because every
-    partial sum of non-negative integers is at most the total; above, an
-    int64 product, or one in Python ints if int64 could overflow."""
-    if bound < 2 ** 53:
-        return sum(int(np.dot(x[r:r + 256].astype(np.float64, copy=False).ravel(),
-                              y[r:r + 256].astype(np.float64, copy=False).ravel()))
-                   for r in range(0, len(x), 256))
-    wide = bound >= 2 ** 63
-    return sum(int((_exact(x[r:r + 256], wide) * _exact(y[r:r + 256], wide)).sum())
+    given a bound on it: one dot product in ``exact_dtype(bound)`` per block
+    of a few rows, so that the copies stay small."""
+    return sum(int(np.dot(_narrowest(x[r:r + 256], bound).ravel(),
+                          _narrowest(y[r:r + 256], bound).ravel()))
                for r in range(0, len(x), 256))
 
 
@@ -423,9 +411,9 @@ class WalkCounter:
     tr(A^(2j)) = 2 tr(P^j), there are no odd closed walks, and the entries
     of A^k are not at hand. P^k counts walks of ``step * k`` steps in a
     graph of maximum degree ``degree``, so its entries are at most
-    ``degree ** (step * k - 1)``. Each product runs in the narrowest exact
-    arithmetic for that bound: the factors are non-negative, so every
-    partial sum of a float GEMM is bounded by the final entry.
+    ``degree ** (step * k - 1)``. Each product runs in ``exact_dtype`` of
+    that bound: the factors are non-negative, so every partial sum of a
+    float GEMM is bounded by the final entry.
     """
 
     def __init__(self, adj, *, step=1, degree=None, num_edges=None):

@@ -391,6 +391,19 @@ def check_kr_certificate(i, p):
 # JSON interchange with rational strings
 # ---------------------------------------------------------------------------
 
+MAX_RATIONAL_DIGITS = 4300  # Python's own cap on writing an int as text
+
+
+def rational_too_long(text):
+    """Whether ``Fraction(text)`` could build a numerator or denominator of
+    MAX_RATIONAL_DIGITS digits or more (it has at most the text's digits
+    plus its exponent, plus one), read before Fraction builds 10**exponent."""
+    mantissa, e, exponent = text.replace("_", "").lower().partition("e")
+    exponent = exponent.strip().lstrip("+-").lstrip("0")
+    return bool(e) and exponent.isdecimal() and (
+        sum(map(str.isdigit, mantissa)) + int(exponent[:6]) >= MAX_RATIONAL_DIGITS)
+
+
 def frac_to_str(x):
     x = Fraction(x)
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
@@ -425,6 +438,8 @@ def _key(d, key, kind=object, default=None):
 
 def _number(value, key):
     """A JSON number or numeric string as a Fraction, else LPError naming the key."""
+    if isinstance(value, str) and rational_too_long(value):
+        raise LPError(f"LP JSON: key {key!r} holds {value!r}, {MAX_RATIONAL_DIGITS}+ digits")
     try:
         return Fraction(value if isinstance(value, (int, float, str)) else None)
     except (TypeError, ValueError, OverflowError, ZeroDivisionError):

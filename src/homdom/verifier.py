@@ -74,13 +74,13 @@ class Corpus:
     def stacks(self):
         """Simple targets of 1 to WALK_MIN_ORDER vertices grouped by order:
         n -> (entry indices, their adjacency matrices stacked as one
-        (B, n, n) int64 array). Larger targets are left to ``hom_density``,
+        (B, n, n) float32 array). Larger targets are left to ``hom_density``,
         which counts cycles and K2 on them by walks."""
         groups = {}
         for i, (_, t) in enumerate(self.entries):
             if isinstance(t, SimpleGraph) and 0 < t.n <= WALK_MIN_ORDER:
                 groups.setdefault(t.n, []).append(i)
-        return {n: (idx, np.stack([self.entries[i][1].adjacency_matrix() for i in idx]))
+        return {n: (idx, np.stack([self.entries[i][1].adjacency_matrix(np.float32) for i in idx]))
                 for n, idx in groups.items()}
 
     @functools.cached_property

@@ -10,9 +10,9 @@ from pathlib import Path
 import pytest
 
 from homdom import cli
-from homdom.cli import main, parse_corpus_spec, parse_graph_arg
-from homdom.graphs import (complete_graph, cycle_graph, decode_graph, k4_minus_e, path_graph,
-                           star_graph)
+from homdom.cli import main, parse_corpus_spec, parse_fraction, parse_graph_arg
+from homdom.graphs import (GraphError, complete_graph, cycle_graph, decode_graph, k4_minus_e,
+                           path_graph, star_graph)
 from homdom.homcount import hom_density
 
 
@@ -366,6 +366,39 @@ class TestErrorExits:
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert err == f"error: {message}\n" and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (("verify", "--g", "K2", "--h", "K3", "--c", "1e-5000", "--corpus-spec",
+          "exhaustive_n=2"), "rational '1e-5000' needs 4300 or more digits"),
+        (("verify", "--g", "K2", "--h", "K3", "--c", "1e10000000", "--corpus-spec",
+          "exhaustive_n=2"), "rational '1e10000000' needs 4300 or more digits"),
+        (("verify", "--g", "K2", "--h", "K3", "--c", "1", "--corpus-spec",
+          "gnp_count=1,gnp_p=1E-9_999"), "rational '1E-9_999' needs 4300 or more digits"),
+    ])
+    def test_decimal_exponent_refused_before_parsing(self, capsys, argv, message):
+        # Fraction builds 10**exponent first (seconds at 1e10000000), and a
+        # numerator or denominator past 4300 digits cannot be printed
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("entry", ["1e5000", "1e10000000"])
+    def test_lp_file_decimal_exponent(self, capsys, tmp_path, entry):
+        f = tmp_path / "lp.json"
+        f.write_text(json.dumps({"sense": "max", "objective": [entry], "rows": []}))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "lp", "--file", str(f))
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err == f"error: LP JSON: key 'objective' holds {entry!r}, 4300+ digits\n"
+
+    def test_decimal_exponent_within_the_cap(self, capsys):
+        # 1e-4298 has a 4299-digit denominator: it still prints
+        assert parse_fraction("1e-4298") == Fraction(1, 10 ** 4298)
+        assert parse_fraction(" 25E-2 ") == Fraction(1, 4)
+        with pytest.raises(GraphError, match="4300 or more digits"):
+            parse_fraction("0.5e-4298")
 
     def test_graph6_header_accepted(self, capsys):
         result = run(capsys, "exponent", "--g", ">>graph6<<A_", "--h", "K2")

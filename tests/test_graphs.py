@@ -29,7 +29,7 @@ from homdom.graphs import (
     star_graph,
     triangle_pendant,
 )
-from homdom.graphs import _canonical_ints, _graph_to_int
+from homdom.graphs import _canonical_ints, _graph_to_int, _image_weights
 
 
 def count_triangles(g):
@@ -166,6 +166,17 @@ class TestEnumerationAndCanonical:
                 bits = canonical_form(g).split(":")[1]
                 assert canon[x] == sum(1 << i for i, b in enumerate(bits) if b == "1")
 
+
+    def test_canonical_ints_float32_equals_float64(self):
+        # images of graphs on n <= 7 vertices are below 2**21, so W and its
+        # products run in float32; the same pass in float64 agrees entry for entry
+        assert [_image_weights(n).dtype for n in (5, 6, 7, 8)] == [np.float32] * 3 + [np.float64]
+        got = _canonical_ints(6)
+        w = _image_weights(6).astype(np.float64)
+        for s in range(0, 1 << 15, 4096):
+            bits = (np.arange(s, s + 4096)[:, None] >> np.arange(15) & 1).astype(np.float64)
+            assert np.array_equal(got[s:s + 4096], (w @ bits.T).min(axis=0).astype(np.int64))
+        assert len(set(got.tolist())) == 156  # A000088
 
 def brute_canonical_forms(n, graphs):
     """canonical_form of each graph on n vertices: the least integer of its

@@ -18,6 +18,7 @@ from homdom.graphs import (
     cycle_graph,
     disjoint_union,
     enumerate_graphs,
+    from_shorthand,
     k4_minus_e,
     path_graph,
 )
@@ -68,6 +69,21 @@ def tensor_product(g, h):
             edges.add((a * h.n + d, b * h.n + c))
     return SimpleGraph(g.n * h.n, frozenset(edges))
 
+
+
+@pytest.fixture
+def narrowest_calls(monkeypatch):
+    """(bound, dtype) of every array a kernel casts through ``_narrowest``."""
+    calls = []
+    narrowest = homcount._narrowest
+
+    def recorded(x, bound):
+        y = narrowest(x, bound)
+        calls.append((bound, y.dtype))
+        return y
+
+    monkeypatch.setattr(homcount, "_narrowest", recorded)
+    return calls
 
 class TestHomCount:
     def test_golden(self):
@@ -228,7 +244,8 @@ class TestWalkCounter:
     @pytest.mark.parametrize("n, m, dtype", [
         (5, 8, np.float32),   # entries of A^4 <= 4^3
         (9, 18, np.float64),  # entries of A^9 <= 8^8 = 2^24
-        (9, 38, object),      # entries of A^19 <= 8^18 = 2^54
+        (9, 38, np.int64),    # entries of A^19 <= 8^18 = 2^54
+        (9, 44, object),      # entries of A^22 <= 8^21 = 2^63
     ])
     def test_complete_graph_tiers(self, n, m, dtype):
         walks = WalkCounter(complete_graph(n).adjacency_matrix())
@@ -241,7 +258,8 @@ class TestWalkCounter:
     @pytest.mark.parametrize("a, b, m, dtype", [
         (3, 4, 8, np.float32),   # entries of M^2 = A^4 <= 4^3
         (7, 7, 20, np.float64),  # entries of M^5 = A^10 <= 7^9 > 2^24
-        (7, 7, 38, object),      # entries of M^10 = A^20 <= 7^19 > 2^53
+        (7, 7, 38, np.int64),    # entries of M^10 = A^20 <= 7^19 > 2^53
+        (7, 7, 48, object),      # entries of M^12 = A^24 <= 7^23 > 2^63
     ])
     def test_complete_bipartite_tiers(self, a, b, m, dtype):
         walks = WalkCounter.from_block(np.ones((a, b), dtype=bool))
@@ -312,20 +330,11 @@ class TestGramCounter:
             self.assert_matches_walks(red_line_graph(ProjectivePlaneSpec(p, 2), seed))
 
     @pytest.mark.parametrize("n, dtype", [(4095, np.float32), (4096, np.float64)])
-    def test_square_at_the_float32_boundary(self, n, dtype, monkeypatch):
+    def test_square_at_the_float32_boundary(self, n, dtype, narrowest_calls):
         # K_n as one clique: the row of G0 sums to s = n, so the entry bound of
         # G0^2 is n * s, below 2**24 for n = 4095 and not for n = 4096
-        chosen = []
-        narrowest = homcount._narrowest
-
-        def recorded(x, bound):
-            y = narrowest(x, bound)
-            chosen.append((bound, y.dtype))
-            return y
-
-        monkeypatch.setattr(homcount, "_narrowest", recorded)
         gram = GramCounter(CliqueUnion(n, [range(n)]))
-        assert (n * n, dtype) in chosen
+        assert (n * n, dtype) in narrowest_calls
         assert [gram.closed(m) for m in (2, 3, 4)] == [n * (n - 1), n * (n - 1) * (n - 2),
                                                        (n - 1) ** 4 + n - 1]
 
@@ -471,6 +480,77 @@ class TestEliminationEngine:
         assert hom_count(cycle_graph(22), k9) == 8 ** 22 + 8 > 2 ** 63
         stack = np.stack([k9.adjacency_matrix()] * 3)
         assert hom_counts(path_graph(21), stack) == [9 * 8 ** 21] * 3
+
+    @staticmethod
+    def walk_counts(stack, h):
+        """hom(H, T) of a path or cycle H on each target of a 0/1 stack:
+        1^T A^e(H) 1 or tr(A^v(H)), from int64 powers."""
+        counts = []
+        for a in stack.astype(np.int64):
+            if h.is_cycle():
+                counts.append(int(np.trace(np.linalg.matrix_power(a, h.n))))
+            else:
+                v = np.ones(len(a), dtype=np.int64)
+                for _ in range(h.num_edges):
+                    v = a @ v
+                counts.append(int(v.sum()))
+        return counts
+
+    @staticmethod
+    def seeded_stack(n, seed):
+        """K_n, whose counts come near the bound n^v(H), then two seeded
+        G(n, 1/2)."""
+        rng = np.random.default_rng(seed)
+        adjs = [complete_graph(n).adjacency_matrix()]
+        for _ in range(2):
+            upper = np.triu(rng.random((n, n)) < 0.5, 1)
+            adjs.append((upper | upper.T).astype(np.int64))
+        return np.stack(adjs)
+
+    @pytest.mark.parametrize("n, v, dtype", [
+        (63, 4, np.float32),  # 63^4 < 2**24
+        (64, 4, np.float64),  # 64^4 = 2**24
+        (98, 8, np.float64),  # 98^8 < 2**53
+        (99, 8, np.int64),    # 99^8 > 2**53
+    ])
+    def test_stack_tiers(self, narrowest_calls, n, v, dtype):
+        # a path and a cycle on v vertices run in the arithmetic of the
+        # bound n^v on every entry; K_n's counts come within 8% of it
+        stack = self.seeded_stack(n, n)
+        for h in (path_graph(v - 1), cycle_graph(v)):
+            assert hom_counts(h, stack) == self.walk_counts(stack, h)
+        assert narrowest_calls == [(n ** v, dtype)] * 2
+
+    def test_count_past_float32(self, narrowest_calls):
+        # P5 on G(40, 1/2): counts near 10^8 need float64 (40^6 > 2**53 > 2**24);
+        # float32 would round some of them
+        rng = random.Random(40)
+        stack = np.stack([random_graph(rng, 40).adjacency_matrix() for _ in range(3)])
+        counts = hom_counts(path_graph(5), stack)
+        assert counts == self.walk_counts(stack, path_graph(5))
+        assert min(counts) > 2 ** 24 and narrowest_calls == [(40 ** 6, np.float64)]
+
+    @pytest.mark.parametrize("pattern, heavy, dk, dtype", [
+        ("K3", 83, 3, np.float32),   # (85 * 3)^3 < 2**24
+        ("K3", 255, 1, np.float64),  # 257^3 > 2**24
+        ("C4", 9739, 1, np.float64),  # 9741^4 < 2**53
+        ("C4", 9741, 1, np.int64),    # 9743^4 > 2**53
+    ])
+    def test_weighted_tiers(self, narrowest_calls, pattern, heavy, dk, dtype):
+        # class weights (1, 1, heavy) scale to integers summing to D_u =
+        # heavy + 2, and densities j / dk with one equal to 1 to at most dk,
+        # so the bound is D_u^v(H) * dk^e(H)
+        rng = random.Random(heavy)
+        dens = [[Fraction(0)] * 3 for _ in range(3)]
+        for i in range(3):
+            for j in range(i, 3):
+                dens[i][j] = dens[j][i] = Fraction(rng.randint(0, dk), dk)
+        dens[2][2] = Fraction(1)
+        w = WeightedTarget((Fraction(1), Fraction(1), Fraction(heavy)), tuple(map(tuple, dens)))
+        h = from_shorthand(pattern)
+        assert weighted_hom_density(h, w) == weighted_density_brute(h, w)
+        bound = (heavy + 2) ** h.n * dk ** h.num_edges
+        assert narrowest_calls == [(bound, dtype)] * 2
 
     @pytest.fixture
     def fallbacks(self, monkeypatch):

@@ -109,3 +109,31 @@ def test_cli_exit_2_is_homdom_error_or_os_error():
             for code in returns:
                 handlers.setdefault(code, []).extend(ast.unparse(c) for c in caught)
     assert handlers == {2: ["HomdomError", "OSError"], 5: ["Exception"]}
+
+
+def _dtype_threshold(node):
+    """Whether ``node`` spells 2**24, 2**53 or 2**63: a power or shift of
+    literals, or its value."""
+    bits = {24, 53, 63}
+    if isinstance(node, ast.BinOp) and isinstance(node.left, ast.Constant) \
+            and isinstance(node.right, ast.Constant):
+        base, exp = node.left.value, node.right.value
+        return ((isinstance(node.op, ast.Pow) and base == 2 and exp in bits)
+                or (isinstance(node.op, ast.LShift) and base == 1 and exp in bits))
+    return isinstance(node, ast.Constant) and node.value in {2 ** b for b in bits}
+
+
+def test_dtype_thresholds_only_in_exact_dtype():
+    # every exact kernel picks its arithmetic through graphs.exact_dtype, so
+    # no kernel grows its own float32/float64/int64 rule again
+    found, inside = [], []
+    for path, tree in _parsed():
+        helpers = [node for node in ast.walk(tree)
+                   if isinstance(node, FUNCTIONS) and node.name == "exact_dtype"]
+        allowed = {id(n) for h in helpers for n in ast.walk(h)}
+        for node in ast.walk(tree):
+            if _dtype_threshold(node):
+                (inside if id(node) in allowed else found).append(
+                    f"{path.name}:{node.lineno} {ast.unparse(node)}")
+    assert found == []
+    assert sorted(x.split(" ", 1)[1] for x in inside) == ["2 ** 24", "2 ** 53", "2 ** 63"]
