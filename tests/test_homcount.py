@@ -70,7 +70,6 @@ def tensor_product(g, h):
     return SimpleGraph(g.n * h.n, frozenset(edges))
 
 
-
 @pytest.fixture
 def narrowest_calls(monkeypatch):
     """(bound, dtype) of every array a kernel casts through ``_narrowest``."""
@@ -84,6 +83,7 @@ def narrowest_calls(monkeypatch):
 
     monkeypatch.setattr(homcount, "_narrowest", recorded)
     return calls
+
 
 class TestHomCount:
     def test_golden(self):
@@ -522,8 +522,8 @@ class TestEliminationEngine:
         assert narrowest_calls == [(n ** v, dtype)] * 2
 
     def test_count_past_float32(self, narrowest_calls):
-        # P5 on G(40, 1/2): counts near 10^8 need float64 (40^6 > 2**53 > 2**24);
-        # float32 would round some of them
+        # P5 on G(40, 1/2): the bound 40^6 lies between 2**24 and 2**53, so
+        # these counts near 10^8 run in float64; float32 would round some
         rng = random.Random(40)
         stack = np.stack([random_graph(rng, 40).adjacency_matrix() for _ in range(3)])
         counts = hom_counts(path_graph(5), stack)
