@@ -399,7 +399,7 @@ def rational_too_long(text):
     MAX_RATIONAL_DIGITS digits or more (it has at most the text's digits
     plus its exponent, plus one), read before Fraction builds 10**exponent."""
     mantissa, e, exponent = text.replace("_", "").lower().partition("e")
-    exponent = exponent.strip().lstrip("+-").lstrip("0")
+    exponent = exponent.strip().lstrip("+-").lstrip("0")  # six digits already pass the cap
     return bool(e) and exponent.isdecimal() and (
         sum(map(str.isdigit, mantissa)) + int(exponent[:6]) >= MAX_RATIONAL_DIGITS)
 
