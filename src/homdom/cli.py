@@ -158,10 +158,11 @@ def cmd_construct(args, config):
     target = fam.build(args.size)
     if isinstance(target, (CliqueUnion, Biadjacency)):
         target = target.graph  # the payload encodes the expanded graph
-    payload = {"family": args.family, "params": params, "size": args.size,
-               "seed": config["seed"], "target": _target_payload(target)}
-    if args.emit and isinstance(target, SimpleGraph):
-        payload = {"graph6": encode_graph(target, "graph6")}
+    if args.emit and not isinstance(target, SimpleGraph):
+        raise GraphError(f"--emit writes graph6; family {args.family!r} builds a weighted target")
+    payload = ({"graph6": encode_graph(target, "graph6")} if args.emit else
+               {"family": args.family, "params": params, "size": args.size,
+                "seed": config["seed"], "target": _target_payload(target)})
     _emit(config, payload, args.out)
     return 0
 

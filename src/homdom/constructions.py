@@ -230,7 +230,10 @@ def bipartite_power_target(i, n, mode="weighted", seed=0):
     if 2 * part > MAX_TARGET_VERTICES:
         raise ResourceLimitError("bipartite power target too large to materialize")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, i, n])))
-    return Biadjacency(rng.random((part, part)) < 1.0 / n ** i)
+    block = np.empty((part, part), dtype=bool)
+    for rows in np.split(block, range(64, part, 64)):  # one (part, part) draw's stream
+        rows[...] = rng.random(rows.shape) < 1.0 / n ** i
+    return Biadjacency(block)
 
 
 # ---------------------------------------------------------------------------

@@ -167,8 +167,9 @@ class CliqueUnion:
 
     With N the n x r vertex/clique incidence matrix and D = diag(N 1), the
     adjacency matrix of the union is N N^T - D, so its closed walks reduce
-    to r x r Grams (``homcount.GramCounter``). The expanded ``graph`` and
-    its ``edges`` are built only when asked for, once each.
+    to r x r Grams (``homcount.GramCounter``); its clique overlaps are the
+    Gram N^T N, of entries at most n, in ``exact_dtype(n)``. The expanded
+    ``graph`` and its ``edges`` are built only when asked for, once each.
     """
 
     n: int
@@ -184,9 +185,8 @@ class CliqueUnion:
                 raise GraphError(f"clique {c} needs at least 2 distinct vertices")
             if c[0] < 0 or c[-1] >= self.n:
                 raise GraphError(f"clique {c} out of range for n={self.n}")
-        # entry (a, b) of N^T N counts the vertices cliques a and b share; a
-        # float32 sum of ones is exact up to 2**24 and never falls below 2 past it
-        inc = self.incidence_matrix(np.float32)
+        # entry (a, b) of N^T N counts the vertices cliques a and b share
+        inc = self.incidence_matrix(exact_dtype(self.n))
         shared = inc.T @ inc
         np.fill_diagonal(shared, 0)
         if shared.max(initial=0) > 1:

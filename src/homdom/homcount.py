@@ -10,9 +10,10 @@ One engine counts hom(H, T) by variable elimination: the vertices of H
 are summed out one at a time along a min-fill order, each by a single
 ``np.einsum`` over the factors that contain it, for a whole stack of
 targets of one order at once. A plan that needs more work than the
-caller allows falls back to a budgeted backtracker. Cycles and K2 on
-targets of more than 64 vertices are counted instead by the target's
-walk kernel ``WalkCounter``, built on the target's non-isolated vertices
+caller allows falls back to a budgeted backtracker over the target's
+bitmasks. Cycles and K2 on targets of more than 64 vertices are counted
+instead by the target's walk kernel ``WalkCounter`` (which also sums the
+chorded-cycle identity), built on the target's non-isolated vertices
 only, with the entry bound A^k[i, j] <= D^(k-1), D the maximum degree. A
 ``Biadjacency`` target (the random bipartite power graphs) has a
 ``WalkCounter`` built from its block B alone, which counts closed walks
@@ -185,14 +186,13 @@ def _count_maps(t_masks, earlier, images, i, left, first):
     return count
 
 
-def _backtrack(h, adj, max_steps, first=False):
-    """hom(H, T) from T's adjacency matrix, backtracking over a BFS order of
-    each component of H with bitmask candidate pruning. Raises
+def _backtrack(h, t_masks, max_steps, first=False):
+    """hom(H, T) from T's neighbourhood bitmasks, backtracking over a BFS
+    order of each component of H with bitmask candidate pruning. Raises
     ResourceLimitError once more than ``max_steps`` candidates are expanded.
     With ``first``, each component stops at its first map: the result is
     then positive iff hom(H, T) is."""
-    nt = len(adj)
-    t_masks = [sum(1 << int(j) for j in np.flatnonzero(row)) for row in adj]
+    nt = len(t_masks)
     left = [math.inf if max_steps is None else max_steps]
     total = 1
     for comp in h.components():
@@ -220,8 +220,9 @@ def hom_counts(h, adjs, max_steps=None):
     if counts is None:
         counts = []
         for a in adjs:
+            masks = tuple(sum(1 << j for j in np.flatnonzero(row).tolist()) for row in a)
             try:
-                counts.append(_backtrack(h, a, max_steps))
+                counts.append(_backtrack(h, masks, max_steps))
             except ResourceLimitError as exc:
                 counts.append(exc)
     return counts
@@ -275,7 +276,7 @@ def hom_exists(h, t):
         return counts[0] > 0
     if not _has_clique(t.adjacency_masks(), _clique_number(h.adjacency_masks())):
         return False
-    return _backtrack(h, t.adjacency_matrix(), None, first=True) > 0
+    return _backtrack(h, t.adjacency_masks(), None, first=True) > 0
 
 
 def hom_count(h, t, max_steps=None):
@@ -411,14 +412,14 @@ class WalkCounter:
     tr(A^(2j)) = 2 tr(P^j), there are no odd closed walks, and the entries
     of A^k are not at hand. P^k counts walks of ``step * k`` steps in a
     graph of maximum degree ``degree``, so its entries are at most
-    ``degree ** (step * k - 1)``. Each product runs in ``exact_dtype`` of
-    that bound: the factors are non-negative, so every partial sum of a
-    float GEMM is bounded by the final entry.
+    ``degree ** (step * k - 1)``. Each product, B B^T included, runs in
+    ``exact_dtype`` of its bound: the factors are non-negative, so every
+    partial sum of a float GEMM is bounded by the final entry.
     """
 
     def __init__(self, adj, *, step=1, degree=None, num_edges=None):
         """``degree`` and ``num_edges`` default to those of adjacency ``adj``."""
-        p = np.asarray(adj, dtype=np.float32)
+        p = np.asarray(adj)
         self.powers = {1: p}
         self.step = step
         self.degree = int(p.sum(axis=1).max(initial=0)) if degree is None else degree
@@ -428,12 +429,12 @@ class WalkCounter:
     def from_block(cls, block):
         """The counter of the bipartite graph with biadjacency block
         ``block``, without its adjacency matrix. P's entries are codegrees,
-        at most the maximum degree, so B B^T is exact in float32."""
-        degree = max(block.sum(axis=0).max(initial=0), block.sum(axis=1).max(initial=0))
-        b = np.asarray(block, dtype=np.float32)
+        at most the maximum degree, which bounds B B^T."""
+        degree = int(max(block.sum(axis=0).max(initial=0), block.sum(axis=1).max(initial=0)))
+        b = _narrowest(block, degree)
         if b.shape[0] > b.shape[1]:
             b = b.T
-        return cls(b @ b.T, step=2, degree=int(degree), num_edges=int(np.count_nonzero(block)))
+        return cls(b @ b.T, step=2, degree=degree, num_edges=int(np.count_nonzero(block)))
 
     def bound(self, k):
         return self.degree ** (self.step * k - 1)
@@ -463,11 +464,14 @@ class WalkCounter:
             return 2 * self.num_edges if m == 2 else 0
         return self.step * self.trace(m // self.step)
 
-    def entries(self, k, rows, cols):
-        """The entries A^k[rows[i], cols[i]] for k >= 1, as Python ints."""
+    def edge_walks(self, a, b):
+        """The sum over ordered adjacent pairs (u, v) of A^a[u, v] A^b[u, v]
+        (a, b >= 1): 2e terms of at most D^(a+b-2), so every product, A's
+        mask included, and partial sum is exact in ``exact_dtype`` of that."""
         if self.step != 1:
             raise GraphError("a block counter holds no powers of A")
-        return [int(x) for x in self[k][rows, cols].tolist()]
+        bound = 2 * self.num_edges * self.degree ** (a + b - 2)
+        return _exact_sum(bound, _narrowest(self[1], bound) * _narrowest(self[a], bound), self[b])
 
 
 def _dense_walks(adj):

@@ -392,6 +392,7 @@ def check_kr_certificate(i, p):
 # ---------------------------------------------------------------------------
 
 MAX_RATIONAL_DIGITS = 4300  # Python's own cap on writing an int as text
+_TOO_LONG = 10 ** (MAX_RATIONAL_DIGITS - 1)  # the least int of MAX_RATIONAL_DIGITS digits
 
 
 def rational_too_long(text):
@@ -405,7 +406,10 @@ def rational_too_long(text):
 
 
 def frac_to_str(x):
+    """``str(Fraction(x))``, refused past MAX_RATIONAL_DIGITS - 1 digits."""
     x = Fraction(x)
+    if max(abs(x.numerator), x.denominator) >= _TOO_LONG:
+        raise HomdomError(f"a rational of {MAX_RATIONAL_DIGITS} or more digits is not printed")
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 

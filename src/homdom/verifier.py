@@ -27,12 +27,13 @@ from .graphs import (
     encode_graph,
     enumerate_graphs,
 )
-from .homcount import (WALK_MIN_ORDER, ResourceLimitError, WalkCounter, hom_count,
-                       hom_counts, hom_density)
+from .homcount import WALK_MIN_ORDER, ResourceLimitError, WalkCounter, hom_counts, hom_density
+from .ratlp import frac_to_str
 
 GNP_CONTRACT = "gnp-pcg64-v1"
 COUNT_TABLE_KEYS = 4096  # keys of one corpus's count table
 MAX_GNP_N = 2000  # gnp_graph draws one uniform per pair: about 2e6 at the cap
+MAX_CROSS_POWER_BITS = 1 << 17  # a target whose da^q or db^p could pass 2^this is skipped
 
 
 def gnp_graph(n, p, seed, index):
@@ -238,6 +239,8 @@ def check_inequality(g, h, c, corpus, max_steps=2 * 10 ** 8):
     if c < 0:
         raise GraphError(f"exponent c must be nonnegative, got {c}")
     p, q = c.numerator, c.denominator
+    if max(p, q) > MAX_CROSS_POWER_BITS:  # da, db >= 2 on every target of 2+ vertices
+        raise GraphError(f"exponent c passes the cross-power cap of {MAX_CROSS_POWER_BITS} bits")
     return _verdicts({
         "kind": "domination",
         "g": encode_graph(g, "graph6"),
@@ -265,20 +268,25 @@ def _verdicts(descriptor, g, h, p, q, corpus, max_steps):
             report.skipped.append({"target": tag, "reason": str(failed[0])})
             continue
         (a, da), (b, db) = tg, th
-        if da not in g_scales:
-            g_scales[da] = da ** q
+        if da not in g_scales:  # None where the power could pass the cap
+            g_scales[da] = da ** q if q * (da - 1).bit_length() <= MAX_CROSS_POWER_BITS else None
         if db not in h_scales:
-            h_scales[db] = db ** p
-        num = a ** q * h_scales[db] - b ** p * g_scales[da]
-        den = g_scales[da] * h_scales[db]
+            h_scales[db] = db ** p if p * (db - 1).bit_length() <= MAX_CROSS_POWER_BITS else None
+        if (gs := g_scales[da]) is None or (hs := h_scales[db]) is None:
+            report.skipped.append({"target": tag, "reason": "cross-powers past the cap of "
+                                   f"{MAX_CROSS_POWER_BITS} bits"})
+            continue
+        num = a ** q * hs - b ** p * gs
+        den = gs * hs
         report.results.append({"target": tag, "verdict": "ok" if num >= 0 else "violation"})
         if num < 0:
             report.violations.append({"target": tag, "witness": _witness(target),
-                                      "t_g": str(Fraction(a, da)), "t_h": str(Fraction(b, db))})
+                                      "t_g": frac_to_str(Fraction(a, da)),
+                                      "t_h": frac_to_str(Fraction(b, db))})
         if report.min_slack is None or num * least_den < least_num * den:
             slack = Fraction(num, den)
             least_num, least_den = slack.numerator, slack.denominator
-            report.min_slack = {"target": tag, "slack": str(slack), "witness": _witness(target)}
+            report.min_slack = dict(target=tag, slack=frac_to_str(slack), witness=_witness(target))
     return report
 
 
@@ -351,15 +359,10 @@ def search_problem6(i, j, corpus, max_steps=2 * 10 ** 8):
 
 
 def check_eq_main(k, ell, target):
-    """hom(C+_{2k+1}, T) = sum over ordered edges (u,v) of the two rooted
-    arc-closures: walks of length 2l and 2k+1-2l between the chord ends."""
+    """hom(C+_{2k+1}, T) = sum over ordered edges (u,v) of the numbers of u-v
+    walks of length 2l times 2k+1-2l, both sides from one matrix of T."""
     if not k > ell >= 1:
         raise GraphError("need k > ell >= 1")
-    chorded = cycle_with_chord(k, ell)
-    lhs = hom_count(chorded, target)
-    walks = WalkCounter(target.adjacency_matrix(np.float32))
-    us, vs = zip(*target.edges) if target.edges else ((), ())
-    left = walks.entries(2 * ell, us, vs)
-    right = walks.entries(2 * k + 1 - 2 * ell, us, vs)
-    # powers of A are symmetric, so both orientations of an edge count alike
-    return lhs == 2 * sum(x * y for x, y in zip(left, right))
+    adj = target.adjacency_matrix(np.float32)
+    lhs = hom_counts(cycle_with_chord(k, ell), adj[None])[0]
+    return lhs == WalkCounter(adj).edge_walks(2 * ell, 2 * k + 1 - 2 * ell)

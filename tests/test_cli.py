@@ -361,6 +361,8 @@ class TestErrorExits:
         (("construct", "--family", "two_cliques", "--size", "1"), "need n >= 2"),
         (("construct", "--family", "path_blowup", "--params", "k=3,l=2,m=1", "--size", "1"),
          "need scale n > 1"),
+        (("construct", "--family", "path_blowup", "--params", "k=3,l=2,m=1", "--size", "10",
+          "--emit"), "--emit writes graph6; family 'path_blowup' builds a weighted target"),
     ])
     def test_bad_input_exit_2(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)
@@ -392,6 +394,31 @@ class TestErrorExits:
         assert time.perf_counter() - start < 1
         assert (code, out) == (2, "")
         assert err == f"error: LP JSON: key 'objective' holds {entry!r}, 4300+ digits\n"
+
+    @pytest.mark.parametrize("c", ["1/100000000000", "100000000000", "131073/2"])
+    def test_exponent_past_the_cross_power_cap(self, capsys, c):
+        # da^q or db^p would have about q or p bits on every target of 2+ vertices
+        start = time.perf_counter()
+        code, out, err = run(capsys, "verify", "--g", "K2", "--h", "K3", "--c", c,
+                             "--corpus-spec", "exhaustive_n=3")
+        assert time.perf_counter() - start < 1
+        assert (code, out, err) == (2, "", "error: exponent c passes the cross-power cap of "
+                                           "131072 bits\n")
+
+    def test_rational_too_long_to_print(self, capsys, tmp_path):
+        # every entry is under the digit cap, but the optimum is 10^12000; and
+        # the weights of a path blow-up at scale 10^1000 pass the cap
+        f = tmp_path / "lp.json"
+        f.write_text(json.dumps({"sense": "max", "objective": ["1e4000"], "rows": [
+            {"coeffs": ["1e-4000"], "rel": "<=", "rhs": "1e4000"}]}))
+        for argv in (("lp", "--file", str(f)),
+                     ("construct", "--family", "path_blowup", "--params", "k=3,l=2,m=1",
+                      "--size", "1" + "0" * 1000)):
+            start = time.perf_counter()
+            code, out, err = run(capsys, *argv)
+            assert time.perf_counter() - start < 1
+            assert (code, out, err) == (2, "", "error: a rational of 4300 or more digits "
+                                               "is not printed\n")
 
     def test_decimal_exponent_within_the_cap(self, capsys):
         # 1e-4298 has a 4299-digit denominator: it still prints

@@ -162,6 +162,15 @@ class TestBipartitePower:
         assert a == b and hash(a) == hash(b)
         assert a != bipartite_power_target(1, 10, mode="random", seed=4)
 
+    @pytest.mark.parametrize("seed, i, n", [(1, 1, 30), (3, 1, 12), (7, 2, 5), (2, 1, 8)])
+    def test_chunked_draw_is_the_one_shot_draw(self, seed, i, n):
+        # the block is drawn a few rows at a time, from the same PCG64 stream
+        # as one (part, part) array of uniforms
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, i, n])))
+        part = n ** (i + 1)
+        want = rng.random((part, part)) < 1.0 / n ** i
+        assert np.array_equal(bipartite_power_target(i, n, mode="random", seed=seed).block, want)
+
     def test_size_guard(self):
         from homdom.homcount import ResourceLimitError
         with pytest.raises(ResourceLimitError):

@@ -188,12 +188,12 @@ class TestWalkCounting:
 
 class TestRootedCycles:
     """Homomorphisms of C_a sending one labelled edge to (u, v) number
-    A^(a-1)[v, u], the entries that check_eq_main sums."""
+    A^(a-1)[v, u], the entries whose products edge_walks sums."""
 
     def test_k3(self):
         walks = WalkCounter(complete_graph(3).adjacency_matrix())
-        assert walks.entries(2, [1], [0]) == [1]
-        assert walks.entries(3, [1], [0]) == [3]
+        assert walks[2][1, 0] == 1
+        assert walks[3][1, 0] == 3
 
     def test_partition_identity(self):
         rng = random.Random(21)
@@ -201,9 +201,8 @@ class TestRootedCycles:
             for _ in range(6):
                 t = random_graph(rng, 5)
                 walks = WalkCounter(t.adjacency_matrix())
-                us, vs = zip(*t.edges) if t.edges else ((), ())
-                total = sum(walks.entries(a - 1, vs, us)) + sum(walks.entries(a - 1, us, vs))
-                assert total == hom_count(cycle_graph(a), t)
+                total = sum(int(walks[a - 1][v, u] + walks[a - 1][u, v]) for u, v in t.edges)
+                assert total == hom_count(cycle_graph(a), t) == walks.edge_walks(1, a - 1)
 
 
 def int_matmul(a, b):
@@ -234,12 +233,22 @@ class TestWalkCounter:
             t = random_graph(rng, rng.randint(0, 8), rng.random())
             walks = WalkCounter(t.adjacency_matrix())
             a = int_adjacency(t)
-            rows, cols = zip(*itertools.product(range(t.n), repeat=2)) if t.n else ((), ())
             for m in range(1, 9):
                 am = int_matpow(a, m)
                 assert walks.closed(m) == sum(am[i][i] for i in range(t.n))
-                assert walks.entries(m, rows, cols) == [am[i][j] for i, j in zip(rows, cols)]
+                assert [[int(x) for x in row] for row in walks[m].tolist()] == am
                 assert type(walks.closed(m)) is int
+
+    def test_edge_walks_matches_integer_oracle(self):
+        rng = random.Random(33)
+        for _ in range(20):
+            t = random_graph(rng, rng.randint(0, 9), rng.random())
+            walks, a = WalkCounter(t.adjacency_matrix(np.float32)), int_adjacency(t)
+            pairs = list(t.edges) + [(v, u) for u, v in t.edges]
+            for i, j in ((1, 1), (2, 3), (4, 5), (6, 6)):
+                ai, aj = int_matpow(a, i), int_matpow(a, j)
+                got = walks.edge_walks(i, j)
+                assert got == sum(ai[u][v] * aj[u][v] for u, v in pairs) and type(got) is int
 
     @pytest.mark.parametrize("n, m, dtype", [
         (5, 8, np.float32),   # entries of A^4 <= 4^3
@@ -253,7 +262,8 @@ class TestWalkCounter:
         assert walks.closed(m) == d ** m + d * (-1) ** m
         assert walks.powers[m - m // 2].dtype == dtype
         off, diag = (d ** m - (-1) ** m) // n, (d ** m + d * (-1) ** m) // n
-        assert walks.entries(m, [0, 0, n - 1], [1, 0, n - 1]) == [off, diag, diag]
+        assert [int(walks[m][i, j]) for i, j in ((0, 1), (0, 0), (n - 1, n - 1))] == \
+            [off, diag, diag]
 
     @pytest.mark.parametrize("a, b, m, dtype", [
         (3, 4, 8, np.float32),   # entries of M^2 = A^4 <= 4^3
@@ -271,7 +281,7 @@ class TestWalkCounter:
     def test_block_counter_has_no_entries(self):
         walks = WalkCounter.from_block(np.ones((3, 4), dtype=bool))
         with pytest.raises(GraphError):
-            walks.entries(2, [0], [1])
+            walks.edge_walks(2, 1)
 
     def test_bipartite_half_block(self):
         rng = random.Random(32)
@@ -451,10 +461,10 @@ class TestEliminationEngine:
             if rng.random() < 0.3:
                 h = disjoint_union(h, random_graph(rng, rng.randint(1, 3)))
             t = random_graph(rng, rng.randint(1, 9), rng.random())
-            want = _backtrack(h, t.adjacency_matrix(), None)
+            want = _backtrack(h, t.adjacency_masks(), None)
             assert hom_count(h, t) == want
             assert hom_exists(h, t) == (want > 0)
-            assert (_backtrack(h, t.adjacency_matrix(), None, first=True) > 0) == (want > 0)
+            assert (_backtrack(h, t.adjacency_masks(), None, first=True) > 0) == (want > 0)
             if h.n <= 4 and t.n <= 5:
                 assert want == hom_count_brute(h, t)
 
@@ -627,7 +637,7 @@ class TestCliqueGuard:
         for _ in range(300):
             h = random_graph(rng, rng.randint(1, 6), rng.random())
             t = random_graph(rng, rng.randint(1, 7), rng.random())
-            want = _backtrack(h, t.adjacency_matrix(), None, first=True) > 0
+            want = _backtrack(h, t.adjacency_masks(), None, first=True) > 0
             r = homcount._clique_number(h.adjacency_masks())
             fits = homcount._has_clique(t.adjacency_masks(), r)
             refused += not fits
@@ -683,7 +693,7 @@ class TestWalkRouting:
         t = red_line_graph(ProjectivePlaneSpec(11, 2), seed=1)
         assert t.n == 133
         h = k4_minus_e()
-        assert hom_density(h, t) == Fraction(_backtrack(h, t.graph.adjacency_matrix(), None),
+        assert hom_density(h, t) == Fraction(_backtrack(h, t.graph.adjacency_masks(), None),
                                              t.n ** 4)
 
     def test_one_shared_kernel_freed_with_target(self, monkeypatch):

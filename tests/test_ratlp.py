@@ -7,7 +7,8 @@ import pytest
 
 from homdom import formulas, ratlp
 from homdom.formulas import fractional_matching
-from homdom.graphs import GraphError, SimpleGraph, cycle_graph, enumerate_graphs, star_graph
+from homdom.graphs import (GraphError, HomdomError, SimpleGraph, cycle_graph, enumerate_graphs,
+                           star_graph)
 from homdom.ratlp import (
     LPError,
     LPProblem,
@@ -422,6 +423,14 @@ class TestJSON:
     def test_fraction_strings(self):
         assert frac_to_str(Fraction(3, 2)) == "3/2"
         assert frac_to_str(Fraction(4)) == "4"
+
+    def test_fraction_strings_digit_cap(self):
+        # 4299 digits print, as Python's int to text does; 4300 are refused
+        top = 10 ** 4299
+        assert frac_to_str(Fraction(-(top - 1), top - 2)) == f"{-(top - 1)}/{top - 2}"
+        for x in (Fraction(top), Fraction(-top, 3), Fraction(1, top)):
+            with pytest.raises(HomdomError, match="4300 or more digits"):
+                frac_to_str(x)
 
     def test_lp_roundtrip(self):
         lp = kr_lp(3)

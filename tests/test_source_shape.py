@@ -137,3 +137,28 @@ def test_dtype_thresholds_only_in_exact_dtype():
                     f"{path.name}:{node.lineno} {ast.unparse(node)}")
     assert found == []
     assert sorted(x.split(" ", 1)[1] for x in inside) == ["2 ** 24", "2 ** 53", "2 ** 63"]
+
+
+def _float_dtype(node):
+    """Whether ``node`` names float32 or float64."""
+    names = {"float32", "float64"}
+    return ((isinstance(node, ast.Attribute) and node.attr in names)
+            or (isinstance(node, ast.Name) and node.id in names)
+            or (isinstance(node, ast.Constant) and node.value in names))
+
+
+def test_float_dtypes_only_in_exact_dtype_or_built_matrices():
+    # a product's arithmetic comes from exact_dtype; a float literal may only
+    # name the dtype of a 0/1 adjacency or incidence matrix being built
+    found = []
+    for name in ("graphs.py", "homcount.py"):
+        tree = ast.parse((SRC / name).read_text())
+        allowed = set()
+        for node in ast.walk(tree):
+            if (isinstance(node, FUNCTIONS) and node.name == "exact_dtype") or (
+                    isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("adjacency_matrix", "incidence_matrix", "zeros")):
+                allowed |= {id(n) for n in ast.walk(node)}
+        found += [f"{name}:{node.lineno} {ast.unparse(node)}" for node in ast.walk(tree)
+                  if _float_dtype(node) and id(node) not in allowed]
+    assert found == []

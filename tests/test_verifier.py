@@ -23,6 +23,7 @@ from homdom.constructions import simple_family
 from homdom.formulas import fractional_matching, odd_cycle_bounds, path_exponent
 from homdom.verifier import (
     GNP_CONTRACT,
+    MAX_CROSS_POWER_BITS,
     Corpus,
     CorpusSpec,
     _corpus_densities,
@@ -119,6 +120,20 @@ class TestCheckInequality:
         assert doc["ok"] is True and doc["complete"] is True
         assert doc["num_targets"] == len(self.corpus)
         assert json.loads(report.to_json()) == doc
+
+    def test_cross_powers_past_the_cap_skipped(self):
+        # t(K2, T) = a / n^2 and t(K3, T) = b / n^3 with c = 1/q: at
+        # q = cap/2, 4^q fits under 2^cap on 2 vertices and 9^q on 3 does not;
+        # at q = cap/2 + 1 only K1 (da = db = 1) is checked
+        corpus = build_corpus(CorpusSpec(exhaustive_n=3))
+        reason = f"cross-powers past the cap of {MAX_CROSS_POWER_BITS} bits"
+        for q, most in ((MAX_CROSS_POWER_BITS // 2, 2), (MAX_CROSS_POWER_BITS // 2 + 1, 1)):
+            report = check_inequality(complete_graph(2), complete_graph(3), Fraction(1, q), corpus)
+            tags = [tag for tag, t in corpus if t.n <= most]
+            assert [r["target"] for r in report.results] == tags and report.ok
+            assert report.skipped == [{"target": tag, "reason": reason}
+                                      for tag, _ in corpus if tag not in tags]
+            assert report.exit_code == 4
 
     def test_skip_policy(self):
         # K4 on a target past the work ceiling cannot be densified exactly:
@@ -489,9 +504,9 @@ class TestProblem6:
         # would make 26 calls)
         calls = []
 
-        def counted(h, adj, max_steps, first=False):
-            calls.append((h, adj.tobytes()))
-            return backtrack(h, adj, max_steps, first)
+        def counted(h, masks, max_steps, first=False):
+            calls.append((h, masks))
+            return backtrack(h, masks, max_steps, first)
 
         backtrack = homcount._backtrack
         monkeypatch.setattr(homcount, "_backtrack", counted)
@@ -504,9 +519,9 @@ class TestProblem6:
         # then not counted there (which would make 26 backtracker calls)
         calls = []
 
-        def counted(h, adj, max_steps, first=False):
+        def counted(h, masks, max_steps, first=False):
             calls.append(h)
-            return backtrack(h, adj, max_steps, first)
+            return backtrack(h, masks, max_steps, first)
 
         backtrack = homcount._backtrack
         monkeypatch.setattr(homcount, "_backtrack", counted)
@@ -544,6 +559,27 @@ class TestChordedCycleIdentity:
         corpus = build_corpus(CorpusSpec(exhaustive_n=5))
         for tag, target in corpus:
             assert check_eq_main(2, 1, target), tag
+
+    @pytest.mark.parametrize("n", [200, 251])
+    def test_identity_past_float64(self, n):
+        # on K200 and K251 the right side for C+_7 is about 1.2e16 and 6.1e16,
+        # past 2^53, so edge_walks sums it in int64 (on K251 a float64 sum is
+        # 22 off); both sides against Python-int closed forms
+        k, ell = 3, 1
+
+        def cycle(m):  # hom(C_m, K_n), the chromatic polynomial of C_m
+            return (n - 1) ** m + (-1) ** m * (n - 1)
+
+        def off(m):  # A^m[u, v] of K_n for u != v
+            return ((n - 1) ** m - (-1) ** m) // n
+
+        right = n * (n - 1) * off(2 * ell) * off(2 * k + 1 - 2 * ell)
+        assert right > 2 ** 53
+        # C+_7 is C3 and C6 glued along the chord
+        assert cycle(2 * ell + 1) * cycle(2 * k - 2 * ell + 2) == n * (n - 1) * right
+        t = complete_graph(n)
+        assert WalkCounter(t.adjacency_matrix()).edge_walks(2 * ell, 2 * k + 1 - 2 * ell) == right
+        assert check_eq_main(k, ell, t)
 
     def test_bad_params(self):
         with pytest.raises(ValueError):
