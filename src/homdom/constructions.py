@@ -233,6 +233,7 @@ def bipartite_power_target(i, n, mode="weighted", seed=0):
     block = np.empty((part, part), dtype=bool)
     for rows in np.split(block, range(64, part, 64)):  # one (part, part) draw's stream
         rows[...] = rng.random(rows.shape) < 1.0 / n ** i
+    block.flags.writeable = False  # handed over, not copied
     return Biadjacency(block)
 
 

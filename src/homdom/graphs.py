@@ -225,15 +225,19 @@ class Biadjacency:
     {u, r + v}.
 
     Its closed walks reduce to powers of B B^T (``homcount.WalkCounter``).
-    The block is a read-only copy; two targets are equal when their blocks
-    are, and the hash is computed once, from the packed bits. The expanded
-    ``graph`` and its ``edges`` are built only when asked for, once each.
+    The block is read-only: a read-only boolean array owning its data is
+    kept, any other copied. Two targets are equal when their blocks are, and
+    the hash is computed once, from the packed bits. The expanded ``graph``
+    and its ``edges`` are built only when asked for, once each.
     """
 
     block: np.ndarray
 
     def __post_init__(self):
-        block = np.array(self.block, dtype=bool)
+        block = self.block
+        if not (isinstance(block, np.ndarray) and block.dtype == bool
+                and block.flags.owndata and not block.flags.writeable):
+            block = np.array(block, dtype=bool)
         if block.ndim != 2:
             raise GraphError(f"biadjacency block must be 2-dimensional, got shape {block.shape}")
         block.flags.writeable = False
@@ -453,37 +457,26 @@ def canonical_form(g):
     return f"{g.n}:{bits}"
 
 
-_CANONICAL_BLOCK = 512  # labelled graphs per product in _canonical_ints
-
-
-def _canonical_ints(n):
-    """The canonical integer of every labelled graph on n vertices: the
-    least of its images under ``_image_weights(n)``, a block of graphs per
-    matrix product, in W's arithmetic (float32 up to n = 7)."""
-    w = _image_weights(n)
-    best = np.empty(1 << w.shape[1], dtype=np.int64)
-    for s in range(0, len(best), _CANONICAL_BLOCK):
-        xs = np.arange(s, min(s + _CANONICAL_BLOCK, len(best)))
-        best[s:s + len(xs)] = (w @ _pair_bits(xs, w.shape[1]).T).min(axis=0)
-    return best
-
-
 def enumerate_graphs(n, dedup=False):
     """All labeled graphs on n vertices; with dedup, one per isomorphism
-    class, in ascending order of canonical integer."""
+    class, in ascending order of canonical integer: the least unmarked
+    labelled graph x starts a class, one product with ``_image_weights(n)``
+    marks all its images, and x, the least of them, is the class integer."""
     if n < 0:
         raise GraphError("negative order")
+    npairs = n * (n - 1) // 2
     if not dedup:
-        npairs = n * (n - 1) // 2
         for x in range(1 << npairs):
             yield _int_to_graph(n, x)
         return
     if n > 6:
-        # 7! images of each of 2^21 graphs, about 10^10, are past desk
-        # scale; refuse rather than approximate.
+        # build_corpus, the one caller, stops at 6 vertices
         raise GraphError("dedup enumeration capped at n=6")
-    for x in sorted(set(_canonical_ints(n).tolist())):
+    marked, x = np.zeros(1 << npairs, dtype=bool), 0
+    while x < len(marked):
+        marked[(_image_weights(n) @ _pair_bits(x, npairs)).astype(np.intp)] = True
         yield _int_to_graph(n, x)
+        x += int(marked[x:].argmin()) or len(marked)  # 0: all from x on are marked
 
 
 def isomorphic(g, h):

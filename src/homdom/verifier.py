@@ -20,6 +20,7 @@ import numpy as np
 from .constructions import ProjectivePlaneSpec, behrend_graph, red_line_graph, simple_family
 from .graphs import (
     GraphError,
+    HomdomError,
     SimpleGraph,
     cycle_graph,
     cycle_with_chord,
@@ -85,22 +86,26 @@ class Corpus:
                 for n, idx in groups.items()}
 
     @functools.cached_property
+    def singles(self):
+        """Indices of the targets not in ``stacks``, each a group of its own."""
+        return sorted(set(range(len(self))).difference(*(idx for idx, _ in self.stacks.values())))
+
+    @functools.cached_property
     def counts(self):
         """The count table: (connected component, max_steps, order n) -> a
-        list aligned with ``stacks[n]`` holding hom(component, T) for each
-        target, the ResourceLimitError that stopped it, or None while it
-        is uncounted. It lives as long as the corpus and holds at most
-        COUNT_TABLE_KEYS keys, dropping the oldest first."""
+        row (counts, stopped) aligned with ``stacks[n]``: counts[j] is
+        hom(component, T), None while uncounted, or 0 where stopped[j] holds
+        the ResourceLimitError met filling it. COUNT_TABLE_KEYS keys at most."""
         return {}
 
     def count_row(self, part, max_steps, n):
-        """The table's list for (part, max_steps, n), made on first use."""
+        """The table's row for (part, max_steps, n), made on first use."""
         key = (part, max_steps, n)
         row = self.counts.get(key)
         if row is None:
             if len(self.counts) >= COUNT_TABLE_KEYS:
                 del self.counts[next(iter(self.counts))]
-            row = self.counts[key] = [None] * len(self.stacks[n][0])
+            row = self.counts[key] = ([None] * len(self.stacks[n][0]), {})
         return row
 
     def __iter__(self):
@@ -182,55 +187,76 @@ def _witness(target):
     return "weighted-target"
 
 
+def _shown(x):
+    """``frac_to_str(x)``, or for a rational too long for it a fixed text
+    naming its sign and the bit lengths of its terms."""
+    try:
+        return frac_to_str(x)
+    except HomdomError:
+        return (f"elided {'negative' if x < 0 else 'positive'} rational: numerator of "
+                f"{abs(x.numerator).bit_length()} bits, denominator of "
+                f"{x.denominator.bit_length()} bits")
+
+
 def _corpus_densities(pattern, corpus, max_steps, skip=frozenset()):
-    """t(pattern, T) for every corpus target as an exact pair (count,
-    denominator), or the ResourceLimitError that stopped it; the targets
-    whose indices are in ``skip`` are not counted and stay None. Densities
-    multiply over disjoint unions, so each distinct component is counted
-    under its own ``max_steps``, and not at all on a target where an
-    earlier component was stopped. On the simple targets of one order n
-    the counts come from the corpus's count table ``Corpus.counts``: a
-    component is counted, in one batch, only on the targets still None in
-    its list, so no (component, max_steps, target) is counted twice in the
-    corpus's lifetime; the pair is hom(pattern, T) over n^v(pattern).
-    Other targets go through ``hom_density``, giving the product of its
-    numerators and denominators."""
+    """t(pattern, T) over the corpus as groups (corpus indices, counts,
+    scale, stopped): T = entries[indices[j]] has density counts[j] / scale,
+    and stopped maps a target's index to the ResourceLimitError that
+    stopped it; a target in ``skip`` is in neither. A stacked order n is a
+    group of scale n^v(pattern) whose counts multiply those of the distinct
+    components, each counted under its own ``max_steps`` in one batch on its
+    row's None targets (``Corpus.counts``), not where an earlier one was
+    stopped; a connected pattern's counts are its row itself. Any other
+    target is a group of one, from ``hom_density``."""
     parts = Counter(pattern.subgraph(c) for c in pattern.components())
-    out = [None] * len(corpus)
+    groups = []
     for n, (idx, adjs) in corpus.stacks.items():
         live = [j for j, i in enumerate(idx) if i not in skip] if skip else range(len(idx))
-        totals = [1] * len(idx)
+        rows, stopped = [], {}
         for part, k in parts.items():
-            row = corpus.count_row(part, max_steps, n)
-            todo = [j for j in live if row[j] is None]
-            if todo:
+            counts, failed = corpus.count_row(part, max_steps, n)
+            if None in counts and (todo := [j for j in live if counts[j] is None]):
                 stack = adjs if len(todo) == len(idx) else adjs[todo]
                 for j, count in zip(todo, hom_counts(part, stack, max_steps=max_steps)):
-                    row[j] = count
-            kept = []  # count nothing where G or an earlier component was stopped
-            for j in live:
-                if isinstance(count := row[j], ResourceLimitError):
-                    out[idx[j]] = count
-                else:
-                    totals[j] *= count ** k
-                    kept.append(j)
-            live = kept
-        scale = n ** pattern.n
-        for j in live:
-            out[idx[j]] = (totals[j], scale)
-    for i, (_, target) in enumerate(corpus):
-        if out[i] is None and i not in skip:
-            count = scale = 1
-            try:
-                for part, k in parts.items():
-                    density = hom_density(part, target, max_steps=max_steps)
-                    count *= density.numerator ** k
-                    scale *= density.denominator ** k
-            except ResourceLimitError as exc:
-                out[i] = exc
-            else:
-                out[i] = (count, scale)
-    return out
+                    if isinstance(count, ResourceLimitError):
+                        failed[j], count = count, 0
+                    counts[j] = count
+            if failed:
+                stopped.update((idx[j], failed[j]) for j in live if j in failed)
+                live = [j for j in live if j not in failed]
+            rows.append((counts, k))
+        if len(live) < len(idx):
+            idx, rows = [idx[j] for j in live], [([c[j] for j in live], k) for c, k in rows]
+        rows = [c if k == 1 else [x ** k for x in c] for c, k in rows] or [[1] * len(idx)]
+        totals = rows[0] if len(rows) == 1 else [math.prod(x) for x in zip(*rows)]
+        groups.append((idx, totals, n ** pattern.n, stopped))
+    for i in corpus.singles:
+        group = ([], [], 1, {})
+        try:
+            if i not in skip:
+                dens = [(hom_density(part, corpus.entries[i][1], max_steps), k)
+                        for part, k in parts.items()]
+                group = ([i], [math.prod(d.numerator ** k for d, k in dens)],
+                         math.prod(d.denominator ** k for d, k in dens), {})
+        except ResourceLimitError as exc:
+            group = ([], [], 1, {i: exc})
+        groups.append(group)
+    return groups
+
+
+def _paired(g, h, corpus, max_steps, skipped):
+    """Per group, (corpus indices, G's counts, da, H's counts, db) on the
+    targets both were counted on. Any other target goes into ``skipped``
+    with its error's text: G's, as H is not counted where G was stopped."""
+    g_groups = _corpus_densities(g, corpus, max_steps)
+    skipped.update((i, str(exc)) for *_, stopped in g_groups for i, exc in stopped.items())
+    h_groups = _corpus_densities(h, corpus, max_steps, skip=set(skipped))
+    for (gi, ga, da, _), (hi, hb, db, stopped) in zip(g_groups, h_groups):
+        skipped.update((i, str(exc)) for i, exc in stopped.items())
+        if stopped:  # H stopped where G was counted
+            ga = [a for i, a in zip(gi, ga) if i not in stopped]
+        if hi:
+            yield hi, ga, da, hb, db
 
 
 def check_inequality(g, h, c, corpus, max_steps=2 * 10 ** 8):
@@ -250,44 +276,36 @@ def check_inequality(g, h, c, corpus, max_steps=2 * 10 ** 8):
 
 
 def _verdicts(descriptor, g, h, p, q, corpus, max_steps):
-    """The report, under ``descriptor``, of t(G,T)^q >= t(H,T)^p over
-    every corpus target. With t(G,T) = a/da and t(H,T) = b/db the slack is
-    (a^q db^p - b^p da^q) / (da^q db^p); its sign is the verdict, and the
-    first target of least slack becomes ``min_slack``. Only a new least
-    slack and a violation's densities are built as Fractions."""
-    report = VerificationReport(descriptor)
-    g_dens = _corpus_densities(g, corpus, max_steps)
-    # a target G could not be counted on is skipped whatever H gives
-    h_dens = _corpus_densities(h, corpus, max_steps, skip={
-        i for i, tg in enumerate(g_dens) if isinstance(tg, ResourceLimitError)})
-    g_scales, h_scales = {}, {}  # da -> da^q and db -> db^p, each powered once
-    least_num, least_den = 0, 0
-    for (tag, target), tg, th in zip(corpus, g_dens, h_dens):
-        failed = [x for x in (tg, th) if isinstance(x, ResourceLimitError)]
-        if failed:
-            report.skipped.append({"target": tag, "reason": str(failed[0])})
+    """The report, under ``descriptor``, of t(G,T)^q >= t(H,T)^p on the
+    corpus, one group of ``_corpus_densities`` at a time: with t(G,T) = a/da
+    and t(H,T) = b/db the slack is (a^q db^p - b^p da^q) / (da^q db^p), da^q
+    and db^p are powered once per group (skipped past 2^MAX_CROSS_POWER_BITS)
+    and its least slack is its first least numerator. Groups compare as
+    exact rationals, a tie going to the lower corpus index."""
+    skipped, found, least = {}, {}, None  # found: index -> (a, da, b, db)
+    for idx, ga, da, hb, db in _paired(g, h, corpus, max_steps, skipped):
+        if max(q * (da - 1).bit_length(), p * (db - 1).bit_length()) > MAX_CROSS_POWER_BITS:
+            skipped.update(dict.fromkeys(idx, "cross-powers past the cap of "
+                                              f"{MAX_CROSS_POWER_BITS} bits"))
             continue
-        (a, da), (b, db) = tg, th
-        if da not in g_scales:  # None where the power could pass the cap
-            g_scales[da] = da ** q if q * (da - 1).bit_length() <= MAX_CROSS_POWER_BITS else None
-        if db not in h_scales:
-            h_scales[db] = db ** p if p * (db - 1).bit_length() <= MAX_CROSS_POWER_BITS else None
-        if (gs := g_scales[da]) is None or (hs := h_scales[db]) is None:
-            report.skipped.append({"target": tag, "reason": "cross-powers past the cap of "
-                                   f"{MAX_CROSS_POWER_BITS} bits"})
-            continue
-        num = a ** q * hs - b ** p * gs
-        den = gs * hs
-        report.results.append({"target": tag, "verdict": "ok" if num >= 0 else "violation"})
-        if num < 0:
-            report.violations.append({"target": tag, "witness": _witness(target),
-                                      "t_g": frac_to_str(Fraction(a, da)),
-                                      "t_h": frac_to_str(Fraction(b, db))})
-        if report.min_slack is None or num * least_den < least_num * den:
-            slack = Fraction(num, den)
-            least_num, least_den = slack.numerator, slack.denominator
-            report.min_slack = dict(target=tag, slack=frac_to_str(slack), witness=_witness(target))
-    return report
+        gs, hs = da ** q, db ** p
+        nums = [a ** q * hs - b ** p * gs for a, b in zip(ga, hb)]
+        if (low := min(nums)) < 0:
+            found.update((idx[j], (ga[j], da, hb[j], db)) for j, x in enumerate(nums) if x < 0)
+        j, den = nums.index(low), gs * hs
+        if least is None or (low * least[1], idx[j]) < (least[0] * den, least[2]):
+            least = (low, den, idx[j])
+    entries, verdicts = corpus.entries, ["ok"] * len(corpus)
+    for i in [*found, *skipped]:
+        verdicts[i] = None if i in skipped else "violation"
+    return VerificationReport(
+        descriptor, [{"target": tag, "verdict": v} for (tag, _), v in zip(entries, verdicts) if v],
+        [{"target": entries[i][0], "witness": _witness(entries[i][1]),
+          "t_g": _shown(Fraction(a, da)), "t_h": _shown(Fraction(b, db))}
+         for i, (a, da, b, db) in sorted(found.items())],
+        [{"target": entries[i][0], "reason": reason} for i, reason in sorted(skipped.items())],
+        least and dict(target=entries[least[2]][0], slack=_shown(Fraction(*least[:2])),
+                       witness=_witness(entries[least[2]][1])))
 
 
 HARVEST_MAX_DENOMINATOR = 3600
@@ -304,27 +322,29 @@ def _farey_below(r):
 def harvest_lower(g, h, corpus):
     """(bound, witness graph6): a lower bound on C(G,H) from one corpus
     target, or None. A T with 0 < t(G,T) = a/da and t(H,T) = b/db < 1 gives
-    C(G,H) >= log t(G,T) / log t(H,T). On the T of the largest float ratio,
-    the largest p/q <= it (nudged up by 2^-40, not to miss an exact rational
-    ratio) with q <= HARVEST_MAX_DENOMINATOR is certified as a^q db^p <= b^p
-    da^q; a p/q that fails the check gives way to the next smaller one."""
-    best = None
-    for (_, t), (a, da), (b, db) in zip(corpus, _corpus_densities(g, corpus, None),
-                                        _corpus_densities(h, corpus, None)):
-        if 0 < a < da and 0 < b < db:
-            ratio = (math.log(a) - math.log(da)) / (math.log(b) - math.log(db))
-            if best is None or ratio > best[0]:
-                best = (ratio, a, da, b, db, t)
+    C(G,H) >= log t(G,T) / log t(H,T). On the T of the largest float ratio
+    (the earliest on a tie), the largest p/q <= it (nudged up by 2^-40, not
+    to miss an exact rational ratio) with q <= HARVEST_MAX_DENOMINATOR is
+    certified as a^q db^p <= b^p da^q; a p/q that fails the check gives
+    way to the next smaller one."""
+    best = None  # (ratio, -corpus index, a, da, b, db): the largest wins
+    for idx, ga, da, hb, db in _paired(g, h, corpus, None, {}):
+        log_da, log_db = math.log(da), math.log(db)
+        ratios = [(math.log(a) - log_da) / (math.log(b) - log_db) if 0 < a < da and 0 < b < db
+                  else -math.inf for a, b in zip(ga, hb)]
+        j = ratios.index(top := max(ratios))
+        if top > -math.inf and (best is None or (top, -idx[j]) > best[:2]):
+            best = (top, -idx[j], ga[j], da, hb[j], db)
     if best is None:
         return None
-    ratio, a, da, b, db, t = best
+    ratio, i, a, da, b, db = best
     x = Fraction(ratio * (1 + 2 ** -40))
     r = x.limit_denominator(HARVEST_MAX_DENOMINATOR)
     r = _farey_below(r) if r > x else r
     while r > 0:
         p, q = r.numerator, r.denominator
         if a ** q * db ** p <= b ** p * da ** q:
-            return r, _witness(t)
+            return r, _witness(corpus.entries[-i][1])
         r = _farey_below(r)
     return None
 

@@ -14,6 +14,7 @@ from homdom.cli import main, parse_corpus_spec, parse_fraction, parse_graph_arg
 from homdom.graphs import (GraphError, complete_graph, cycle_graph, decode_graph, k4_minus_e,
                            path_graph, star_graph)
 from homdom.homcount import hom_density
+from homdom.verifier import CorpusSpec, build_corpus
 
 
 def run(capsys, *argv):
@@ -419,6 +420,25 @@ class TestErrorExits:
             assert time.perf_counter() - start < 1
             assert (code, out, err) == (2, "", "error: a rational of 4300 or more digits "
                                                "is not printed\n")
+
+    def test_report_rational_too_long_is_elided(self, capsys):
+        # the least slack on three G(9, 1/2) targets has about 30 000 digits;
+        # the report shows it as a fixed text naming its sign and the bit
+        # lengths of its terms, and the command exits with the report's code
+        corpus = build_corpus(CorpusSpec(gnp_count=3, gnp_n=9))
+        for g, h, code, sign in (("P2", "K3", 0, "positive"), ("K3", "K2", 1, "negative")):
+            got, out, err = run(capsys, "verify", "--g", g, "--h", h, "--c", "13107/13106",
+                                "--corpus-spec", "gnp_count=3,gnp_n=9")
+            slacks = [hom_density(parse_graph_arg(g), t) ** 13106
+                      - hom_density(parse_graph_arg(h), t) ** 13107 for _, t in corpus]
+            least = min(slacks)
+            assert max(abs(least.numerator), least.denominator) >= 10 ** 4299
+            assert (got, err) == (code, "")
+            assert json.loads(out)["result"]["min_slack"]["slack"] == (
+                f"elided {sign} rational: numerator of {abs(least.numerator).bit_length()} "
+                f"bits, denominator of {least.denominator.bit_length()} bits")
+            assert json.loads(out)["result"]["min_slack"]["target"] == \
+                corpus.entries[slacks.index(least)][0]
 
     def test_decimal_exponent_within_the_cap(self, capsys):
         # 1e-4298 has a 4299-digit denominator: it still prints

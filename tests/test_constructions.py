@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -170,6 +171,19 @@ class TestBipartitePower:
         part = n ** (i + 1)
         want = rng.random((part, part)) < 1.0 / n ** i
         assert np.array_equal(bipartite_power_target(i, n, mode="random", seed=seed).block, want)
+
+    def test_block_handed_over_not_copied(self):
+        # the drawn block goes to Biadjacency read-only, without a second
+        # copy: the traced peak is the block plus one draw of 64 rows
+        bipartite_power_target(1, 12, mode="random")  # lazy imports and caches
+        tracemalloc.start()
+        try:
+            t = bipartite_power_target(1, 60, mode="random", seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert t.block.nbytes == 3600 ** 2 and peak < 1.2 * t.block.nbytes
+        assert not t.block.flags.writeable
 
     def test_size_guard(self):
         from homdom.homcount import ResourceLimitError

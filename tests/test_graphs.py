@@ -29,7 +29,7 @@ from homdom.graphs import (
     star_graph,
     triangle_pendant,
 )
-from homdom.graphs import _canonical_ints, _graph_to_int, _image_weights
+from homdom.graphs import _graph_to_int, _image_weights, _int_to_graph
 
 
 def count_triangles(g):
@@ -151,32 +151,34 @@ class TestEnumerationAndCanonical:
             gs = [random_graph(rng, n, rng.choice((0.2, 0.5, 0.8))) for _ in range(20)]
             assert [canonical_form(g) for g in gs] == brute_canonical_forms(n, gs)
 
-    def test_canonical_ints_match_canonical_form(self):
-        # _canonical_ints gives every labelled graph the minimum image over
-        # all permutations, the integer that canonical_form spells out
+    def test_dedup_classes_match_brute_force(self):
+        # each class integer of the orbit pass is the least image of its
+        # graph over itertools.permutations; the classes are the canonical
+        # forms of all labelled graphs for n <= 4, and hold those of
+        # sampled labelled graphs for n = 5 and 6
         rng = random.Random(13)
         for n in range(7):
-            canon = _canonical_ints(n)
+            classes = list(enumerate_graphs(n, dedup=True))
             npairs = n * (n - 1) // 2
+            spelled = [f"{n}:" + "".join(str(_graph_to_int(g) >> i & 1) for i in range(npairs))
+                       for g in classes]
+            assert brute_canonical_forms(n, classes) == spelled
             xs = range(1 << npairs) if n <= 4 else rng.sample(range(1 << npairs), 40)
-            for x in xs:
-                g = SimpleGraph(n, frozenset(
-                    p for i, p in enumerate(itertools.combinations(range(n), 2)) if x >> i & 1))
-                assert _graph_to_int(g) == x
-                bits = canonical_form(g).split(":")[1]
-                assert canon[x] == sum(1 << i for i, b in enumerate(bits) if b == "1")
+            forms = set(brute_canonical_forms(n, [_int_to_graph(n, x) for x in xs]))
+            assert forms == set(spelled) if n <= 4 else forms <= set(spelled)
 
-
-    def test_canonical_ints_float32_equals_float64(self):
-        # images of graphs on n <= 7 vertices are below 2**21, so W and its
-        # products run in float32; the same pass in float64 agrees entry for entry
+    def test_dedup_float32_equals_float64(self):
+        # images of graphs on n <= 7 vertices are below 2**21, so W and the
+        # orbit pass run in float32; the least image of every labelled
+        # graph, taken in float64, gives the same classes
         assert [_image_weights(n).dtype for n in (5, 6, 7, 8)] == [np.float32] * 3 + [np.float64]
-        got = _canonical_ints(6)
         w = _image_weights(6).astype(np.float64)
+        least = set()
         for s in range(0, 1 << 15, 4096):
             bits = (np.arange(s, s + 4096)[:, None] >> np.arange(15) & 1).astype(np.float64)
-            assert np.array_equal(got[s:s + 4096], (w @ bits.T).min(axis=0).astype(np.int64))
-        assert len(set(got.tolist())) == 156  # A000088
+            least.update((w @ bits.T).min(axis=0).astype(np.int64).tolist())
+        assert sorted(least) == [_graph_to_int(g) for g in enumerate_graphs(6, dedup=True)]
+        assert len(least) == 156  # A000088
 
 def brute_canonical_forms(n, graphs):
     """canonical_form of each graph on n vertices: the least integer of its
@@ -376,6 +378,18 @@ class TestBiadjacency:
         assert t.num_edges == 3 and not t.block[0, 1]
         with pytest.raises(ValueError):
             t.block[0, 1] = True
+
+    def test_read_only_owned_block_kept(self):
+        # a read-only boolean array that owns its data is kept as it is; a
+        # view of another array, or any other dtype, is copied
+        block = np.eye(3, dtype=bool)
+        block.flags.writeable = False
+        assert Biadjacency(block).block is block
+        view = np.eye(4, dtype=bool)[:3]
+        view.flags.writeable = False
+        for other in (view, block.astype(np.uint8)):
+            t = Biadjacency(other)
+            assert t.block is not other and t.block.dtype == bool and not t.block.flags.writeable
 
     def test_equality_and_hash(self, monkeypatch):
         rng = np.random.default_rng(5)

@@ -480,8 +480,9 @@ class TestEliminationEngine:
     def test_corpus_densities_match_single(self):
         corpus = build_corpus(CorpusSpec(exhaustive_n=4, gnp_count=10, gnp_n=7))
         for h in (cycle_graph(3), k4_minus_e(), disjoint_union(path_graph(2), SimpleGraph(1))):
-            got = _corpus_densities(h, corpus, None)
-            assert [Fraction(a, d) for a, d in got] == [hom_density(h, t) for _, t in corpus]
+            got = {i: Fraction(a, d) for idx, counts, d, _ in _corpus_densities(h, corpus, None)
+                   for i, a in zip(idx, counts)}
+            assert [got[i] for i in range(len(corpus))] == [hom_density(h, t) for _, t in corpus]
 
     def test_beyond_int64(self):
         # 9^22 >= 2**63 forces the Python-int pass; both counts exceed int64

@@ -1,7 +1,9 @@
 import functools
+import itertools
 import json
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -35,6 +37,23 @@ from homdom.verifier import (
     problem6_exponents,
     search_problem6,
 )
+
+
+def per_target(groups, size):
+    """``_corpus_densities``' groups as one entry per corpus target: the
+    pair (count, scale), the error that stopped it, or None where it was
+    skipped. Each index sits in one group, in ascending order."""
+    out, seen = [None] * size, []
+    for idx, counts, scale, stopped in groups:
+        assert len(idx) == len(counts) and list(idx) == sorted(idx)
+        assert all(isinstance(e, homcount.ResourceLimitError) for e in stopped.values())
+        for i, count in zip(idx, counts):
+            out[i] = (count, scale)
+        for i, exc in stopped.items():
+            out[i] = exc
+        seen += [*idx, *stopped]
+    assert len(seen) == len(set(seen))
+    return out
 
 
 class TestGnp:
@@ -215,6 +234,141 @@ class TestIntegerVerdicts:
                                                                               WALK_MIN_ORDER + 4}
 
 
+def random_graph(rng, n, p):
+    return SimpleGraph(n, frozenset(
+        e for e in itertools.combinations(range(n), 2) if rng.random() < p))
+
+
+def reference_density(pattern, target, max_steps):
+    """(t(pattern, T), the verifier's denominator) from ``hom_density``
+    component by component, raising the first component's error: the
+    denominator is n^v(pattern) on a stacked target, else the product of
+    the components' denominators."""
+    density, den = Fraction(1), 1
+    for part, k in Counter(pattern.subgraph(c) for c in pattern.components()).items():
+        d = hom_density(part, target, max_steps=max_steps)
+        density, den = density * d ** k, den * d.denominator ** k
+    stacked = isinstance(target, SimpleGraph) and target.n <= WALK_MIN_ORDER
+    return density, target.n ** pattern.n if stacked else den
+
+
+def shown(x):
+    """A report's text of the rational x: str(x), or the fixed text of one
+    with a term of 4300 or more digits."""
+    if max(abs(x.numerator), x.denominator) < 10 ** 4299:
+        return str(x)
+    return (f"elided {'negative' if x < 0 else 'positive'} rational: numerator of "
+            f"{abs(x.numerator).bit_length()} bits, denominator of "
+            f"{x.denominator.bit_length()} bits")
+
+
+def reference_report(g, h, p, q, corpus, max_steps):
+    """(results, violations, skipped, min_slack) of t(G,T)^q >= t(H,T)^p,
+    target by target on Fractions: a target is skipped with the first error
+    of G, then of H, or when da^q or db^p could pass the cap; the first
+    target of least slack wins."""
+    results, violations, skipped, least = [], [], [], None
+    for tag, t in corpus:
+        witness = encode_graph(t, "graph6") if isinstance(t, SimpleGraph) else "weighted-target"
+        try:
+            (tg, da), (th, db) = [reference_density(x, t, max_steps) for x in (g, h)]
+        except homcount.ResourceLimitError as exc:
+            skipped.append({"target": tag, "reason": str(exc)})
+            continue
+        if max(q * (da - 1).bit_length(), p * (db - 1).bit_length()) > MAX_CROSS_POWER_BITS:
+            skipped.append({"target": tag, "reason": "cross-powers past the cap of "
+                                                     f"{MAX_CROSS_POWER_BITS} bits"})
+            continue
+        slack = tg ** q - th ** p
+        results.append({"target": tag, "verdict": "ok" if slack >= 0 else "violation"})
+        if slack < 0:
+            violations.append({"target": tag, "witness": witness, "t_g": shown(tg),
+                               "t_h": shown(th)})
+        if least is None or slack < least[0]:
+            least = (slack, {"target": tag, "slack": shown(slack), "witness": witness})
+    return results, violations, skipped, least and least[1]
+
+
+class TestGroupedVerdicts:
+    """``check_inequality`` and ``search_problem6`` decide one group of
+    targets at a time; on seeded mixed corpora they agree with a target
+    by target Fraction reference."""
+
+    PIECES = [SimpleGraph(1), complete_graph(2), path_graph(2), cycle_graph(3), cycle_graph(4),
+              cycle_graph(5), k4_minus_e()]
+    # C4 >= K2^4 is tight on edgeless targets: the 3-vertex group is read
+    # first and finds slack 0 at "e3", but "e70" and "e5" come before it
+    TIE = (("p2", path_graph(2)), ("e70", SimpleGraph(70)), ("e5", SimpleGraph(5)),
+           ("e3", SimpleGraph(3)))
+    CAP = MAX_CROSS_POWER_BITS // 2 + 1
+
+    def corpus(self, rng):
+        entries = [(f"g{i}", random_graph(rng, rng.randint(1, 7), rng.random()))
+                   for i in range(12)]
+        extra = [("large", random_graph(rng, WALK_MIN_ORDER + 6, Fraction(1, 8))),
+                 ("w", WeightedTarget((1, 2, 3, 4), [[Fraction(u + v, 8) for v in range(4)]
+                                                     for u in range(4)])),
+                 ("w-half", WeightedTarget((Fraction(1),), ((Fraction(1, 2),),))), *self.TIE]
+        for entry in extra:
+            entries.insert(rng.randint(0, len(entries)), entry)
+        return Corpus(tuple(entries))
+
+    def pattern(self, rng):
+        return functools.reduce(disjoint_union, rng.choices(self.PIECES, k=rng.randint(1, 3)))
+
+    def check(self, report, want):
+        assert (report.results, report.violations, report.skipped, report.min_slack) == want
+        return report
+
+    def test_check_inequality_matches_reference(self):
+        rng = random.Random(25)
+        reports = []
+        for _ in range(6):
+            corpus = self.corpus(rng)
+            for _ in range(8):
+                g, h, steps = self.pattern(rng), self.pattern(rng), rng.choice((None, 60, 400))
+                c = rng.choice((Fraction(1), Fraction(2), Fraction(1, 2), Fraction(11, 5),
+                                Fraction(1, self.CAP), Fraction(self.CAP)))
+                want = reference_report(g, h, c.numerator, c.denominator, corpus, steps)
+                reports.append(self.check(check_inequality(g, h, c, corpus, steps), want))
+        reasons = {s["reason"] for r in reports for s in r.skipped}
+        assert {"hom counting work ceiling exceeded", "weighted density elimination too large",
+                f"cross-powers past the cap of {MAX_CROSS_POWER_BITS} bits"} <= reasons
+        assert any(r.violations for r in reports) and any(r.ok and not r.skipped for r in reports)
+
+    def test_search_problem6_matches_reference(self):
+        rng = random.Random(26)
+        for i, j in ((2, 1), (3, 1), (3, 2)):
+            corpus = self.corpus(rng)
+            e1, e2, e3 = problem6_exponents(i, j)
+            g = disjoint_union(*[cycle_graph(2 * j)] * e1, *[cycle_graph(2 * i + 1)] * e2)
+            h = disjoint_union(*[cycle_graph(2 * i - 1)] * e3)
+            for steps in (None, 60):
+                self.check(search_problem6(i, j, corpus, steps),
+                           reference_report(g, h, 1, 1, corpus, steps))
+
+    def test_h_stopped_between_counted_targets(self):
+        # under a ceiling of 200, C5 is stopped on some targets with a
+        # triangle and counted on others, K2 on all: G's counts are read
+        # past the gaps, and t(K2) >= t(C5)^(1/5) fails on some
+        corpus = build_corpus(CorpusSpec(exhaustive_n=5))
+        c5, k2 = cycle_graph(5), complete_graph(2)
+        report = self.check(check_inequality(k2, c5, Fraction(1, 5), corpus, 200),
+                            reference_report(k2, c5, 1, 5, corpus, 200))
+        stopped = [tag in {s["target"] for s in report.skipped} for tag, _ in corpus]
+        assert stopped.index(True) < len(stopped) - 1 - stopped[::-1].index(False)
+        assert report.violations
+
+    @pytest.mark.parametrize("tags, first", [(("p2", "e70", "e5", "e3"), "e70"),
+                                             (("p2", "e5", "e3"), "e5")])
+    def test_least_slack_tie_goes_to_the_earlier_target(self, tags, first):
+        corpus = Corpus(tuple(e for e in self.TIE if e[0] in tags))
+        report = check_inequality(cycle_graph(4), complete_graph(2), 4, corpus)
+        want = reference_report(cycle_graph(4), complete_graph(2), 4, 1, corpus, None)
+        assert self.check(report, want).min_slack["target"] == first
+        assert report.min_slack["slack"] == "0"
+
+
 class TestDisjointUnions:
     """Densities multiply over disjoint unions, and the corpus checkers
     count each distinct component of a pattern once."""
@@ -236,7 +390,7 @@ class TestDisjointUnions:
                                         gnp_p=Fraction(1, 5), gnp_seed=52))
         corpus = Corpus(small.entries + large.entries)
         want = [self.product(t) for _, t in corpus]
-        got = _corpus_densities(union, corpus, None)
+        got = per_target(_corpus_densities(union, corpus, None), len(corpus))
         assert [Fraction(a, d) for a, d in got] == want
         assert [hom_density(union, t) for _, t in corpus] == want
         for (_, t), pair in zip(corpus, got):
@@ -248,7 +402,8 @@ class TestDisjointUnions:
         w = WeightedTarget((Fraction(1), Fraction(2), Fraction(3)),
                            ((0, Fraction(1, 2), 1), (Fraction(1, 2), Fraction(1, 3), 0),
                             (1, 0, Fraction(2, 5))))
-        [(a, d)] = _corpus_densities(union, Corpus((("w", w),)), None)
+        [(idx, [a], d, stopped)] = _corpus_densities(union, Corpus((("w", w),)), None)
+        assert idx == [0] and not stopped
         assert Fraction(a, d) == self.product(w)
         assert hom_density(union, w) == self.product(w)
 
@@ -282,8 +437,9 @@ class TestCountTable:
             return [str(x) if isinstance(x, homcount.ResourceLimitError) else x for x in xs]
 
         for pattern, steps, skip in cases:
-            got = _corpus_densities(pattern, warm, steps, skip)
-            assert shown(got) == shown(_corpus_densities(pattern, Corpus(entries), steps, skip))
+            got = per_target(_corpus_densities(pattern, warm, steps, skip), len(entries))
+            assert shown(got) == shown(per_target(
+                _corpus_densities(pattern, Corpus(entries), steps, skip), len(entries)))
             for i, ((_, t), x) in enumerate(zip(entries, got)):
                 if i in skip:
                     assert x is None
@@ -292,10 +448,13 @@ class TestCountTable:
                 else:
                     assert steps == 60  # no count stopped under 60 is reused under None
         rows = warm.counts.items()
-        assert any(s == 60 and any(isinstance(x, homcount.ResourceLimitError) for x in row)
-                   for (_, s, _), row in rows)
-        assert not any(isinstance(x, homcount.ResourceLimitError)
-                       for (_, s, _), row in rows if s is None)
+        for (_, _, n), (counts, stopped) in rows:
+            # a stopped target holds 0 in counts and its error in stopped
+            assert len(counts) == len(warm.stacks[n][0])
+            assert all(counts[j] == 0 and isinstance(e, homcount.ResourceLimitError)
+                       for j, e in stopped.items())
+        assert any(s == 60 and stopped for (_, s, _), (_, stopped) in rows)
+        assert not any(stopped for (_, s, _), (_, stopped) in rows if s is None)
 
     def test_bounded_oldest_key_dropped_first(self, monkeypatch):
         monkeypatch.setattr(verifier, "COUNT_TABLE_KEYS", 4)
@@ -303,13 +462,14 @@ class TestCountTable:
         k2, p2 = complete_graph(2), path_graph(2)
         _corpus_densities(k2, corpus, None)
         assert list(corpus.counts) == [(k2, None, n) for n in (1, 2, 3)]
-        got = _corpus_densities(p2, corpus, None)
+        got = per_target(_corpus_densities(p2, corpus, None), len(corpus))
         assert list(corpus.counts) == [(k2, None, 3)] + [(p2, None, n) for n in (1, 2, 3)]
         assert [Fraction(*x) for x in got] == [hom_density(p2, t) for _, t in corpus]
-        for (_, _, n), row in corpus.counts.items():
-            assert len(row) == len(corpus.stacks[n][0]) and None not in row
+        for (_, _, n), (counts, stopped) in corpus.counts.items():
+            assert len(counts) == len(corpus.stacks[n][0]) and None not in counts and not stopped
         # a dropped key is counted again, and gives the same densities
-        assert [Fraction(*x) for x in _corpus_densities(k2, corpus, None)] == \
+        assert [Fraction(*x) for x in per_target(_corpus_densities(k2, corpus, None),
+                                                  len(corpus))] == \
             [hom_density(k2, t) for _, t in corpus]
 
     @staticmethod
@@ -408,6 +568,20 @@ class TestRatioCertifiedLower:
         monkeypatch.setattr(verifier, "_farey_below", below)
         assert harvest_lower(g, h, corpus) == want
         assert len(steps) >= 2 and steps[-1] > want[0]
+
+    def test_tie_goes_to_the_earliest_target(self):
+        # a step graphon copy of K2 + K1 has the same pairs (count,
+        # denominator) as K2 + K1, 2/9 for K2 and 2/27 for P2 in lowest
+        # terms, so their ratios tie exactly; the graphon's group of one is
+        # read after the stacked order 3 wherever it stands in the corpus
+        t = SimpleGraph(3, frozenset({(0, 1)}))
+        w = WeightedTarget((1, 1, 1), [[int({u, v} == {0, 1}) for v in range(3)]
+                                       for u in range(3)])
+        k2, p2 = complete_graph(2), path_graph(2)
+        assert hom_density(k2, w) == hom_density(k2, t) == Fraction(2, 9)
+        assert hom_density(p2, w) == hom_density(p2, t) == Fraction(2, 27)
+        assert harvest_lower(k2, p2, Corpus((("w", w), ("t", t))))[1] == "weighted-target"
+        assert harvest_lower(k2, p2, Corpus((("t", t), ("w", w))))[1] == encode_graph(t, "graph6")
 
     def test_farey_below_matches_fractions(self):
         limit = verifier.HARVEST_MAX_DENOMINATOR
@@ -527,7 +701,7 @@ class TestProblem6:
         monkeypatch.setattr(homcount, "_backtrack", counted)
         pattern = disjoint_union(cycle_graph(5), cycle_graph(3))
         corpus = build_corpus(CorpusSpec(exhaustive_n=4))
-        got = _corpus_densities(pattern, corpus, 60)
+        got = per_target(_corpus_densities(pattern, corpus, 60), len(corpus))
         monkeypatch.undo()
         stopped = [isinstance(x, homcount.ResourceLimitError) for x in got]
         assert any(stopped) and len(calls) == 22
