@@ -276,12 +276,12 @@ def check_inequality(g, h, c, corpus, max_steps=2 * 10 ** 8):
 
 
 def _verdicts(descriptor, g, h, p, q, corpus, max_steps):
-    """The report, under ``descriptor``, of t(G,T)^q >= t(H,T)^p on the
-    corpus, one group of ``_corpus_densities`` at a time: with t(G,T) = a/da
-    and t(H,T) = b/db the slack is (a^q db^p - b^p da^q) / (da^q db^p), da^q
-    and db^p are powered once per group (skipped past 2^MAX_CROSS_POWER_BITS)
-    and its least slack is its first least numerator. Groups compare as
-    exact rationals, a tie going to the lower corpus index."""
+    """The report, under ``descriptor``, of t(G,T)^q >= t(H,T)^p, one group
+    of ``_corpus_densities`` at a time: with t(G,T) = a/da, t(H,T) = b/db the
+    slack is (a^q db^p - b^p da^q) / (da^q db^p), da^q and db^p are powered
+    once per group (skipped past 2^MAX_CROSS_POWER_BITS), and a group's least
+    slack is its first least numerator. Groups compare as exact rationals, a
+    tie going to the lower corpus index; the lists are in corpus order."""
     skipped, found, least = {}, {}, None  # found: index -> (a, da, b, db)
     for idx, ga, da, hb, db in _paired(g, h, corpus, max_steps, skipped):
         if max(q * (da - 1).bit_length(), p * (db - 1).bit_length()) > MAX_CROSS_POWER_BITS:
