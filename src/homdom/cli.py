@@ -46,11 +46,20 @@ def _effective_seed(args):
 
 def parse_graph_arg(text):
     """Named shorthand (K4-e, C5, P13, C5+, ...), a file path, inline JSON,
-    or an inline graph6 string."""
+    or an inline graph6 string. A file is read on every call; its text, or
+    the inline text, is parsed by ``_parse_graph_text``."""
     if os.path.isfile(text):
         with open(text, errors="replace") as fh:  # a parser refuses what does not decode
-            text = fh.read().strip()
-    stripped = text.strip()
+            text = fh.read()
+    return _parse_graph_text(text.strip())
+
+
+@functools.lru_cache(maxsize=256)
+def _parse_graph_text(stripped):
+    """The graph of a stripped text, remembered: equal text gives the same
+    frozen ``SimpleGraph``, so the facts it caches (neighbour sets,
+    components, bitmasks) are built once per distinct graph across
+    in-process ``main`` calls. A refusal raises and is not remembered."""
     if stripped.startswith("{"):
         return decode_graph(stripped, "edge_json")
     try:

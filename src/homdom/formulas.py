@@ -293,33 +293,48 @@ def _embed(masks, fits, earlier, images, i, free):
     return False
 
 
+def _search_order(pattern):
+    """The pattern's vertex degrees in search order (highest degree first)
+    and, for each, the positions of its earlier neighbours."""
+    order = sorted(range(pattern.n), key=pattern.degree, reverse=True)
+    pos = {v: i for i, v in enumerate(order)}
+    return ([pattern.degree(v) for v in order],
+            [[pos[u] for u in pattern.neighbors(v) if pos[u] < pos[v]] for v in order])
+
+
+def _embeds(masks, degrees, earlier, within):
+    """Whether the host vertices of bitmask ``within`` hold a copy of the
+    pattern with search order ``degrees``, ``earlier``. A pattern vertex of
+    degree d only goes to a vertex with at least d neighbours inside
+    ``within``."""
+    room = [(m & within).bit_count() if within >> w & 1 else -1 for w, m in enumerate(masks)]
+    fits = {d: sum(1 << w for w, r in enumerate(room) if r >= d) for d in set(degrees)}
+    return _embed(masks, [fits[d] for d in degrees], earlier, [0] * len(degrees), 0, within)
+
+
 def has_subgraph(host, pattern, within=None):
     """Whether the host vertices of bitmask ``within`` (default: all) hold a
     copy of the pattern: an injective adjacency-preserving map, searched on
-    neighbour bitmasks. A pattern vertex of degree d only goes to a vertex
-    with at least d neighbours inside ``within``."""
+    neighbour bitmasks."""
     within = (1 << host.n) - 1 if within is None else within
     if pattern.n > within.bit_count() or pattern.num_edges > host.num_edges:
         return False
-    masks = host.adjacency_masks()
-    room = [(m & within).bit_count() if within >> w & 1 else -1 for w, m in enumerate(masks)]
-    order = sorted(range(pattern.n), key=pattern.degree, reverse=True)
-    pos = {v: i for i, v in enumerate(order)}
-    fits = [sum(1 << w for w, r in enumerate(room) if r >= d) for d in map(pattern.degree, order)]
-    earlier = [[pos[u] for u in pattern.neighbors(v) if pos[u] < pos[v]] for v in order]
-    return _embed(masks, fits, earlier, [0] * pattern.n, 0, within)
+    return _embeds(host.adjacency_masks(), *_search_order(pattern), within)
 
 
 def kk_exponent(g, h):
     """C(G,H) = v(G)/v(H) when every v(G)-subset of V(H) contains a copy
     of G (Kruskal-Katona regime), each subset searched as a ``within``
-    mask. None when the hypothesis fails."""
+    mask under one search order of G. None when the hypothesis fails."""
     if g.n > h.n:
         return None
     if h.n > MAX_KK_N:
         raise GraphError(f"all-subsets check capped at {MAX_KK_N} vertices")
+    if g.num_edges > h.num_edges:
+        return None
+    masks, (degrees, earlier) = h.adjacency_masks(), _search_order(g)
     for subset in itertools.combinations(range(h.n), g.n):
-        if not has_subgraph(h, g, sum(1 << v for v in subset)):
+        if not _embeds(masks, degrees, earlier, sum(1 << v for v in subset)):
             return None
     return Fraction(g.n, h.n)
 

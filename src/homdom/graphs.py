@@ -147,6 +147,28 @@ class SimpleGraph:
         """A cycle on at least 3 vertices."""
         return self.n >= 3 and self.is_connected() and all(d == 2 for d in self._structure[1])
 
+    @functools.cached_property
+    def _bipartite(self):
+        """2-colourability, decided once: each component is coloured by BFS
+        parity from its least vertex, and an edge inside a colour refutes it."""
+        adj = self._structure[0]
+        side = [-1] * self.n
+        for comp in self._components:
+            side[comp[0]] = 0
+            queue = [comp[0]]
+            for v in queue:
+                for w in adj[v]:
+                    if side[w] < 0:
+                        side[w] = 1 - side[v]
+                        queue.append(w)
+                    elif side[w] == side[v]:
+                        return False
+        return True
+
+    def is_bipartite(self):
+        """Whether the graph is 2-colourable (an edgeless graph included)."""
+        return self._bipartite
+
     def subgraph(self, vertices):
         """Induced subgraph, relabeled to 0..len(vertices)-1 in given order;
         built from the chosen vertices' neighbour sets."""
@@ -402,6 +424,7 @@ def blowup(g, multiplicities):
 # ---------------------------------------------------------------------------
 
 MAX_CANONICAL_N = 8
+MAX_DEDUP_N = 7  # the dedup enumeration marks 2**C(n,2) labelled graphs: 2**28 at n = 8
 
 
 def _pairs(n):
@@ -469,9 +492,8 @@ def enumerate_graphs(n, dedup=False):
         for x in range(1 << npairs):
             yield _int_to_graph(n, x)
         return
-    if n > 6:
-        # build_corpus, the one caller, stops at 6 vertices
-        raise GraphError("dedup enumeration capped at n=6")
+    if n > MAX_DEDUP_N:
+        raise GraphError(f"dedup enumeration capped at n={MAX_DEDUP_N}")
     marked, x = np.zeros(1 << npairs, dtype=bool), 0
     while x < len(marked):
         marked[(_image_weights(n) @ _pair_bits(x, npairs)).astype(np.intp)] = True

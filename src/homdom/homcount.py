@@ -266,11 +266,24 @@ def _clique_number(masks):
 
 
 def hom_exists(h, t):
-    """Whether some homomorphism H -> T exists: by elimination when its
-    plan fits (polynomial where a search is not, e.g. an odd cycle into a
-    bipartite target), else by a backtracker that stops at its first map.
-    A homomorphism maps a clique of H injectively onto a clique of T, so
-    when T lacks a K_r that H has, the answer is no without the search."""
+    """Whether some homomorphism H -> T exists.
+
+    The 2-colourings of H and T, each decided once per graph, settle most
+    pairs first:
+
+    * a 2-colourable H and a T with an edge give yes, since H -> K2 -> T;
+    * an H that is not 2-colourable and a 2-colourable T give no, since
+      H -> T -> K2 would 2-colour H.
+
+    Every other pair goes by elimination when its plan fits (polynomial
+    where a search is not), else by a backtracker that stops at its first
+    map. A homomorphism maps a clique of H injectively onto a clique of T,
+    so when T lacks a K_r that H has, the answer is no without the search."""
+    if h.is_bipartite():
+        if t.num_edges:
+            return True
+    elif t.is_bipartite():
+        return False
     counts = _eliminate(h, t.adjacency_matrix(np.float32)[None])
     if counts is not None:
         return counts[0] > 0

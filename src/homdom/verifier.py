@@ -19,6 +19,7 @@ import numpy as np
 
 from .constructions import ProjectivePlaneSpec, behrend_graph, red_line_graph, simple_family
 from .graphs import (
+    MAX_DEDUP_N,
     GraphError,
     HomdomError,
     SimpleGraph,
@@ -118,8 +119,8 @@ class Corpus:
 def build_corpus(spec):
     entries = []
     if spec.exhaustive_n:
-        if spec.exhaustive_n > 6:
-            raise ResourceLimitError("exhaustive corpus capped at n <= 6 (dedup)")
+        if spec.exhaustive_n > MAX_DEDUP_N:
+            raise ResourceLimitError(f"exhaustive corpus capped at n <= {MAX_DEDUP_N} (dedup)")
         for n in range(1, spec.exhaustive_n + 1):
             for i, g in enumerate(enumerate_graphs(n, dedup=True)):
                 entries.append((f"exhaustive-n{n}-{i}", g))

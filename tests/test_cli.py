@@ -177,6 +177,35 @@ class TestParserReuse:
         cli._parser.cache_clear()
 
 
+class TestGraphReuse:
+    """Equal graph text parses to one graph object across main calls; a
+    file is read again on every call, and a refusal is never remembered."""
+
+    def test_equal_text_same_object(self):
+        for text in ("C5", "Bw", '{"n":3,"edges":[[0,1],[1,2]]}'):
+            assert parse_graph_arg(text) is parse_graph_arg(f"  {text}\n")
+        assert parse_graph_arg("C5") is not parse_graph_arg("C6")
+
+    def test_rewritten_file_parsed_again(self, capsys, tmp_path):
+        f = tmp_path / "g.txt"
+        f.write_text("C5\n")
+        code, out, _ = run(capsys, "exponent", "--g", str(f), "--h", "K2")
+        assert code == 3 and json.loads(out)["result"]["lower"] == "nonexistent"
+        f.write_text('{"n":3,"edges":[[0,1],[1,2]]}')
+        code, out, _ = run(capsys, "exponent", "--g", str(f), "--h", "K2")
+        assert code == 0 and json.loads(out)["result"]["lower"] == "2"  # C(P2, K2) = 2
+
+    def test_refusal_not_remembered(self, capsys, tmp_path):
+        for _ in range(3):
+            code, out, err = run(capsys, "exponent", "--g", "C2x", "--h", "K2")
+            assert (code, out) == (2, "") and "invalid graph6 character" in err
+        f = tmp_path / "g.txt"
+        f.write_text("C2x")
+        assert run(capsys, "exponent", "--g", str(f), "--h", "K2")[0] == 2
+        f.write_text("C4")
+        assert run(capsys, "exponent", "--g", str(f), "--h", "K2")[0] == 0
+
+
 class TestVerifyCommand:
     def test_pass(self, capsys):
         code, out, _ = run(capsys, "verify", "--g", "C4", "--h", "K2",
@@ -184,6 +213,14 @@ class TestVerifyCommand:
         assert code == 0
         doc = json.loads(out)["result"]
         assert doc["ok"] is True and doc["complete"] is True
+
+    def test_exhaustive_corpus_stops_at_seven(self, capsys):
+        code, out, _ = run(capsys, "verify", "--g", "C4", "--h", "K2",
+                           "--c", "4", "--corpus-spec", "exhaustive_n=7")
+        assert code == 0 and json.loads(out)["result"]["num_targets"] == 1252
+        code, out, err = run(capsys, "verify", "--g", "C4", "--h", "K2",
+                             "--c", "4", "--corpus-spec", "exhaustive_n=8")
+        assert (code, out) == (2, "") and "exhaustive corpus capped at n <= 7" in err
 
     def test_violation_exit_1(self, capsys):
         # the clique-plus-isolated-vertices targets in the constructions

@@ -359,6 +359,9 @@ class TestSubgraphSearches:
                                   cycle_graph(4), star_graph(3))
                  for h in [gnp(rng, n, p) for n in range(3, 8) for p in (0.5, 0.8, 0.95)]]
         pairs += [(complete_graph(3), complete_graph(5)), (cycle_graph(4), complete_graph(6))]
+        for _ in range(250):  # random patterns, edgeless and disconnected ones included
+            h = gnp(rng, rng.randint(2, 7), rng.choice((0.5, 0.7, 0.9, 1.0)))
+            pairs.append((gnp(rng, rng.randint(2, h.n), rng.choice((0.0, 0.5, 0.9))), h))
         fired = 0
         for g, h in pairs:
             want = None

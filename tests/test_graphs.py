@@ -120,6 +120,16 @@ class TestEnumerationAndCanonical:
             assert ints == sorted(ints) == [_graph_to_int(g) for g in reps]
         assert sum(1 for _ in enumerate_graphs(3, dedup=False)) == 8
 
+    def test_seven_vertex_classes(self):
+        # A000088(7): the orbit pass marks all 2**21 labelled graphs; at n = 8
+        # it would mark 2**28 and is refused
+        reps = list(enumerate_graphs(7, dedup=True))
+        ints = [_graph_to_int(g) for g in reps]
+        assert len(reps) == 1044 and ints == sorted(set(ints))
+        assert len({canonical_form(g) for g in reps}) == 1044
+        with pytest.raises(GraphError, match="dedup enumeration capped at n=7"):
+            next(enumerate_graphs(8, dedup=True))
+
     def test_canonical_blowup_equivalence(self):
         assert canonical_form(cycle_graph(4)) == canonical_form(
             blowup(complete_graph(2), [2, 2]))

@@ -630,8 +630,10 @@ class TestCliqueGuard:
                 assert homcount._has_clique(masks, r) == want, (g, r)
 
     def test_guard_agrees_with_backtracker(self, monkeypatch):
-        # with elimination switched off, every pair reaches the guard; each
-        # pair it refuses has no map, and hom_exists agrees with the search
+        # with the 2-colouring step and elimination switched off, every pair
+        # reaches the guard; each pair it refuses has no map, and hom_exists
+        # agrees with the search
+        monkeypatch.setattr(SimpleGraph, "is_bipartite", lambda self: False)
         monkeypatch.setattr(homcount, "_eliminate", lambda *args, **kwargs: None)
         rng = random.Random(29)
         refused = 0
@@ -645,6 +647,53 @@ class TestCliqueGuard:
             assert fits or not want, (h, t)
             assert hom_exists(h, t) == want, (h, t)
         assert refused > 20
+
+
+class TestTwoColouring:
+    """hom_exists settles a pair by the 2-colourings of its graphs before
+    elimination: H -> K2 -> T when H is 2-colourable and T has an edge, and
+    no map when only T is 2-colourable."""
+
+    def test_is_bipartite_matches_brute_force(self):
+        rng = random.Random(71)
+        for _ in range(200):
+            g = random_graph(rng, rng.randint(0, 8), rng.random() * 0.6)
+            want = any(all(side[a] != side[b] for a, b in g.edges)
+                       for side in itertools.product((0, 1), repeat=g.n))
+            assert g.is_bipartite() == want, g
+
+    def test_matches_backtracker(self):
+        rng = random.Random(73)
+        odd = [cycle_graph(m) for m in (3, 5, 7, 9)]
+        bipartite = ([cycle_graph(m) for m in (4, 6, 8, 10)]
+                     + [path_graph(m) for m in range(5)]
+                     + [complete_bipartite(a, b) for a in (1, 2, 3) for b in (1, 3)])
+        edgeless = [SimpleGraph(n) for n in range(4)]
+        pairs = [(h, t) for h in odd + bipartite + edgeless for t in bipartite + edgeless]
+        for _ in range(300):
+            h = random_graph(rng, rng.randint(0, 7), rng.random())
+            t = random_graph(rng, rng.randint(0, 8), rng.random() * 0.7)
+            if rng.random() < 0.3:
+                t = disjoint_union(t, SimpleGraph(rng.randint(1, 3)))
+            pairs += [(h, t), (t, h)]
+        decided = 0
+        for h, t in pairs:
+            want = _backtrack(h, t.adjacency_masks(), None, first=True) > 0
+            assert hom_exists(h, t) == want, (h, t)
+            decided += t.num_edges > 0 if h.is_bipartite() else t.is_bipartite()
+        assert decided > len(pairs) // 2
+
+    def test_decided_pairs_skip_elimination(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("elimination reached")
+
+        monkeypatch.setattr(homcount, "_eliminate", refuse)
+        assert not hom_exists(cycle_graph(5), cycle_graph(8))
+        assert not hom_exists(complete_graph(3), path_graph(6))
+        assert hom_exists(cycle_graph(6), complete_graph(4))
+        assert hom_exists(path_graph(4), disjoint_union(SimpleGraph(3), complete_graph(2)))
+        with pytest.raises(AssertionError, match="elimination reached"):
+            hom_exists(path_graph(1), SimpleGraph(3))
 
 
 class TestWalkRouting:

@@ -79,6 +79,8 @@ class TestCorpus:
         assert len(corpus) == 18
         corpus = build_corpus(CorpusSpec(exhaustive_n=3, gnp_count=5))
         assert len(corpus) == 7 + 5
+        # A000088 for 1..7 vertices
+        assert len(build_corpus(CorpusSpec(exhaustive_n=7))) == 1 + 2 + 4 + 11 + 34 + 156 + 1044
 
     def test_deterministic(self):
         spec = CorpusSpec(exhaustive_n=3, gnp_count=4, gnp_seed=9)
