@@ -5,6 +5,12 @@ whose header records the full effective configuration, so identical
 configurations reproduce identical output. Rationals are printed as
 "p/q" strings in machine output.
 
+``main`` reads argv against one verb table (``build_parser``, built once per
+process): the global options come before the verb and the verb's own
+options after it, each as ``--opt value`` or ``--opt=value``, spelled in
+full. A usage error is a ``GraphError``, so it prints one ``error:`` line
+and exits 2; ``-h``/``--help`` prints help made from the same table.
+
 Exit codes: 0 success / no violations; 1 violation found; 2 a refusal of
 the input: exactly a ``HomdomError`` or an ``OSError``; 3 requested exponent
 does not exist; 4 verification had skipped targets (result incomplete); 5
@@ -13,11 +19,11 @@ a failed self-check's ``AssertionError`` among them.
 """
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import os
 import sys
+import types
 from fractions import Fraction
 
 from . import cones, constructions, formulas, ratlp, verifier
@@ -224,79 +230,144 @@ def cmd_estimate(args, config):
 # entry point
 # ---------------------------------------------------------------------------
 
+# an option maps to (dest, kind, default): an int kind is read by _int, a
+# str kind is the text itself, and a bool kind is a flag that takes no value
+GLOBAL_OPTIONS = {
+    "--seed": ("seed", int, DEFAULT_SEED),
+    "--max-hom-steps": ("max_hom_steps", int, 2 * 10 ** 8),
+    "--out": ("out", str, ""),
+}
+
+OPTION_HELP = {
+    "--max-hom-steps": "work ceiling of each exact hom count; it does not bound the "
+                       "walk and Gram counts of cycles and K2 on targets of more than 64 vertices",
+    "--emit": "graph6 only",
+}
+
+HELP_TOKENS = ("-h", "--help")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="homdom",
-        description="Homomorphism density domination exponents: formulas, "
-                    "constructions, cones, LPs, and corpus verification.",
-    )
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    parser.add_argument(
-        "--max-hom-steps", type=int, default=2 * 10 ** 8,
-        help="work ceiling of each exact hom count; it does not bound the "
-             "walk and Gram counts of cycles and K2 on targets of more than 64 vertices",
-    )
-    parser.add_argument("--out", default="")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("exponent", help="best bound on C(G,H)")
-    p.add_argument("--g", required=True)
-    p.add_argument("--h", required=True)
-    p.add_argument("--harvest", action="store_true")
-    p.set_defaults(func=cmd_exponent)
-
-    p = sub.add_parser("verify", help="check t(G,T) >= t(H,T)^c over a corpus")
-    p.add_argument("--g", required=True)
-    p.add_argument("--h", required=True)
-    p.add_argument("--c", required=True)
-    p.add_argument("--corpus-spec", default="exhaustive_n=5")
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("search-p6", help="counterexample search for the "
-                                         "odd/even cycle inequality")
-    p.add_argument("--i", type=int, required=True)
-    p.add_argument("--j", type=int, required=True)
-    p.add_argument("--corpus-spec", default="exhaustive_n=5")
-    p.set_defaults(func=cmd_search_p6)
-
-    p = sub.add_parser("construct", help="instantiate a target family")
-    p.add_argument("--family", required=True)
-    p.add_argument("--params", default="")
-    p.add_argument("--size", type=int, required=True)
-    p.add_argument("--emit", action="store_true", help="graph6 only")
-    p.set_defaults(func=cmd_construct)
-
-    p = sub.add_parser("cone", help="cycle tropicalization cones")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--even", type=int)
-    group.add_argument("--all", type=int)
-    p.add_argument("--literal-text", action="store_true")
-    p.set_defaults(func=cmd_cone)
-
-    p = sub.add_parser("lp", help="exact rational LP solve")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--kr", type=int)
-    group.add_argument("--file")
-    p.set_defaults(func=cmd_lp)
-
-    p = sub.add_parser("estimate", help="log-ratio estimates over a family")
-    p.add_argument("--g", required=True)
-    p.add_argument("--h", required=True)
-    p.add_argument("--family", required=True)
-    p.add_argument("--sizes", required=True)
-    p.set_defaults(func=cmd_estimate)
-    return parser
+    """The verb table: verb -> (handler, help, {option: (dest, kind, default)},
+    required options, exactly-one-of group)."""
+    graphs = {"--g": ("g", str, None), "--h": ("h", str, None)}
+    corpus = {"--corpus-spec": ("corpus_spec", str, "exhaustive_n=5")}
+    return {
+        "exponent": (cmd_exponent, "best bound on C(G,H)",
+                     {**graphs, "--harvest": ("harvest", bool, False)}, ("--g", "--h"), ()),
+        "verify": (cmd_verify, "check t(G,T) >= t(H,T)^c over a corpus",
+                   {**graphs, "--c": ("c", str, None), **corpus}, ("--g", "--h", "--c"), ()),
+        "search-p6": (cmd_search_p6, "counterexample search for the odd/even cycle inequality",
+                      {"--i": ("i", int, None), "--j": ("j", int, None), **corpus},
+                      ("--i", "--j"), ()),
+        "construct": (cmd_construct, "instantiate a target family",
+                      {"--family": ("family", str, None), "--params": ("params", str, ""),
+                       "--size": ("size", int, None), "--emit": ("emit", bool, False)},
+                      ("--family", "--size"), ()),
+        "cone": (cmd_cone, "cycle tropicalization cones",
+                 {"--even": ("even", int, None), "--all": ("all", int, None),
+                  "--literal-text": ("literal_text", bool, False)}, (), ("--even", "--all")),
+        "lp": (cmd_lp, "exact rational LP solve",
+               {"--kr": ("kr", int, None), "--file": ("file", str, None)}, (), ("--kr", "--file")),
+        "estimate": (cmd_estimate, "log-ratio estimates over a family",
+                     {**graphs, "--family": ("family", str, None), "--sizes": ("sizes", str, None)},
+                     ("--g", "--h", "--family", "--sizes"), ()),
+    }
 
 
 @functools.lru_cache(maxsize=None)
 def _parser():
-    """The parser, built on the first main call and reused after it."""
+    """The verb table, built on the first main call and reused after it."""
     return build_parser()
 
 
+def _read_options(argv, i, options, where):
+    """The options given from argv[i] on, as {option: value}, and the index
+    of the first token that is no option. Each option is ``--opt value`` or
+    ``--opt=value``; the token after an option is its value, whatever it
+    looks like, and a repeated option keeps its last value."""
+    given = {}
+    while i < len(argv) and argv[i].startswith("-") and argv[i] not in HELP_TOKENS:
+        token = argv[i]
+        name, eq, value = token.partition("=")
+        if name not in options:
+            if name in GLOBAL_OPTIONS:
+                raise GraphError(f"{name} goes before the verb, not after it")
+            raise GraphError(f"unknown option {token!r} {where}; "
+                             f"the options are {', '.join(options)}")
+        kind = options[name][1]
+        if kind is bool:
+            if eq:
+                raise GraphError(f"{name} takes no value, got {token!r}")
+            value = True
+        elif not eq:
+            i += 1
+            if i == len(argv):
+                raise GraphError(f"{name} needs a value")
+            value = argv[i]
+        given[name] = _int(value, name) if kind is int else value
+        i += 1
+    return given, i
+
+
+def _help(table, verb=None):
+    """The help text of homdom, or of one of its verbs, read from the table."""
+    if verb is None:
+        lines = ["usage: homdom [global options] VERB [options]", "",
+                 "Homomorphism density domination exponents: formulas, constructions, "
+                 "cones, LPs, and corpus verification.", "", "global options, before the verb:"]
+        options, required, group = GLOBAL_OPTIONS, (), ()
+    else:
+        _, text, options, required, group = table[verb]
+        lines = [f"usage: homdom [global options] {verb} [options]", "", text, "", "options:"]
+    for opt, (dest, kind, default) in options.items():
+        if opt in required:
+            note = "required"
+        elif opt in group:
+            note = f"exactly one of {', '.join(group)}"
+        else:
+            note = OPTION_HELP.get(opt, "" if kind is bool else f"default {default!r}")
+        lines.append(f"  {opt if kind is bool else f'{opt} {dest.upper()}':<32}{note}".rstrip())
+    if verb is None:
+        lines += ["", "verbs (homdom VERB --help lists a verb's options):"]
+        lines += [f"  {name:<12}{entry[1]}" for name, entry in table.items()]
+    return "\n".join(lines)
+
+
+def _read_args(argv):
+    """The parsed argv as a namespace, or the help text it asks for."""
+    table = _parser()
+    before, i = _read_options(argv, 0, GLOBAL_OPTIONS, "before the verb")
+    if i < len(argv) and argv[i] in HELP_TOKENS:
+        return _help(table)
+    if i == len(argv) or argv[i] not in table:
+        got = f"unknown verb {argv[i]!r}" if i < len(argv) else "missing verb"
+        raise GraphError(f"{got}; the verbs are {', '.join(table)}")
+    verb = argv[i]
+    func, _, options, required, group = table[verb]
+    after, i = _read_options(argv, i + 1, options, f"for {verb}")
+    if i < len(argv):
+        if argv[i] in HELP_TOKENS:
+            return _help(table, verb)
+        raise GraphError(f"unexpected argument {argv[i]!r} for {verb}")
+    for opt in required:
+        if opt not in after:
+            raise GraphError(f"{verb} needs {opt}")
+    if group and sum(opt in after for opt in group) != 1:
+        raise GraphError(f"{verb} needs exactly one of {', '.join(group)}")
+    args = types.SimpleNamespace(command=verb, func=func)
+    for opts, given in ((GLOBAL_OPTIONS, before), (options, after)):
+        for opt, (dest, _, default) in opts.items():
+            setattr(args, dest, given.get(opt, default))
+    return args
+
+
 def main(argv=None):
-    args = _parser().parse_args(argv)
     try:
+        args = _read_args(sys.argv[1:] if argv is None else argv)
+        if isinstance(args, str):
+            print(args)
+            return 0
         if args.max_hom_steps < 1:
             raise GraphError(f"--max-hom-steps must be at least 1, got {args.max_hom_steps}")
         config = {"command": args.command, "seed": _effective_seed(args),

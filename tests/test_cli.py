@@ -23,6 +23,14 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def python_m(*argv):
+    """``python -m homdom`` with argv, run on this checkout's source."""
+    root = Path(__file__).resolve().parent.parent
+    return subprocess.run([sys.executable, "-m", "homdom", *argv], cwd=root,
+                          env=dict(os.environ, PYTHONPATH=str(root / "src")),
+                          capture_output=True, text=True, timeout=60)
+
+
 class TestParsing:
     def test_graph_arg_shorthand(self):
         assert parse_graph_arg("K4-e") == k4_minus_e()
@@ -160,10 +168,9 @@ class TestParserReuse:
 
     def test_bad_argument_then_good(self, capsys):
         want = self.fresh(capsys, "exponent", "--g", "P5", "--h", "P13")
-        with pytest.raises(SystemExit) as exc:
-            main(["exponent", "--g", "P5"])
-        assert exc.value.code == 2
-        assert "--h" in capsys.readouterr().err
+        code, out, err = run(capsys, "exponent", "--g", "P5")
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and "--h" in err
         assert run(capsys, "exponent", "--g", "P5", "--h", "P13") == want
 
     def test_built_once(self, monkeypatch, capsys):
@@ -175,6 +182,110 @@ class TestParserReuse:
             run(capsys, "exponent", "--g", "P2", "--h", "P3")
         assert calls == [1]
         cli._parser.cache_clear()
+
+
+VERB_OPTIONS = [  # each verb with values for its options; a None value marks a flag
+    ("exponent", [("--g", "P5"), ("--h", "P13"), ("--harvest", None)]),
+    ("verify", [("--g", "C4"), ("--h", "K2"), ("--c", "-1"),
+                ("--corpus-spec", "gnp_count=1,gnp_p=1/2")]),
+    ("search-p6", [("--i", "2"), ("--j", "-1"), ("--corpus-spec", "exhaustive_n=3")]),
+    ("construct", [("--family", "path_blowup"), ("--params", "k=3,l=2,m=1"), ("--size", "10"),
+                   ("--emit", None)]),
+    ("cone", [("--even", "3"), ("--literal-text", None)]),
+    ("cone", [("--all", "4")]),
+    ("lp", [("--kr", "3")]),
+    ("lp", [("--file", "--kr")]),
+    ("estimate", [("--g", "K2"), ("--h", "--g=K3"), ("--family", "clique_plus_isolated"),
+                  ("--sizes", "4,8")]),
+]
+
+
+def spaced(pairs):
+    return [tok for opt, val in pairs for tok in ((opt,) if val is None else (opt, val))]
+
+
+def joined(pairs):
+    return [opt if val is None else f"{opt}={val}" for opt, val in pairs]
+
+
+class TestArgumentReading:
+    """main reads argv against one verb table; a usage error is one line."""
+
+    @pytest.mark.parametrize("verb, pairs", VERB_OPTIONS)
+    def test_any_order_either_form(self, verb, pairs):
+        want = cli._read_args(["--seed", "3", verb, *spaced(pairs)])
+        assert want.command == verb and want.seed == 3
+        for opt, val in pairs:
+            dest, kind, _ = cli.build_parser()[verb][2][opt]
+            assert getattr(want, dest) == (True if val is None else kind(val))
+        for argv in (["--seed=3", verb, *joined(pairs[::-1])],
+                     ["--seed", "3", verb, *spaced(pairs[1::2] + pairs[::2])],
+                     ["--seed", "9", "--seed", "3", verb,
+                      *spaced([(o, "0") for o, v in pairs if v is not None] + pairs)]):
+            assert vars(cli._read_args(argv)) == vars(want)
+
+    def test_every_option_covered(self):
+        for verb, entry in cli.build_parser().items():
+            covered = {opt for v, pairs in VERB_OPTIONS if v == verb for opt, _ in pairs}
+            assert covered == set(entry[2])
+
+    def test_defaults(self):
+        args = cli._read_args(["search-p6", "--i", "2", "--j", "1"])
+        assert (args.seed, args.max_hom_steps, args.out) == (cli.DEFAULT_SEED, 2 * 10 ** 8, "")
+        assert args.corpus_spec == "exhaustive_n=5"
+        args = cli._read_args(["cone", "--all", "3"])
+        assert (args.even, args.all, args.literal_text) == (None, 3, False)
+
+    @pytest.mark.parametrize("argv, message", [
+        ((), "missing verb"),
+        (("--seed", "3"), "missing verb"),
+        (("expo",), "unknown verb 'expo'"),
+        (("--g", "P5", "exponent"), "unknown option '--g' before the verb"),
+        (("-x", "lp", "--kr", "2"), "unknown option '-x' before the verb"),
+        (("exponent", "--har", "--g", "P5", "--h", "P5"), "unknown option '--har' for exponent"),
+        (("exponent", "--g=P5", "--x=1", "--h", "P5"), "unknown option '--x=1' for exponent"),
+        (("lp", "--k", "2"), "unknown option '--k' for lp"),
+        (("exponent", "--g", "P5", "--h"), "--h needs a value"),
+        (("--seed",), "--seed needs a value"),
+        (("exponent", "--g", "P5"), "exponent needs --h"),
+        (("verify", "--g", "P5", "--h", "P3"), "verify needs --c"),
+        (("construct", "--family", "behrend"), "construct needs --size"),
+        (("estimate", "--g", "K2", "--h", "K3", "--family", "x"), "estimate needs --sizes"),
+        (("cone",), "cone needs exactly one of --even, --all"),
+        (("cone", "--even", "3", "--all", "4"), "cone needs exactly one of --even, --all"),
+        (("lp",), "lp needs exactly one of --kr, --file"),
+        (("lp", "--kr", "2", "--file", "x"), "lp needs exactly one of --kr, --file"),
+        (("exponent", "--g", "P5", "--h", "P13", "--seed", "3"), "--seed goes before the verb"),
+        (("lp", "--kr", "2", "--out=x"), "--out goes before the verb"),
+        (("exponent", "--g", "P5", "--h", "P13", "P2"), "unexpected argument 'P2' for exponent"),
+        (("construct", "--family", "behrend", "--size", "x"),
+         "--size must be an integer, got 'x'"),
+        (("search-p6", "--i", "two", "--j", "1"), "--i must be an integer, got 'two'"),
+        (("lp", "--kr=2.5"), "--kr must be an integer, got '2.5'"),
+        (("--max-hom-steps", "1e9", "lp", "--kr", "2"),
+         "--max-hom-steps must be an integer, got '1e9'"),
+        (("exponent", "--g", "P5", "--h", "P13", "--harvest=x"),
+         "--harvest takes no value, got '--harvest=x'"),
+        (("construct", "--family", "behrend", "--size", "30", "--emit="),
+         "--emit takes no value, got '--emit='"),
+    ])
+    def test_refusal_is_one_line(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+        assert message in err
+
+    @pytest.mark.parametrize("flag", ["--help", "-h"])
+    def test_help(self, capsys, flag):
+        table = cli.build_parser()
+        code, out, err = run(capsys, flag)
+        assert (code, err) == (0, "")
+        for name in (*table, *cli.GLOBAL_OPTIONS, "64 vertices"):
+            assert name in out
+        for verb, entry in table.items():
+            code, out, err = run(capsys, "--seed", "1", verb, flag)
+            assert (code, err) == (0, "")
+            assert all(opt in out for opt in entry[2])
 
 
 class TestGraphReuse:
@@ -526,11 +637,21 @@ class TestErrorExits:
         assert json.loads(out)["result"]["lower"] == lower
 
     def test_python_dash_m(self):
-        root = Path(__file__).resolve().parent.parent
-        proc = subprocess.run([sys.executable, "-m", "homdom", "lp", "--kr", "1"], cwd=root,
-                              env=dict(os.environ, PYTHONPATH=str(root / "src")),
-                              capture_output=True, text=True, timeout=60)
+        proc = python_m("lp", "--kr", "1")
         assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: need i >= 2\n")
+
+    def test_python_dash_m_help(self):
+        proc = python_m("--help")
+        assert (proc.returncode, proc.stderr) == (0, "")
+        for verb in ("exponent", "verify", "search-p6", "construct", "cone", "lp", "estimate"):
+            assert f"\n  {verb} " in proc.stdout
+
+    @pytest.mark.parametrize("argv", [("exponent", "--g", "P5"), ()])
+    def test_python_dash_m_usage_error(self, argv):
+        proc = python_m(*argv)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert "usage:" not in proc.stderr and "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("text, key", [
         ("{}", "sense"),

@@ -207,6 +207,25 @@ class TestFractionOracle:
             assert cone.evaluate(y) == fraction_slacks(cone, y)
         assert singular > 0
 
+    def test_sparse_slacks_match_the_dense_product(self):
+        # evaluate sums only each row's nonzero entries; rows of every
+        # density, all-zero rows and negative entries and points included
+        rng = random.Random(11)
+        zero_rows = 0
+        for _ in range(300):
+            dim = rng.randint(1, 8)
+            rows = tuple(tuple(rng.randint(-9, 9) if rng.random() < density else 0
+                               for _ in range(dim))
+                         for density in [rng.choice((0, 0.2, 0.5, 1)) for _ in range(6)])
+            zero_rows += sum(not any(row) for row in rows)
+            cone = Cone(dim, rows, ())
+            for _ in range(3):
+                y = tuple(rng.randint(-20, 20) for _ in range(dim))
+                got = cone.evaluate(y)
+                assert got == tuple(sum(a * v for a, v in zip(row, y)) for row in rows)
+                assert all(type(s) is int for s in got)
+        assert zero_rows > 0
+
     @pytest.mark.parametrize("m", (2, 5))
     def test_slacks(self, m):
         cone = all_cycle_cone(m)
