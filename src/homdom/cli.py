@@ -1,9 +1,9 @@
 """Command-line front-end.
 
-Thin adapters over the library modules. Every run prints a JSON document
+Thin adapters over the library modules: each ``cmd_`` verb returns plain
+JSON data and an exit code, and ``main`` writes the one JSON document,
 whose header records the full effective configuration, so identical
-configurations reproduce identical output. Rationals are printed as
-"p/q" strings in machine output.
+configurations reproduce identical output. Rationals print as "p/q".
 
 ``main`` reads argv against one verb table (``build_parser``, built once per
 process): the global options come before the verb and the verb's own
@@ -15,7 +15,7 @@ Exit codes: 0 success / no violations; 1 violation found; 2 a refusal of
 the input: exactly a ``HomdomError`` or an ``OSError``; 3 requested exponent
 does not exist; 4 verification had skipped targets (result incomplete); 5
 any other exception, an internal error (a bug: the traceback goes to stderr),
-a failed self-check's ``AssertionError`` among them.
+a failed self-check's ``AssertionError`` among them. A closed stdout changes no code.
 """
 from __future__ import annotations
 
@@ -115,15 +115,25 @@ def parse_params(text):
     return out
 
 
+def _print(text):
+    """Print to stdout. A reader that left early (``| head``) is no fault of
+    the input: stdout goes to os.devnull, so the exit flush stays quiet."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def _emit(config, payload, out_path):
     """Print or write the config and a verb's plain-data result: the one JSON writer."""
-    doc = {"config": config, "result": payload}
-    text = json.dumps(doc, indent=2, default=str)
+    text = json.dumps({"config": config, "result": payload}, indent=2)
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text + "\n")
     else:
-        print(text)
+        _print(text)
 
 
 def _target_payload(target):
@@ -141,49 +151,44 @@ def _target_payload(target):
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_exponent(args, config):
+def cmd_exponent(args):
     g = parse_graph_arg(args.g)
     h = parse_graph_arg(args.h)
     bound = formulas.dispatch_exponent(g, h, harvest=args.harvest)
-    _emit(config, bound.to_data(), args.out)
-    return 0 if bound.exists else 3
+    return bound.to_data(), 0 if bound.exists else 3
 
 
-def cmd_verify(args, config):
+def cmd_verify(args):
     g = parse_graph_arg(args.g)
     h = parse_graph_arg(args.h)
     corpus = verifier.build_corpus(parse_corpus_spec(args.corpus_spec))
     report = verifier.check_inequality(g, h, parse_fraction(args.c), corpus,
-                                       max_steps=config["max_hom_steps"])
-    _emit(config, report.to_data(), args.out)
-    return report.exit_code
+                                       max_steps=args.max_hom_steps)
+    return report.to_data(), report.exit_code
 
 
-def cmd_search_p6(args, config):
+def cmd_search_p6(args):
     corpus = verifier.build_corpus(parse_corpus_spec(args.corpus_spec))
-    report = verifier.search_problem6(args.i, args.j, corpus,
-                                      max_steps=config["max_hom_steps"])
-    _emit(config, report.to_data(), args.out)
-    return report.exit_code
+    report = verifier.search_problem6(args.i, args.j, corpus, max_steps=args.max_hom_steps)
+    return report.to_data(), report.exit_code
 
 
-def cmd_construct(args, config):
+def cmd_construct(args):
     params = parse_params(args.params)
-    fam = constructions.ScalingFamily(args.family, params, seed=config["seed"])
+    fam = constructions.ScalingFamily(args.family, params, seed=args.seed)
     target = fam.build(args.size)
     if isinstance(target, (CliqueUnion, Biadjacency)):
         target = target.graph  # the payload encodes the expanded graph
     if args.emit and not isinstance(target, SimpleGraph):
         raise GraphError(f"--emit writes graph6; family {args.family!r} builds a weighted target")
-    payload = ({"graph6": encode_graph(target, "graph6")} if args.emit else
-               {"family": args.family, "params": params, "size": args.size,
-                "seed": config["seed"], "target": _target_payload(target)})
-    _emit(config, payload, args.out)
-    return 0
+    return ({"graph6": encode_graph(target, "graph6")} if args.emit else
+            {"family": args.family, "params": params, "size": args.size,
+             "seed": args.seed, "target": _target_payload(target)}), 0
 
 
-def cmd_cone(args, config):
+def cmd_cone(args):
     if args.even is not None:
+        cones.check_hull_dim(args.even)  # before the O(k^2) cone is built
         cone = cones.even_cycle_cone(args.even)
         equality = cones.cone_equals_hull(cone)
     else:
@@ -191,12 +196,10 @@ def cmd_cone(args, config):
         equality = "conjectured (hull-in-cone inclusion reported only)"
     # cone_equals_hull answers True only once every listed ray is in the cone
     rays_ok = equality is True or cones.verify_rays(cone)["all_member"]
-    _emit(config, {**cones.cone_to_data(cone), "rays_ok": rays_ok, "equality": equality},
-          args.out)
-    return 0
+    return {**cones.cone_to_data(cone), "rays_ok": rays_ok, "equality": equality}, 0
 
 
-def cmd_lp(args, config):
+def cmd_lp(args):
     if args.kr is not None:
         problem = ratlp.kr_lp(args.kr)
     else:
@@ -205,25 +208,22 @@ def cmd_lp(args, config):
     payload = ratlp.solution_to_data(ratlp.solve_lp(problem))
     if args.kr is not None:
         payload["certificate_checked"] = ratlp.check_kr_certificate(args.kr, problem)
-    _emit(config, payload, args.out)
-    return 0
+    return payload, 0
 
 
-def cmd_estimate(args, config):
+def cmd_estimate(args):
     g = parse_graph_arg(args.g)
     h = parse_graph_arg(args.h)
     kind, _, params = args.family.partition(":")
-    fam = constructions.ScalingFamily(kind, parse_params(params), seed=config["seed"])
+    fam = constructions.ScalingFamily(kind, parse_params(params), seed=args.seed)
     sizes = [_int(s, "--sizes entry") for s in args.sizes.split(",")]
-    result = constructions.estimate_ratio(g, h, fam, sizes, max_steps=config["max_hom_steps"])
-    payload = {
+    result = constructions.estimate_ratio(g, h, fam, sizes, max_steps=args.max_hom_steps)
+    return {
         "family": args.family,
         "ratios": [{"size": s, "ratio": r} for s, r in result["ratios"]],
         "extrapolated": result["extrapolated"],
         "monotone": result["monotone"],
-    }
-    _emit(config, payload, args.out)
-    return 0
+    }, 0
 
 
 # ---------------------------------------------------------------------------
@@ -248,28 +248,28 @@ HELP_TOKENS = ("-h", "--help")
 
 
 def build_parser():
-    """The verb table: verb -> (handler, help, {option: (dest, kind, default)},
-    required options, exactly-one-of group)."""
+    """The verb table: verb -> (help, {option: (dest, kind, default)},
+    required options, exactly-one-of group); ``main`` runs its ``cmd_``."""
     graphs = {"--g": ("g", str, None), "--h": ("h", str, None)}
     corpus = {"--corpus-spec": ("corpus_spec", str, "exhaustive_n=5")}
     return {
-        "exponent": (cmd_exponent, "best bound on C(G,H)",
+        "exponent": ("best bound on C(G,H)",
                      {**graphs, "--harvest": ("harvest", bool, False)}, ("--g", "--h"), ()),
-        "verify": (cmd_verify, "check t(G,T) >= t(H,T)^c over a corpus",
+        "verify": ("check t(G,T) >= t(H,T)^c over a corpus",
                    {**graphs, "--c": ("c", str, None), **corpus}, ("--g", "--h", "--c"), ()),
-        "search-p6": (cmd_search_p6, "counterexample search for the odd/even cycle inequality",
+        "search-p6": ("counterexample search for the odd/even cycle inequality",
                       {"--i": ("i", int, None), "--j": ("j", int, None), **corpus},
                       ("--i", "--j"), ()),
-        "construct": (cmd_construct, "instantiate a target family",
+        "construct": ("instantiate a target family",
                       {"--family": ("family", str, None), "--params": ("params", str, ""),
                        "--size": ("size", int, None), "--emit": ("emit", bool, False)},
                       ("--family", "--size"), ()),
-        "cone": (cmd_cone, "cycle tropicalization cones",
+        "cone": ("cycle tropicalization cones",
                  {"--even": ("even", int, None), "--all": ("all", int, None),
                   "--literal-text": ("literal_text", bool, False)}, (), ("--even", "--all")),
-        "lp": (cmd_lp, "exact rational LP solve",
+        "lp": ("exact rational LP solve",
                {"--kr": ("kr", int, None), "--file": ("file", str, None)}, (), ("--kr", "--file")),
-        "estimate": (cmd_estimate, "log-ratio estimates over a family",
+        "estimate": ("log-ratio estimates over a family",
                      {**graphs, "--family": ("family", str, None), "--sizes": ("sizes", str, None)},
                      ("--g", "--h", "--family", "--sizes"), ()),
     }
@@ -318,7 +318,7 @@ def _help(table, verb=None):
                  "cones, LPs, and corpus verification.", "", "global options, before the verb:"]
         options, required, group = GLOBAL_OPTIONS, (), ()
     else:
-        _, text, options, required, group = table[verb]
+        text, options, required, group = table[verb]
         lines = [f"usage: homdom [global options] {verb} [options]", "", text, "", "options:"]
     for opt, (dest, kind, default) in options.items():
         if opt in required:
@@ -330,7 +330,7 @@ def _help(table, verb=None):
         lines.append(f"  {opt if kind is bool else f'{opt} {dest.upper()}':<32}{note}".rstrip())
     if verb is None:
         lines += ["", "verbs (homdom VERB --help lists a verb's options):"]
-        lines += [f"  {name:<12}{entry[1]}" for name, entry in table.items()]
+        lines += [f"  {name:<12}{entry[0]}" for name, entry in table.items()]
     return "\n".join(lines)
 
 
@@ -344,7 +344,7 @@ def _read_args(argv):
         got = f"unknown verb {argv[i]!r}" if i < len(argv) else "missing verb"
         raise GraphError(f"{got}; the verbs are {', '.join(table)}")
     verb = argv[i]
-    func, _, options, required, group = table[verb]
+    _, options, required, group = table[verb]
     after, i = _read_options(argv, i + 1, options, f"for {verb}")
     if i < len(argv):
         if argv[i] in HELP_TOKENS:
@@ -355,7 +355,7 @@ def _read_args(argv):
             raise GraphError(f"{verb} needs {opt}")
     if group and sum(opt in after for opt in group) != 1:
         raise GraphError(f"{verb} needs exactly one of {', '.join(group)}")
-    args = types.SimpleNamespace(command=verb, func=func)
+    args = types.SimpleNamespace(command=verb)
     for opts, given in ((GLOBAL_OPTIONS, before), (options, after)):
         for opt, (dest, _, default) in opts.items():
             setattr(args, dest, given.get(opt, default))
@@ -363,16 +363,20 @@ def _read_args(argv):
 
 
 def main(argv=None):
+    """Run the verb's ``cmd_``, looked up on the module now, and write its result."""
     try:
         args = _read_args(sys.argv[1:] if argv is None else argv)
         if isinstance(args, str):
-            print(args)
+            _print(args)
             return 0
         if args.max_hom_steps < 1:
             raise GraphError(f"--max-hom-steps must be at least 1, got {args.max_hom_steps}")
-        config = {"command": args.command, "seed": _effective_seed(args),
+        args.seed = _effective_seed(args)
+        config = {"command": args.command, "seed": args.seed,
                   "max_hom_steps": args.max_hom_steps, "out": args.out}
-        return args.func(args, config)
+        payload, code = globals()["cmd_" + args.command.replace("-", "_")](args)
+        _emit(config, payload, args.out)
+        return code
     except (HomdomError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -144,15 +144,12 @@ def all_cycle_cone(m, literal_text=False):
         raise ConeError(f"all-cycle cone capped at m={MAX_ALL_CYCLE_M}, got {m}")
     dim = 2 * m - 1
     rows = []
-    names = []
     for i in range(2, m):
         rows.append(_vec(dim, {_all_coord(2 * i - 2): 1, _all_coord(2 * i): -2,
                                _all_coord(2 * i + 2): 1}))
-        names.append(f"even-convexity i={i}")
     for i in range(1, m):
         rows.append(_vec(dim, {_all_coord(2 * i): 1, _all_coord(2 * i + 1): -2,
                                _all_coord(2 * i + 2): 1}))
-        names.append(f"odd-between i={i}")
     for i in range(1, m):
         for j in range(i + 1, m):
             if literal_text:
@@ -169,18 +166,12 @@ def all_cycle_cone(m, literal_text=False):
                     _all_coord(2 * j + 1): 2 * j - 1 - 2 * i,
                     _all_coord(2 * j - 1): -(2 * j + 1 - 2 * i),
                 }))
-            names.append(f"mixed i={i} j={j}")
     for i in range(2, m):
         rows.append(_vec(dim, {_all_coord(2 * i - 1): -1, _all_coord(2 * i + 1): 1}))
-        names.append(f"odd-monotone i={i}")
     rows.append(_vec(dim, {_all_coord(3): 1}))
-    names.append("y3")
     rows.append(_vec(dim, {_all_coord(3): -1, _all_coord(4): 1}))
-    names.append("y4-y3")
     rows.append(_vec(dim, {_all_coord(2): -1, _all_coord(4): 1}))
-    names.append("y4-y2")
     rows.append(_vec(dim, {_all_coord(2 * m - 2): m, _all_coord(2 * m): -(m - 1)}))
-    names.append("saturation")
 
     rays = []
     rnames = []
@@ -264,6 +255,12 @@ def _kernel_basis(rows, dim):
     return basis
 
 
+def check_hull_dim(dim):
+    """Refuse a hull computation in more than MAX_HULL_DIM dimensions."""
+    if dim > MAX_HULL_DIM:
+        raise ConeError("dimension cap for hull computation")
+
+
 def extreme_rays_from_halfspaces(cone):
     """Extreme rays of the pointed cone {y : Ay >= 0}, as primitive integer
     vectors; ConeError when the rows have rank below dim (not pointed).
@@ -273,8 +270,7 @@ def extreme_rays_from_halfspaces(cone):
     same kernel) and keeps the kernel direction (or its negation) that
     satisfies all halfspaces. Exact; feasible at dim <= 10.
     """
-    if cone.dim > MAX_HULL_DIM:
-        raise ConeError("dimension cap for hull computation")
+    check_hull_dim(cone.dim)
     rows = cone.halfspaces
     if len(_eliminate(rows, cone.dim)[1]) < cone.dim:
         raise ConeError("cone is not pointed")

@@ -461,7 +461,7 @@ def _exact_rule(g, h):
             return even_cycle_exponent(gc // 2, h.n), "hamiltonian-target"
 
     if g.n == 2 and g.num_edges == 1 and h.num_edges >= 1:
-        return edge_exponent(h), "edge-fractional-matching"
+        return 1 / _nu_star(h), "edge-fractional-matching"  # edge_exponent(h), nu* cached
 
     if isomorphic(h, _K3):
         if isomorphic(g, _K4_MINUS_E):

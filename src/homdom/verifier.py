@@ -149,7 +149,7 @@ def target_density(pattern, target, max_steps=None):
 @dataclass
 class VerificationReport:
     descriptor: dict
-    results: list = field(default_factory=list)
+    results: list = field(default_factory=list)  # decided targets' tags, in corpus order
     violations: list = field(default_factory=list)
     skipped: list = field(default_factory=list)
     min_slack: dict = None
@@ -296,11 +296,9 @@ def _verdicts(descriptor, g, h, p, q, corpus, max_steps):
         j, den = nums.index(low), gs * hs
         if least is None or (low * least[1], idx[j]) < (least[0] * den, least[2]):
             least = (low, den, idx[j])
-    entries, verdicts = corpus.entries, ["ok"] * len(corpus)
-    for i in [*found, *skipped]:
-        verdicts[i] = None if i in skipped else "violation"
+    entries = corpus.entries
     return VerificationReport(
-        descriptor, [{"target": tag, "verdict": v} for (tag, _), v in zip(entries, verdicts) if v],
+        descriptor, [tag for i, (tag, _) in enumerate(entries) if i not in skipped],
         [{"target": entries[i][0], "witness": _witness(entries[i][1]),
           "t_g": _shown(Fraction(a, da)), "t_h": _shown(Fraction(b, db))}
          for i, (a, da, b, db) in sorted(found.items())],

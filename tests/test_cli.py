@@ -183,6 +183,17 @@ class TestParserReuse:
         assert calls == [1]
         cli._parser.cache_clear()
 
+    def test_handler_looked_up_at_call_time(self, monkeypatch, capsys):
+        # main finds cmd_exponent on the module when it runs, so a wrapper
+        # installed after the table was built is the one called
+        run(capsys, "exponent", "--g", "P2", "--h", "P3")
+        calls, real = [], cli.cmd_exponent
+        monkeypatch.setattr(cli, "cmd_exponent", lambda args: calls.append(args.g) or real(args))
+        want = run(capsys, "exponent", "--g", "P5", "--h", "P13")
+        assert calls == ["P5"]
+        monkeypatch.undo()
+        assert run(capsys, "exponent", "--g", "P5", "--h", "P13") == want
+
 
 VERB_OPTIONS = [  # each verb with values for its options; a None value marks a flag
     ("exponent", [("--g", "P5"), ("--h", "P13"), ("--harvest", None)]),
@@ -216,7 +227,7 @@ class TestArgumentReading:
         want = cli._read_args(["--seed", "3", verb, *spaced(pairs)])
         assert want.command == verb and want.seed == 3
         for opt, val in pairs:
-            dest, kind, _ = cli.build_parser()[verb][2][opt]
+            dest, kind, _ = cli.build_parser()[verb][1][opt]
             assert getattr(want, dest) == (True if val is None else kind(val))
         for argv in (["--seed=3", verb, *joined(pairs[::-1])],
                      ["--seed", "3", verb, *spaced(pairs[1::2] + pairs[::2])],
@@ -227,7 +238,7 @@ class TestArgumentReading:
     def test_every_option_covered(self):
         for verb, entry in cli.build_parser().items():
             covered = {opt for v, pairs in VERB_OPTIONS if v == verb for opt, _ in pairs}
-            assert covered == set(entry[2])
+            assert covered == set(entry[1])
 
     def test_defaults(self):
         args = cli._read_args(["search-p6", "--i", "2", "--j", "1"])
@@ -285,7 +296,7 @@ class TestArgumentReading:
         for verb, entry in table.items():
             code, out, err = run(capsys, "--seed", "1", verb, flag)
             assert (code, err) == (0, "")
-            assert all(opt in out for opt in entry[2])
+            assert all(opt in out for opt in entry[1])
 
 
 class TestGraphReuse:
@@ -640,6 +651,24 @@ class TestErrorExits:
         proc = python_m("lp", "--kr", "1")
         assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: need i >= 2\n")
 
+    def test_closed_stdout(self):
+        # the reader leaves after 10 bytes of a 3.2 MB document: the answer
+        # was computed, so the verb's own exit code stands and stderr is empty
+        root = Path(__file__).resolve().parent.parent
+        proc = subprocess.Popen([sys.executable, "-m", "homdom", "cone", "--all", "60"], cwd=root,
+                                env=dict(os.environ, PYTHONPATH=str(root / "src")),
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert proc.stdout.read(10) == b'{\n  "confi'
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(timeout=60), err) == (0, b"")
+
+    def test_out_write_error_exit_2(self, capsys, tmp_path):
+        code, out, err = run(capsys, "--out", str(tmp_path), "lp", "--kr", "2")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: [Errno 21] Is a directory") and err.count("\n") == 1
+
     def test_python_dash_m_help(self):
         proc = python_m("--help")
         assert (proc.returncode, proc.stderr) == (0, "")
@@ -713,6 +742,16 @@ class TestConeCommand:
         code, out, _ = run(capsys, "cone", "--even", "5")
         assert code == 0 and json.loads(out)["result"]["rays_ok"] is True
         assert len(calls) == 1
+
+    def test_even_past_the_cap_refused_before_building(self, capsys, monkeypatch):
+        from homdom import cones
+        calls, real = [], cones.even_cycle_cone
+        monkeypatch.setattr(cones, "even_cycle_cone", lambda k: calls.append(k) or real(k))
+        code, out, err = run(capsys, "cone", "--even", "2000")
+        assert (code, out, err) == (2, "", "error: dimension cap for hull computation\n")
+        assert calls == []
+        assert run(capsys, "cone", "--even", str(cones.MAX_HULL_DIM))[0] == 0
+        assert calls == [cones.MAX_HULL_DIM]
 
     def test_all(self, capsys):
         code, out, _ = run(capsys, "cone", "--all", "3")

@@ -44,7 +44,7 @@ def test_no_imports_inside_functions():
 
 
 def test_cli_encodes_json_once():
-    # every verb hands _emit plain data; nothing is encoded to be parsed back
+    # main hands each verb's plain data to _emit; nothing is encoded to be parsed back
     tree = ast.parse((SRC / "cli.py").read_text())
     calls = []
     for func in ast.walk(tree):
@@ -161,4 +161,52 @@ def test_float_dtypes_only_in_exact_dtype_or_built_matrices():
                 allowed |= {id(n) for n in ast.walk(node)}
         found += [f"{name}:{node.lineno} {ast.unparse(node)}" for node in ast.walk(tree)
                   if _float_dtype(node) and id(node) not in allowed]
+    assert found == []
+
+
+def test_cli_verbs_return_data_and_main_writes():
+    # each cmd_ is a function of the parsed options that returns (payload,
+    # exit code); main alone writes the document
+    tree = ast.parse((SRC / "cli.py").read_text())
+    funcs = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+    verbs = [f for f in funcs if f.name.startswith("cmd_")]
+    assert len(verbs) == 7
+    for func in verbs:
+        assert [a.arg for a in func.args.args] == ["args"], func.name
+        returns = [node.value for node in ast.walk(func) if isinstance(node, ast.Return)]
+        assert returns and all(isinstance(r, ast.Tuple) and len(r.elts) == 2
+                               for r in returns), func.name
+    callers = [f.name for f in funcs for node in ast.walk(f) if isinstance(node, ast.Call)
+               and isinstance(node.func, ast.Name) and node.func.id == "_emit"]
+    assert callers == ["main"]
+
+
+def _append_only_locals(tree):
+    """``function: name`` for each name a function assigns whose every read
+    is the receiver of an ``.append`` or ``.extend`` call."""
+    parent = {id(child): node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    found = []
+    for func in ast.walk(tree):
+        if not isinstance(func, FUNCTIONS):
+            continue
+        stored, reads = set(), {}
+        for node in ast.walk(func):
+            if isinstance(node, ast.Name):
+                if isinstance(node.ctx, ast.Store):
+                    stored.add(node.id)
+                else:
+                    up = parent[id(node)]
+                    grown = (isinstance(up, ast.Attribute) and up.attr in ("append", "extend")
+                             and isinstance(parent[id(up)], ast.Call) and parent[id(up)].func is up)
+                    reads.setdefault(node.id, []).append(grown)
+        found += [f"{func.name}: {name}" for name in sorted(stored)
+                  if reads.get(name) and all(reads[name])]
+    return found
+
+
+def test_no_local_only_grown():
+    # a list that is appended to and never read is work nobody uses
+    found = []
+    for path, tree in _parsed():
+        found += [f"{path.name} {x}" for x in _append_only_locals(tree)]
     assert found == []

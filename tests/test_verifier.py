@@ -151,7 +151,7 @@ class TestCheckInequality:
         for q, most in ((MAX_CROSS_POWER_BITS // 2, 2), (MAX_CROSS_POWER_BITS // 2 + 1, 1)):
             report = check_inequality(complete_graph(2), complete_graph(3), Fraction(1, q), corpus)
             tags = [tag for tag, t in corpus if t.n <= most]
-            assert [r["target"] for r in report.results] == tags and report.ok
+            assert report.results == tags and report.ok
             assert report.skipped == [{"target": tag, "reason": reason}
                                       for tag, _ in corpus if tag not in tags]
             assert report.exit_code == 4
@@ -172,16 +172,17 @@ class TestCheckInequality:
 
 
 def fraction_oracle(g, h, c, corpus):
-    """results, violations and min_slack of t(G,T)^q >= t(H,T)^p with
-    every density a Fraction and every slack t_g^q - t_h^p subtracted
-    target by target; the first target of least slack wins."""
+    """results (the decided tags), violations and min_slack of
+    t(G,T)^q >= t(H,T)^p with every density a Fraction and every slack
+    t_g^q - t_h^p subtracted target by target; the first target of least
+    slack wins."""
     p, q = c.numerator, c.denominator
     results, violations, least = [], [], None
     for tag, t in corpus:
         witness = encode_graph(t, "graph6") if isinstance(t, SimpleGraph) else "weighted-target"
         tg, th = hom_density(g, t), hom_density(h, t)
         slack = tg ** q - th ** p
-        results.append({"target": tag, "verdict": "ok" if slack >= 0 else "violation"})
+        results.append(tag)
         if slack < 0:
             violations.append({"target": tag, "witness": witness, "t_g": str(tg), "t_h": str(th)})
         if least is None or slack < least[0]:
@@ -265,10 +266,10 @@ def shown(x):
 
 
 def reference_report(g, h, p, q, corpus, max_steps):
-    """(results, violations, skipped, min_slack) of t(G,T)^q >= t(H,T)^p,
-    target by target on Fractions: a target is skipped with the first error
-    of G, then of H, or when da^q or db^p could pass the cap; the first
-    target of least slack wins."""
+    """(results (the decided tags), violations, skipped, min_slack) of
+    t(G,T)^q >= t(H,T)^p, target by target on Fractions: a target is skipped
+    with the first error of G, then of H, or when da^q or db^p could pass
+    the cap; the first target of least slack wins."""
     results, violations, skipped, least = [], [], [], None
     for tag, t in corpus:
         witness = encode_graph(t, "graph6") if isinstance(t, SimpleGraph) else "weighted-target"
@@ -282,7 +283,7 @@ def reference_report(g, h, p, q, corpus, max_steps):
                                                      f"{MAX_CROSS_POWER_BITS} bits"})
             continue
         slack = tg ** q - th ** p
-        results.append({"target": tag, "verdict": "ok" if slack >= 0 else "violation"})
+        results.append(tag)
         if slack < 0:
             violations.append({"target": tag, "witness": witness, "t_g": shown(tg),
                                "t_h": shown(th)})
@@ -594,19 +595,27 @@ class TestRatioCertifiedLower:
 
 
 def problem6_walk_oracle(i, j, corpus):
-    """Per-target verdicts and the least slack (first target on ties) of
-    the problem-6 inequality, from closed-walk counts tr(A^m)."""
+    """The decided tags, the violated tags and the least slack (first
+    target on ties) of the problem-6 inequality, from closed-walk counts
+    tr(A^m)."""
     e1, e2, e3 = problem6_exponents(i, j)
-    verdicts, least = [], None
+    tags, violated, least = [], [], None
     for tag, t in corpus:
         walks = WalkCounter(t.adjacency_matrix())
         c2j, c_hi, c_lo = (walks.closed(m) for m in (2 * j, 2 * i + 1, 2 * i - 1))
         slack = (Fraction(c2j ** e1 * c_hi ** e2, t.n ** (2 * j * e1 + (2 * i + 1) * e2))
                  - Fraction(c_lo ** e3, t.n ** ((2 * i - 1) * e3)))
-        verdicts.append({"target": tag, "verdict": "ok" if slack >= 0 else "violation"})
+        tags.append(tag)
+        if slack < 0:
+            violated.append(tag)
         if least is None or slack < least[0]:
             least = (slack, tag, encode_graph(t, "graph6"))
-    return verdicts, {"target": least[1], "slack": str(least[0]), "witness": least[2]}
+    return tags, violated, {"target": least[1], "slack": str(least[0]), "witness": least[2]}
+
+
+def walk_checked(report):
+    """What ``problem6_walk_oracle`` gives, as read from a report."""
+    return report.results, [v["target"] for v in report.violations], report.min_slack
 
 
 class TestProblem6:
@@ -635,7 +644,7 @@ class TestProblem6:
         assert Fraction(reports[0].min_slack["slack"]) > 0
         for corpus, report in zip((dense, sparse), reports):
             assert not report.skipped
-            assert (report.results, report.min_slack) == problem6_walk_oracle(i, j, corpus)
+            assert walk_checked(report) == problem6_walk_oracle(i, j, corpus)
 
     def test_step_ceiling_skips(self):
         corpus = build_corpus(CorpusSpec(exhaustive_n=4))
@@ -655,7 +664,7 @@ class TestProblem6:
         corpus = build_corpus(CorpusSpec(gnp_count=2, gnp_n=WALK_MIN_ORDER + 6, gnp_seed=5))
         report = search_problem6(2, 1, corpus, max_steps=10)
         assert not report.skipped
-        assert (report.results, report.min_slack) == problem6_walk_oracle(2, 1, corpus)
+        assert walk_checked(report) == problem6_walk_oracle(2, 1, corpus)
 
     def test_exponents_vertex_balanced(self):
         # both sides have as many vertices, so the density and hom-number
@@ -669,7 +678,7 @@ class TestProblem6:
         # constant 1/2: t(C_2)^2 t(C_5) - t(C_3)^3 = 2^-7 - 2^-9
         w = WeightedTarget((Fraction(1),), ((Fraction(1, 2),),))
         report = search_problem6(2, 1, Corpus((("w", w),)))
-        assert report.results == [{"target": "w", "verdict": "ok"}]
+        assert (report.results, report.violations) == (["w"], [])
         assert report.exit_code == 0 and report.min_slack["slack"] == "3/512"
 
     def test_each_pair_backtracked_once(self, monkeypatch):
