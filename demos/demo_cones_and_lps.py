@@ -3,7 +3,8 @@
 The valid pure binomial inequalities among even-cycle densities form a
 polyhedral cone. This script prints the cone for {C_2, C_4, C_6}, checks
 that the listed generator rays are exactly the extreme rays, and then
-derives cross-cycle exponents as cone LPs. It finishes with the
+derives cross-cycle exponents as cone LP optima, each the best ratio
+over the cone's certified rays. It finishes with the
 entropy-style LP family whose optimum 2i-1 is certified by an explicit
 dual combination.
 

@@ -65,6 +65,7 @@ from .formulas import (
     path_exponent,
     simple_lower,
     subgraph_equal_nu,
+    union_exponent_lp,
 )
 from .ratlp import LPProblem, LPSolution, kr_lp, make_lp, solve_lp
 from .cones import (
@@ -72,7 +73,6 @@ from .cones import (
     all_cycle_cone,
     cone_equals_hull,
     even_cycle_cone,
-    union_exponent_lp,
     verify_rays,
 )
 from .verifier import (

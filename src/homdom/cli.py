@@ -87,6 +87,10 @@ def parse_fraction(text):
         raise GraphError(f"not a rational number: {text!r}") from None
 
 
+# the spellings of the corpus spec's constructions flag
+CORPUS_FLAGS = {"0": False, "1": True, "false": False, "true": True, "False": False, "True": True}
+
+
 def parse_corpus_spec(text):
     """key=value CSV, e.g. 'exhaustive_n=6,gnp_count=200,gnp_n=10,
     gnp_p=1/2,gnp_seed=7,constructions=1'."""
@@ -100,7 +104,10 @@ def parse_corpus_spec(text):
             elif key == "gnp_p":
                 kwargs["gnp_p"] = parse_fraction(val)
             elif key == "constructions":
-                kwargs["include_constructions"] = val not in ("0", "false", "False")
+                if val not in CORPUS_FLAGS:
+                    raise GraphError(f"corpus spec constructions must be one of "
+                                     f"{', '.join(CORPUS_FLAGS)}, got {val!r}")
+                kwargs["include_constructions"] = CORPUS_FLAGS[val]
             else:
                 raise GraphError(f"unknown corpus spec key {key!r}")
     return verifier.CorpusSpec(**kwargs)

@@ -323,37 +323,6 @@ def constraint_matrix_determinant(cone):
 
 
 # ---------------------------------------------------------------------------
-# the union-of-even-cycles exponent LP
-# ---------------------------------------------------------------------------
-
-def union_exponent_lp(g_cycles, h_cycles, k):
-    """C(G,H) for disjoint unions of edges/even cycles, via the cone LP.
-
-    maximize -sum_{c in G} y_c subject to y in even_cycle_cone(k) and
-    sum_{c in H} y_c = -1. Lengths are even, between 2 and 2k (2 = K_2).
-    """
-    if not h_cycles:
-        raise ConeError("H must contain at least one cycle")
-    for c in list(g_cycles) + list(h_cycles):
-        if c % 2 != 0 or not (2 <= c <= 2 * k):
-            raise ConeError(f"cycle length {c} not even in [2, {2 * k}]")
-    cone = even_cycle_cone(k)
-    obj = [0] * k
-    for c in g_cycles:
-        obj[c // 2 - 1] -= 1
-    rows = [(row, ">=", 0) for row in cone.halfspaces]
-    norm = [0] * k
-    for c in h_cycles:
-        norm[c // 2 - 1] += 1
-    rows.append((norm, "=", -1))
-    lp = make_lp("max", obj, rows, nonneg=False)
-    sol = solve_lp(lp)
-    if sol.status != "optimal":
-        raise AssertionError(f"union exponent LP is {sol.status}; modeling violation")
-    return sol.optimum
-
-
-# ---------------------------------------------------------------------------
 # JSON
 # ---------------------------------------------------------------------------
 

@@ -333,6 +333,11 @@ def simple_family(kind, n):
 # scaling families and the log-ratio estimator
 # ---------------------------------------------------------------------------
 
+# each family kind and the parameters it reads, all required
+FAMILY_PARAMS = {"path_blowup": ("k", "l", "m"), "projective": ("k",), "bipartite_power": ("i",),
+                 "two_cliques": (), "clique_plus_isolated": (), "single_edge": (), "behrend": ()}
+
+
 @dataclass(frozen=True)
 class ScalingFamily:
     """A named target family addressable by kind + params; pure given a seed."""
@@ -343,10 +348,15 @@ class ScalingFamily:
 
     def build(self, size):
         p = self.params
-        needs = {"path_blowup": "klm", "projective": "k", "bipartite_power": "i"}
-        missing = [key for key in needs.get(self.kind, "") if key not in p]
+        if self.kind not in FAMILY_PARAMS:
+            raise GraphError(f"unknown family kind {self.kind!r}")
+        needs = FAMILY_PARAMS[self.kind]
+        missing = [key for key in needs if key not in p]
         if missing:
             raise GraphError(f"family {self.kind!r} needs parameter(s) {', '.join(missing)}")
+        extra = [key for key in p if key not in needs]
+        if extra:
+            raise GraphError(f"family {self.kind!r} reads no parameter(s) {', '.join(extra)}")
         if self.kind == "path_blowup":
             pattern = path_blowup_pattern(p["k"], p["l"], p["m"])
             return instantiate_weighted(pattern, size)
@@ -357,9 +367,7 @@ class ScalingFamily:
             return bipartite_power_target(p["i"], size, mode="random", seed=self.seed)
         if self.kind in ("two_cliques", "clique_plus_isolated", "single_edge"):
             return simple_family(self.kind, size)
-        if self.kind == "behrend":
-            return behrend_graph(size)
-        raise GraphError(f"unknown family kind {self.kind!r}")
+        return behrend_graph(size)
 
 
 def log_fraction(x):

@@ -22,7 +22,7 @@ from .graphs import (
     path_graph,
     triangle_pendant,
 )
-from .cones import union_exponent_lp
+from .cones import ConeError, even_cycle_cone, verify_rays
 from .constructions import simple_family
 from .homcount import hom_exists
 from .ratlp import frac_to_str
@@ -139,6 +139,36 @@ def even_cycle_exponent(k, ell):
     if k == 1:
         return Fraction(1)  # C_2 vs C_2
     return Fraction(4 * k * (k - 1), 2 * k * ell - 2 * k - ell)
+
+
+def union_exponent_lp(g_cycles, h_cycles, k):
+    """C(G,H) for disjoint unions of edges/even cycles, lengths even in
+    [2, 2k] (2 = K_2): the optimum of the cone LP max -sum_{c in G} y_c over
+    y in even_cycle_cone(k) with sum_{c in H} y_c = -1, read off the rays.
+
+    Certificate, checked on every call: the cone has k rows and k rays, each
+    ray is negative in every coordinate and lies in the cone, and each is
+    slack on exactly one row, no two on the same row. Then the row matrix A
+    sends the rays to positive multiples of distinct unit vectors, so A is
+    invertible and the cone {y : Ay >= 0} is exactly the rays' conical hull.
+    For y = sum_r l_r r with l >= 0 the slice reads sum_r l_r H(r) = -1, where
+    F(r) = sum_{c in F} r_c and every H(r) < 0; so the objective is a convex
+    combination of the ratios G(r)/H(r), and the optimum is their largest.
+    A failed certificate is a modeling violation (AssertionError).
+    """
+    if not h_cycles:
+        raise ConeError("H must contain at least one cycle")
+    for c in [*g_cycles, *h_cycles]:
+        if c % 2 != 0 or not (2 <= c <= 2 * k):
+            raise ConeError(f"cycle length {c} not even in [2, {2 * k}]")
+    cone = even_cycle_cone(k)
+    report = verify_rays(cone)
+    slack_rows = sorted(ray["slack_rows"] for ray in report["rays"])
+    if not report["all_member"] or len(cone.halfspaces) != k \
+            or any(max(r) >= 0 for r in cone.rays) or slack_rows != [[i] for i in range(k)]:
+        raise AssertionError(f"even_cycle_cone({k}) fails its ray certificate; modeling violation")
+    return max(Fraction(sum(r[c // 2 - 1] for c in g_cycles), sum(r[c // 2 - 1] for c in h_cycles))
+               for r in cone.rays)
 
 
 def _closes_cycle(masks, v, rest):
@@ -472,7 +502,7 @@ def _exact_rule(g, h):
     if isomorphic(g, _P2) and h.n <= MAX_SEARCH_N and (val := p2_exponent(h)):
         return val, "p2-path-cover"
 
-    if h.n <= MAX_KK_N and g.n <= h.n and (val := kk_exponent(g, h)):
+    if h.n <= MAX_KK_N and (val := kk_exponent(g, h)):
         return val, "kruskal-katona"
 
     if val := subgraph_equal_nu(g, h):

@@ -611,9 +611,9 @@ def _decode_graph6(text):
     vals = []
     for ch in s:
         x = ord(ch) - 63
-        if not (0 <= x <= 63) and ch != "~":
+        if not (0 <= x <= 63):
             raise GraphError(f"invalid graph6 character {ch!r}")
-        vals.append(ord(ch) - 63)
+        vals.append(x)
     if s[0] != "~":
         n = vals[0]
         body = vals[1:]

@@ -65,6 +65,8 @@ class CorpusSpec:
                 raise GraphError(f"corpus spec {key} must be nonnegative, got {value}")
         if self.gnp_n > MAX_GNP_N:
             raise GraphError(f"corpus spec gnp_n capped at {MAX_GNP_N}, got {self.gnp_n}")
+        if self.gnp_count and not self.gnp_n:
+            raise GraphError("corpus spec gnp_n must be positive when gnp_count > 0")
         if not 0 <= self.gnp_p <= 1:
             raise GraphError(f"corpus spec gnp_p must lie in [0, 1], got {self.gnp_p}")
 
@@ -179,7 +181,7 @@ class VerificationReport:
         }
 
     def to_json(self):
-        return json.dumps(self.to_data(), default=str)
+        return json.dumps(self.to_data())
 
 
 def _witness(target):

@@ -44,6 +44,7 @@ from homdom.formulas import (
     has_path_cover,
     odd_cycle_bounds,
     path_exponent,
+    union_exponent_lp,
 )
 from homdom.ratlp import kr_lp, solve_lp
 from homdom.cones import (
@@ -51,7 +52,6 @@ from homdom.cones import (
     constraint_matrix_determinant,
     even_cycle_cone,
     even_cycle_expected_slack_row,
-    union_exponent_lp,
     verify_rays,
 )
 from homdom.verifier import (

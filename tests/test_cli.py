@@ -54,6 +54,11 @@ class TestParsing:
         with pytest.raises(Exception):
             parse_corpus_spec("bogus_key=1")
 
+    @pytest.mark.parametrize("val, flag", [("0", False), ("1", True), ("false", False),
+                                           ("true", True), ("False", False), ("True", True)])
+    def test_corpus_spec_constructions_spellings(self, val, flag):
+        assert parse_corpus_spec(f"constructions={val}").include_constructions is flag
+
 
 class TestExponentCommand:
     def test_exact(self, capsys):
@@ -87,6 +92,17 @@ class TestExponentCommand:
         assert code == 0
         doc = json.loads(out)["result"]
         assert doc["lower"] == "15/7" and doc["upper"] == "11/5"
+
+    def test_long_even_cycle_union(self):
+        # C802 + C4 against C4 is read off the 401 rays of even_cycle_cone(401);
+        # as a cone LP it has 402 rows, past ratlp.MAX_LP_DIM
+        g = json.dumps({"n": 806, "edges": [[i, (i + 1) % 802] for i in range(802)]
+                        + [[802 + i, 802 + (i + 1) % 4] for i in range(4)]})
+        proc = python_m("exponent", "--g", g, "--h", "C4")
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert json.loads(proc.stdout)["result"] == {
+            "lower": "322001/1201", "upper": "322001/1201", "exact": True,
+            "provenance": ["even-cycle-union-lp"]}
 
 
 class TestIsomorphismCost:
@@ -523,6 +539,21 @@ class TestErrorExits:
          "need scale n > 1"),
         (("construct", "--family", "path_blowup", "--params", "k=3,l=2,m=1", "--size", "10",
           "--emit"), "--emit writes graph6; family 'path_blowup' builds a weighted target"),
+        (("construct", "--family", "two_cliques", "--params", "k=3", "--size", "4"),
+         "family 'two_cliques' reads no parameter(s) k"),
+        (("construct", "--family", "path_blowup", "--params", "k=3,l=2,m=1,seed=9", "--size",
+          "10"), "family 'path_blowup' reads no parameter(s) seed"),
+        (("estimate", "--g", "C4", "--h", "K2", "--family", "projective:k=2,p=7",
+          "--sizes", "5"), "family 'projective' reads no parameter(s) p"),
+        (("construct", "--family", "nope", "--params", "k=3", "--size", "4"),
+         "unknown family kind 'nope'"),
+        *[(("verify", "--g", "C4", "--h", "K2", "--c", "4", "--corpus-spec", spec),
+           f"corpus spec constructions must be one of 0, 1, false, true, False, True, got {val!r}")
+          for spec, val in [("constructions=no", "no"), ("constructions=off", "off"),
+                            ("constructions=yes", "yes"), ("constructions=", ""),
+                            ("exhaustive_n=2,constructions", "")]],
+        (("verify", "--g", "C4", "--h", "K2", "--c", "4", "--corpus-spec", "gnp_count=2,gnp_n=0"),
+         "corpus spec gnp_n must be positive when gnp_count > 0"),
     ])
     def test_bad_input_exit_2(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)

@@ -16,10 +16,9 @@ from homdom.cones import (
     even_cycle_ray,
     extreme_rays_from_halfspaces,
     in_conical_hull,
-    union_exponent_lp,
     verify_rays,
 )
-from homdom.formulas import even_cycle_exponent
+from homdom.formulas import even_cycle_exponent, union_exponent_lp
 
 ZERO = Fraction(0)
 

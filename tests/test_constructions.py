@@ -269,6 +269,20 @@ class TestEstimator:
         with pytest.raises(GraphError):
             ScalingFamily("nope").build(3)
 
+    @pytest.mark.parametrize("kind, params, message", [
+        ("two_cliques", {"k": 3}, "family 'two_cliques' reads no parameter(s) k"),
+        ("behrend", {"n": 5, "q": 2}, "family 'behrend' reads no parameter(s) n, q"),
+        ("path_blowup", {"k": 3, "l": 2, "m": 1, "seed": 9},
+         "family 'path_blowup' reads no parameter(s) seed"),
+        ("projective", {"k": 2, "p": 7}, "family 'projective' reads no parameter(s) p"),
+        ("bipartite_power", {"i": 1, "k": 2}, "family 'bipartite_power' reads no parameter(s) k"),
+        ("nope", {"k": 3}, "unknown family kind 'nope'"),
+    ])
+    def test_unread_parameters_refused(self, kind, params, message):
+        with pytest.raises(GraphError) as err:
+            ScalingFamily(kind, params).build(5)
+        assert str(err.value) == message
+
     def test_log_fraction(self):
         import math
         assert abs(log_fraction(Fraction(1, 2)) + math.log(2)) < 1e-12

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import itertools
 import random
@@ -7,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from homdom import formulas
+from homdom import cones, formulas, ratlp
 from homdom.graphs import (
     GraphError,
     SimpleGraph,
@@ -43,7 +44,9 @@ from homdom.formulas import (
     path_exponent,
     simple_lower,
     subgraph_equal_nu,
+    union_exponent_lp,
 )
+from homdom.cones import even_cycle_cone
 from homdom.constructions import log_fraction, simple_family
 from homdom.homcount import hom_count, hom_density, hom_exists
 from homdom.verifier import harvest_lower
@@ -209,6 +212,57 @@ class TestEvenCycleExponent:
             even_cycle_exponent(0, 4)
         with pytest.raises(GraphError):
             even_cycle_exponent(2, 1)
+
+
+def cone_lp_union_exponent(g_cycles, h_cycles, k):
+    """Reference: the cone LP itself, max -sum_{c in G} y_c over the rows of
+    even_cycle_cone(k) with sum_{c in H} y_c = -1, by the Fraction simplex."""
+    obj, norm = [0] * k, [0] * k
+    for c in g_cycles:
+        obj[c // 2 - 1] -= 1
+    for c in h_cycles:
+        norm[c // 2 - 1] += 1
+    rows = [(row, ">=", 0) for row in even_cycle_cone(k).halfspaces] + [(norm, "=", -1)]
+    sol = ratlp.solve_lp(ratlp.make_lp("max", obj, rows, nonneg=False))
+    assert sol.status == "optimal"
+    return sol.optimum
+
+
+def no_lp(*args, **kwargs):
+    raise AssertionError("the union exponent solved an LP")
+
+
+class TestUnionExponentRays:
+    def test_matches_cone_lp(self, monkeypatch):
+        rng = random.Random(29)
+        cases = []
+        for _ in range(300):
+            k = rng.randint(2, 30)
+            g, h = ([2 * rng.randint(1, k) for _ in range(rng.randint(1, 4))] for _ in range(2))
+            cases.append((g, h, k))
+        expected = [cone_lp_union_exponent(*case) for case in cases]
+        monkeypatch.setattr(cones, "solve_lp", no_lp)
+        monkeypatch.setattr(ratlp, "solve_lp", no_lp)
+        assert [union_exponent_lp(*case) for case in cases] == expected
+
+    @pytest.mark.parametrize("k", [2, 3, 7])
+    @pytest.mark.parametrize("change", ["drop first", "drop last", "repeat first",
+                                        "repeat last", "append a copy", "negate first"])
+    def test_broken_certificate_refused(self, monkeypatch, k, change):
+        # the ray certificate is what makes the largest ratio the optimum;
+        # a cone whose rays no longer pair off with its rows is refused
+        def broken(k):
+            cone = even_cycle_cone(k)
+            rays = {"drop first": cone.rays[1:], "drop last": cone.rays[:-1],
+                    "repeat first": cone.rays[:1] + cone.rays[:-1],
+                    "repeat last": cone.rays[1:] + cone.rays[-1:],
+                    "append a copy": cone.rays + cone.rays[:1],
+                    "negate first": (tuple(-x for x in cone.rays[0]),) + cone.rays[1:]}[change]
+            return dataclasses.replace(cone, rays=rays, ray_names=())
+        assert union_exponent_lp([4], [2], k) == 4
+        monkeypatch.setattr(formulas, "even_cycle_cone", broken)
+        with pytest.raises(AssertionError, match="fails its ray certificate"):
+            union_exponent_lp([4], [2], k)
 
 
 class TestHamiltonian:

@@ -64,6 +64,17 @@ def test_cones_name_no_fraction():
     assert "Fraction" not in names | imported
 
 
+def test_formulas_solve_no_lp():
+    # every exact rule is a closed form or a certified combinatorial read-off;
+    # an LP belongs to ratlp and cones
+    tree = ast.parse((SRC / "formulas.py").read_text())
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    names |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+              for alias in node.names}
+    assert names & {"make_lp", "solve_lp"} == set()
+
+
 def _parsed():
     return [(path, ast.parse(path.read_text(), filename=str(path)))
             for path in sorted(SRC.glob("*.py"))]

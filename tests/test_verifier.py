@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from homdom.graphs import (
+    GraphError,
     SimpleGraph,
     complete_graph,
     cycle_graph,
@@ -99,6 +100,11 @@ class TestCorpus:
         assert "red_line(p=5,k=2)" in tags
         assert "behrend(30)" in tags
         assert "single_edge(8)" in tags
+
+    def test_gnp_n_zero_refused_with_gnp_targets(self):
+        with pytest.raises(GraphError, match="gnp_n must be positive when gnp_count > 0"):
+            CorpusSpec(gnp_count=2, gnp_n=0)
+        assert len(build_corpus(CorpusSpec(exhaustive_n=2, gnp_n=0))) == 3
 
     def test_constructions_distinct(self):
         targets = [t for _, t in build_corpus(CorpusSpec(include_constructions=True))]
