@@ -60,18 +60,24 @@ def parse_graph_arg(text):
     return _parse_graph_text(text.strip())
 
 
+# shorthand characters (C5+, K2,3, K4-e) that no graph6 string holds: graph6 uses chr(63)-chr(126)
+SHORTHAND_ONLY = frozenset("0123456789,+-")
+
+
 @functools.lru_cache(maxsize=256)
 def _parse_graph_text(stripped):
     """The graph of a stripped text, remembered: equal text gives the same
     frozen ``SimpleGraph``, so the facts it caches (neighbour sets,
     components, bitmasks) are built once per distinct graph across
-    in-process ``main`` calls. A refusal raises and is not remembered."""
+    in-process ``main`` calls. A refusal raises and is not remembered; a
+    text that no graph6 string matches keeps the shorthand's refusal."""
     if stripped.startswith("{"):
         return decode_graph(stripped, "edge_json")
     try:
         return from_shorthand(stripped)
     except GraphError:
-        pass
+        if not SHORTHAND_ONLY.isdisjoint(stripped.removeprefix(">>graph6<<")):
+            raise
     return decode_graph(stripped, "graph6")
 
 
@@ -91,35 +97,42 @@ def parse_fraction(text):
 CORPUS_FLAGS = {"0": False, "1": True, "false": False, "true": True, "False": False, "True": True}
 
 
+def _key_values(text, what):
+    """The stripped pairs of key=value CSV as {key: value}, in order; a
+    repeated key is refused, naming it."""
+    pairs = {}
+    for part in text.split(",") if text else ():
+        key, _, val = part.partition("=")
+        key = key.strip()
+        if key in pairs:
+            raise GraphError(f"{what} repeats key {key!r}")
+        pairs[key] = val.strip()
+    return pairs
+
+
 def parse_corpus_spec(text):
     """key=value CSV, e.g. 'exhaustive_n=6,gnp_count=200,gnp_n=10,
     gnp_p=1/2,gnp_seed=7,constructions=1'."""
     kwargs = {}
-    if text:
-        for part in text.split(","):
-            key, _, val = part.partition("=")
-            key, val = key.strip(), val.strip()
-            if key in ("exhaustive_n", "gnp_count", "gnp_n", "gnp_seed"):
-                kwargs[key] = _int(val, f"corpus spec {key}")
-            elif key == "gnp_p":
-                kwargs["gnp_p"] = parse_fraction(val)
-            elif key == "constructions":
-                if val not in CORPUS_FLAGS:
-                    raise GraphError(f"corpus spec constructions must be one of "
-                                     f"{', '.join(CORPUS_FLAGS)}, got {val!r}")
-                kwargs["include_constructions"] = CORPUS_FLAGS[val]
-            else:
-                raise GraphError(f"unknown corpus spec key {key!r}")
+    for key, val in _key_values(text, "corpus spec").items():
+        if key in ("exhaustive_n", "gnp_count", "gnp_n", "gnp_seed"):
+            kwargs[key] = _int(val, f"corpus spec {key}")
+        elif key == "gnp_p":
+            kwargs["gnp_p"] = parse_fraction(val)
+        elif key == "constructions":
+            if val not in CORPUS_FLAGS:
+                raise GraphError(f"corpus spec constructions must be one of "
+                                 f"{', '.join(CORPUS_FLAGS)}, got {val!r}")
+            kwargs["include_constructions"] = CORPUS_FLAGS[val]
+        else:
+            raise GraphError(f"unknown corpus spec key {key!r}")
     return verifier.CorpusSpec(**kwargs)
 
 
 def parse_params(text):
-    out = {}
-    if text:
-        for part in text.split(","):
-            key, _, val = part.partition("=")
-            out[key.strip()] = _int(val, f"parameter {key.strip()!r}")
-    return out
+    """key=value CSV of integer family parameters, e.g. 'k=3,l=2,m=1'."""
+    return {key: _int(val, f"parameter {key!r}")
+            for key, val in _key_values(text, "parameter list").items()}
 
 
 def _print(text):

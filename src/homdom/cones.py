@@ -192,7 +192,7 @@ def all_cycle_cone(m, literal_text=False):
 # ---------------------------------------------------------------------------
 
 def verify_rays(cone):
-    """Exact membership and tightness report for every listed ray."""
+    """Exact membership report for every listed ray, with its slack on each row."""
     report = {"all_member": True, "rays": []}
     for idx, ray in enumerate(cone.rays):
         slacks = cone.evaluate(ray)
@@ -201,7 +201,6 @@ def verify_rays(cone):
         report["rays"].append({
             "name": cone.ray_names[idx] if cone.ray_names else str(idx),
             "member": member,
-            "tight_rows": [i for i, s in enumerate(slacks) if s == 0],
             "slack_rows": [i for i, s in enumerate(slacks) if s != 0],
             "slacks": list(slacks),
         })

@@ -186,16 +186,13 @@ class ProjectivePlaneSpec:
         return lo
 
 
-def red_line_graph(spec, seed, num_lines=None):
-    """Union of cliques on a seeded-random choice of red lines, as a
-    ``CliqueUnion`` of the chosen lines in the order drawn. Only the chosen
-    lines are built."""
+def red_line_graph(spec, seed):
+    """Union of cliques on a seeded-random choice of ``spec.red_line_count``
+    red lines, as a ``CliqueUnion`` of the chosen lines in the order drawn.
+    Only the chosen lines are built."""
     n = spec.num_points
-    count = spec.red_line_count if num_lines is None else num_lines
-    if not (1 <= count <= n):
-        raise GraphError("red line count out of range")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, spec.p, spec.k])))
-    chosen = rng.choice(n, size=count, replace=False)
+    chosen = rng.choice(n, size=spec.red_line_count, replace=False)
     return CliqueUnion(n, tuple(_line(*_point(int(li), spec.p), spec.p) for li in chosen))
 
 

@@ -342,14 +342,12 @@ def _embeds(masks, degrees, earlier, within):
     return _embed(masks, [fits[d] for d in degrees], earlier, [0] * len(degrees), 0, within)
 
 
-def has_subgraph(host, pattern, within=None):
-    """Whether the host vertices of bitmask ``within`` (default: all) hold a
-    copy of the pattern: an injective adjacency-preserving map, searched on
-    neighbour bitmasks."""
-    within = (1 << host.n) - 1 if within is None else within
-    if pattern.n > within.bit_count() or pattern.num_edges > host.num_edges:
+def has_subgraph(host, pattern):
+    """Whether the host holds a copy of the pattern: an injective
+    adjacency-preserving map, searched on neighbour bitmasks."""
+    if pattern.n > host.n or pattern.num_edges > host.num_edges:
         return False
-    return _embeds(host.adjacency_masks(), *_search_order(pattern), within)
+    return _embeds(host.adjacency_masks(), *_search_order(pattern), (1 << host.n) - 1)
 
 
 def kk_exponent(g, h):

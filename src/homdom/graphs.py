@@ -248,9 +248,9 @@ class Biadjacency:
 
     Its closed walks reduce to powers of B B^T (``homcount.WalkCounter``).
     The block is read-only: a read-only boolean array owning its data is
-    kept, any other copied. Two targets are equal when their blocks are, and
-    the hash is computed once, from the packed bits. The expanded ``graph``
-    and its ``edges`` are built only when asked for, once each.
+    kept, any other copied. A target equals only itself, so a lookup keyed
+    by it reads no bits of the block. The expanded ``graph`` and its
+    ``edges`` are built only when asked for, once each.
     """
 
     block: np.ndarray
@@ -272,19 +272,6 @@ class Biadjacency:
     @functools.cached_property
     def num_edges(self):
         return int(np.count_nonzero(self.block))
-
-    @functools.cached_property
-    def _hash(self):
-        return hash((self.block.shape, np.packbits(self.block).tobytes()))
-
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        if not isinstance(other, Biadjacency):
-            return NotImplemented
-        # a WeakKeyDictionary lookup compares a target with itself
-        return other is self or np.array_equal(self.block, other.block)
 
     @functools.cached_property
     def edges(self):
@@ -381,7 +368,9 @@ def from_shorthand(text):
             return path_graph(int(s[1:]))
         if s.startswith("S"):
             return star_graph(int(s[1:]))
-    except ValueError:
+    except GraphError as exc:  # the builder's own refusal, such as S0's
+        raise GraphError(f"graph shorthand {text!r}: {exc}") from None
+    except ValueError:  # int() refused the text
         pass
     raise GraphError(f"cannot parse graph shorthand {text!r}")
 

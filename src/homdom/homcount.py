@@ -351,14 +351,6 @@ class WeightedTarget:
                 if not (0 <= d <= 1):
                     raise GraphError("densities must lie in [0, 1]")
 
-    @property
-    def num_classes(self):
-        return len(self.weights)
-
-    @property
-    def total_weight(self):
-        return sum(self.weights)
-
     @classmethod
     def from_simple_graph(cls, t):
         if t.n == 0:
@@ -380,7 +372,7 @@ def weighted_hom_density(h, w, max_steps=None):
     ResourceLimitError when the plan needs more than ``max_steps``
     multiply-adds or a factor past the entry cap.
     """
-    total = w.total_weight
+    total = sum(w.weights)
     u = [x / total for x in w.weights]
     du = math.lcm(*(x.denominator for x in u))
     dk = math.lcm(*(d.denominator for row in w.density for d in row))

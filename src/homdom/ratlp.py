@@ -441,13 +441,21 @@ def _key(d, key, kind=object, default=None):
 
 
 def _number(value, key):
-    """A JSON number or numeric string as a Fraction, else LPError naming the key."""
+    """A JSON number or numeric string as a Fraction, else LPError naming the
+    key; a JSON boolean is no number."""
     if isinstance(value, str) and rational_too_long(value):
         raise LPError(f"LP JSON: key {key!r} holds {value!r}, {MAX_RATIONAL_DIGITS}+ digits")
     try:
-        return Fraction(value if isinstance(value, (int, float, str)) else None)
+        return Fraction(value if type(value) in (int, float, str) else None)
     except (TypeError, ValueError, OverflowError, ZeroDivisionError):
         raise LPError(f"LP JSON: key {key!r} holds {value!r}, not a number") from None
+
+
+def _flag(value, key):
+    """A JSON boolean, else LPError naming the key."""
+    if not isinstance(value, bool):
+        raise LPError(f"LP JSON: key {key!r} holds {value!r}, not a boolean")
+    return value
 
 
 def lp_from_json(text):
@@ -463,7 +471,7 @@ def lp_from_json(text):
         [([_number(c, "coeffs") for c in _key(r, "coeffs", list)], _key(r, "rel"),
           _number(_key(r, "rhs"), "rhs"))
          for r in _key(d, "rows", list)],
-        nonneg=_key(d, "nonneg", list, [True] * len(d["objective"])),
+        nonneg=[_flag(b, "nonneg") for b in _key(d, "nonneg", list, [True] * len(d["objective"]))],
         names=_key(d, "names", list, []),
     )
 

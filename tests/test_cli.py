@@ -336,7 +336,7 @@ class TestGraphReuse:
     def test_refusal_not_remembered(self, capsys, tmp_path):
         for _ in range(3):
             code, out, err = run(capsys, "exponent", "--g", "C2x", "--h", "K2")
-            assert (code, out) == (2, "") and "invalid graph6 character" in err
+            assert (code, out) == (2, "") and "cannot parse graph shorthand" in err
         f = tmp_path / "g.txt"
         f.write_text("C2x")
         assert run(capsys, "exponent", "--g", str(f), "--h", "K2")[0] == 2
@@ -508,10 +508,11 @@ class TestErrorExits:
         (("verify", "--g", "K2", "--h", "C3", "--c", "1", "--corpus-spec",
           "gnp_count=1,gnp_seed=-1"), "corpus spec gnp_seed must be nonnegative, got -1"),
         (("search-p6", "--i", "1", "--j", "1"), "need i > j >= 1"),
-        (("exponent", "--g", "Cx+", "--h", "K2"), "invalid graph6 character '+'"),
-        (("exponent", "--g", "C+", "--h", "K2"), "invalid graph6 character '+'"),
-        (("exponent", "--g", "C" + "9" * 5000 + "+", "--h", "K2"),
-         "invalid graph6 character '9'"),
+        (("exponent", "--g", "Cx+", "--h", "K2"), "cannot parse graph shorthand 'Cx+'"),
+        (("exponent", "--g", "C+", "--h", "K2"), "cannot parse graph shorthand 'C+'"),
+        pytest.param(("exponent", "--g", "C" + "9" * 5000 + "+", "--h", "K2"),
+                     f"cannot parse graph shorthand {'C' + '9' * 5000 + '+'!r}",
+                     id="argv28-cannot parse a 5000-digit shorthand"),
         (("exponent", "--g", '{"n": 2, "edges": ' + "[" * 100000, "--h", "K2"),
          "malformed graph JSON: nested too deeply"),
         (("verify", "--g", "K2", "--h", "K3", "--c", "1", "--corpus-spec",
@@ -554,6 +555,24 @@ class TestErrorExits:
                             ("exhaustive_n=2,constructions", "")]],
         (("verify", "--g", "C4", "--h", "K2", "--c", "4", "--corpus-spec", "gnp_count=2,gnp_n=0"),
          "corpus spec gnp_n must be positive when gnp_count > 0"),
+        # a text with a digit, ",", "+" or "-" is no graph6 string: the
+        # shorthand's own refusal is printed
+        (("exponent", "--g", "S0", "--h", "K2"), "graph shorthand 'S0': star needs at least one leaf"),
+        (("exponent", "--g", "K2,0", "--h", "K2"),
+         "graph shorthand 'K2,0': parts must be nonempty"),
+        (("exponent", "--g", "C3+", "--h", "K2"), "graph shorthand 'C3+': need k > l >= 1"),
+        (("exponent", "--g", "K2", "--h", "K-1"), "graph shorthand 'K-1': negative order"),
+        (("construct", "--family", "path_blowup", "--params", "k=1,l=1,m=1,k=2", "--size", "10"),
+         "parameter list repeats key 'k'"),
+        (("estimate", "--g", "C4", "--h", "K2", "--family", "projective:k=2, k=3",
+          "--sizes", "5"), "parameter list repeats key 'k'"),
+        (("verify", "--g", "K2", "--h", "K3", "--c", "1", "--corpus-spec",
+          "exhaustive_n=2,exhaustive_n=3"), "corpus spec repeats key 'exhaustive_n'"),
+        (("verify", "--g", "K2", "--h", "K3", "--c", "1", "--corpus-spec",
+          "constructions=0,gnp_count=1,constructions=1"),
+         "corpus spec repeats key 'constructions'"),
+        (("construct", "--family", "projective", "--params", "k=2", "--size", "1"),
+         "1 is not prime"),
     ])
     def test_bad_input_exit_2(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)
@@ -737,6 +756,18 @@ class TestErrorExits:
         ('{"sense": "max",', "Expecting property name enclosed in double quotes: "
                             "line 1 column 17 (char 16)"),
         pytest.param("[" * 100000, "nested too deeply", id="nested-too-deeply"),
+        # a JSON boolean is no number, and a nonneg entry must be one
+        ('{"sense": "max", "objective": [true], "rows": []}',
+         "key 'objective' holds True, not a number"),
+        ('{"sense": "max", "objective": [1], "rows": [{"coeffs": [false], "rel": "<=", '
+         '"rhs": 1}]}',
+         "key 'coeffs' holds False, not a number"),
+        ('{"sense": "max", "objective": [1], "rows": [{"coeffs": [1], "rel": "<=", "rhs": true}]}',
+         "key 'rhs' holds True, not a number"),
+        ('{"sense": "max", "objective": [1], "rows": [], "nonneg": [1]}',
+         "key 'nonneg' holds 1, not a boolean"),
+        ('{"sense": "max", "objective": [1, 1], "rows": [], "nonneg": [true, "false"]}',
+         "key 'nonneg' holds 'false', not a boolean"),
     ])
     def test_lp_file_wrong_type(self, capsys, tmp_path, text, message):
         f = tmp_path / "lp.json"

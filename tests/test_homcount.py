@@ -394,6 +394,21 @@ class TestBiadjacencyWalks:
             assert [walks.closed(m) for m in range(1, 13)] == [dense.closed(m) for m in range(1, 13)]
 
 
+    def test_walk_kernel_found_by_identity(self, monkeypatch):
+        # the walk cache finds a target by the object itself: no bit of the
+        # block is packed, and a target with an equal block gets its own kernel
+        block = self.random_block(np.random.default_rng(85), 60, 60, 0.3)
+        a, b = Biadjacency(block), Biadjacency(block.copy())
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("packbits called")
+
+        monkeypatch.setattr(np, "packbits", refuse)
+        walks = homcount._walks(a)
+        assert homcount._walks(a) is walks and homcount._walks(b) is not walks
+        assert hom_count(cycle_graph(4), a) == hom_count(cycle_graph(4), b) == walks.closed(4)
+
+
 class TestWeightedTargets:
     def test_single_class(self):
         w = WeightedTarget((Fraction(1),), ((Fraction(1, 2),),))
@@ -440,8 +455,8 @@ class TestWeightedTargets:
 
 def weighted_density_brute(h, w):
     """Oracle: t(H, W) as a sum over all q^v(H) class assignments."""
-    q = w.num_classes
-    u = [x / w.total_weight for x in w.weights]
+    q = len(w.weights)
+    u = [x / sum(w.weights) for x in w.weights]
     total = Fraction(0)
     for phi in itertools.product(range(q), repeat=h.n):
         term = Fraction(1)

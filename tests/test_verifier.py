@@ -545,6 +545,15 @@ class TestRatioCertifiedLower:
         assert harvest_lower(path_graph(2), path_graph(1), corpus)[0] == 2
         assert harvest_lower(path_graph(1), path_graph(2), corpus)[0] == Fraction(1, 2)
 
+    def test_no_fraction_under_the_denominator_limit(self, monkeypatch):
+        # t(K2, K4) = 3/4 and t(P3, K4) = 27/64, so the ratio is 1/3; with
+        # denominators up to 2 no positive fraction lies at or below it
+        monkeypatch.setattr(verifier, "HARVEST_MAX_DENOMINATOR", 2)
+        corpus = Corpus((("k4", complete_graph(4)),))
+        assert harvest_lower(complete_graph(2), path_graph(3), corpus) is None
+        monkeypatch.setattr(verifier, "HARVEST_MAX_DENOMINATOR", 3)
+        assert harvest_lower(complete_graph(2), path_graph(3), corpus)[0] == Fraction(1, 3)
+
     def test_largest_certified_fraction(self):
         # the bound certifies and the next fraction up (q <= 3600) does not
         corpus = build_corpus(CorpusSpec(exhaustive_n=5))
