@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from . import cones, constructions, formulas, ratlp, verifier
 from .graphs import (Biadjacency, CliqueUnion, GraphError, HomdomError, SimpleGraph,
-                     decode_graph, encode_graph, from_shorthand)
+                     decode_graph, elide, encode_graph, from_shorthand)
 from .ratlp import MAX_RATIONAL_DIGITS, frac_to_str, rational_too_long
 
 DEFAULT_SEED = 7
@@ -53,10 +53,13 @@ def _effective_seed(args):
 def parse_graph_arg(text):
     """Named shorthand (K4-e, C5, P13, C5+, ...), a file path, inline JSON,
     or an inline graph6 string. A file is read on every call; its text, or
-    the inline text, is parsed by ``_parse_graph_text``."""
+    the inline text, is parsed by ``_parse_graph_text``; a non-JSON text with
+    "/" or "." (no shorthand or graph6 character) must name a file."""
     if os.path.isfile(text):
         with open(text, errors="replace") as fh:  # a parser refuses what does not decode
             text = fh.read()
+    elif not text.lstrip().startswith("{") and not {"/", "."}.isdisjoint(text):
+        raise GraphError(f"no such file: {elide(text)}")
     return _parse_graph_text(text.strip())
 
 

@@ -74,17 +74,16 @@ def _vec(dim, entries):
 # even cycles: coordinates (y_2, y_4, ..., y_2k), log densities
 # ---------------------------------------------------------------------------
 
+def even_cycle_ray_entry(i, j):
+    """Coordinate y_2j of ray r_i: -i-(j-1)(2i+1) for j <= i+1, else -2ij."""
+    return -i - (j - 1) * (2 * i + 1) if j <= i + 1 else -2 * i * j
+
+
 def even_cycle_ray(i, k):
-    """Ray r_i: coordinate 2j is -i-(j-1)(2i+1) for j <= i+1, else -2ij."""
+    """Ray r_i of even_cycle_cone(k), for 1 <= i <= k-1."""
     if not (1 <= i <= k - 1):
         raise ConeError("ray index out of range")
-    out = []
-    for j in range(1, k + 1):
-        if j <= i + 1:
-            out.append(-i - (j - 1) * (2 * i + 1))
-        else:
-            out.append(-i * 2 * j)
-    return tuple(out)
+    return tuple(even_cycle_ray_entry(i, j) for j in range(1, k + 1))
 
 
 def even_cycle_cone(k):

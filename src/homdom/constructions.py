@@ -97,8 +97,7 @@ def instantiate_weighted(pattern, n):
         dval = power(n, expo)
         if dval > 1:
             raise GraphError(f"density > 1 on edge {(u, v)} at n={n}; n too small")
-        dens[u][v] = dval
-        dens[v][u] = dval
+        dens[u][v] = dens[v][u] = dval
     return WeightedTarget(weights, tuple(map(tuple, dens)))
 
 
@@ -107,12 +106,7 @@ def instantiate_weighted(pattern, n):
 # ---------------------------------------------------------------------------
 
 def _is_prime(p):
-    if p < 2:
-        return False
-    for q in range(2, int(math.isqrt(p)) + 1):
-        if p % q == 0:
-            return False
-    return True
+    return p >= 2 and all(p % q for q in range(2, math.isqrt(p) + 1))
 
 
 def projective_plane(p):
@@ -285,16 +279,10 @@ def behrend_graph(n):
         raise ResourceLimitError(f"behrend graph on {6 * n} vertices exceeds the cap")
     s = ap3_free_set(n)
     edges = set()
-    off_b = n
-    off_c = 3 * n
     for x in range(n):
         for d in s:
-            a = x
-            b = off_b + x + d
-            c = off_c + x + 2 * d
-            edges.add((a, b))
-            edges.add((min(b, c), max(b, c)))
-            edges.add((a, c))
+            b, c = n + x + d, 3 * n + x + 2 * d  # b < c
+            edges.update(((x, b), (b, c), (x, c)))
     return SimpleGraph(6 * n, frozenset(edges))
 
 
@@ -316,8 +304,7 @@ def simple_family(kind, n):
     if n < 2:
         raise GraphError("need n >= 2")
     if kind == "clique_plus_isolated":
-        g = complete_graph(n)
-        return SimpleGraph(2 * n, g.edges)
+        return SimpleGraph(2 * n, complete_graph(n).edges)
     if kind == "two_cliques":
         g = complete_graph(n)
         return disjoint_union(g, g)

@@ -22,7 +22,7 @@ from .graphs import (
     path_graph,
     triangle_pendant,
 )
-from .cones import ConeError, even_cycle_cone, verify_rays
+from .cones import ConeError, even_cycle_ray_entry
 from .constructions import simple_family
 from .homcount import hom_exists
 from .ratlp import frac_to_str
@@ -144,31 +144,31 @@ def even_cycle_exponent(k, ell):
 def union_exponent_lp(g_cycles, h_cycles, k):
     """C(G,H) for disjoint unions of edges/even cycles, lengths even in
     [2, 2k] (2 = K_2): the optimum of the cone LP max -sum_{c in G} y_c over
-    y in even_cycle_cone(k) with sum_{c in H} y_c = -1, read off the rays.
+    y in even_cycle_cone(k) with sum_{c in H} y_c = -1, read off the closed
+    forms of its rays r_1..r_{k-1}, s = (-1, ..., -k) in O(k (|G| + |H|)).
 
-    Certificate, checked on every call: the cone has k rows and k rays, each
-    ray is negative in every coordinate and lies in the cone, and each is
-    slack on exactly one row, no two on the same row. Then the row matrix A
-    sends the rays to positive multiples of distinct unit vectors, so A is
-    invertible and the cone {y : Ay >= 0} is exactly the rays' conical hull.
-    For y = sum_r l_r r with l >= 0 the slice reads sum_r l_r H(r) = -1, where
-    F(r) = sum_{c in F} r_c and every H(r) < 0; so the objective is a convex
-    combination of the ratios G(r)/H(r), and the optimum is their largest.
-    A failed certificate is a modeling violation (AssertionError).
+    Proof. Every ray entry is negative. r_i is affine in j on each side of
+    j = i+1 (slopes -(2i+1), then -2i), so of the log-convexity rows only
+    the break's, row i-1 for i <= k-2, is slack; y_2 = -i, y_{2k-2} =
+    -2i(k-1) and y_{2k} = -2ik make the last two rows tight. r_{k-1} is
+    affine, slack on the Sidorenko-saturation row only; s is linear, slack
+    on the last row only (even_cycle_expected_slack_row; a test checks these
+    with verify_rays). So the row matrix A sends the rays to positive
+    multiples of distinct unit vectors: the cone {y : Ay >= 0} is exactly
+    the rays' conical hull. For y = sum_r l_r r with l >= 0 the slice reads
+    sum_r l_r H(r) = -1, where F(r) = sum_{c in F} r_c and every H(r) < 0;
+    so the objective is a convex combination of the ratios G(r)/H(r), and
+    the optimum is their largest: G(r) H(q) > G(q) H(r) ranks r above q.
     """
     if not h_cycles:
         raise ConeError("H must contain at least one cycle")
     for c in [*g_cycles, *h_cycles]:
         if c % 2 != 0 or not (2 <= c <= 2 * k):
             raise ConeError(f"cycle length {c} not even in [2, {2 * k}]")
-    cone = even_cycle_cone(k)
-    report = verify_rays(cone)
-    slack_rows = sorted(ray["slack_rows"] for ray in report["rays"])
-    if not report["all_member"] or len(cone.halfspaces) != k \
-            or any(max(r) >= 0 for r in cone.rays) or slack_rows != [[i] for i in range(k)]:
-        raise AssertionError(f"even_cycle_cone({k}) fails its ray certificate; modeling violation")
-    return max(Fraction(sum(r[c // 2 - 1] for c in g_cycles), sum(r[c // 2 - 1] for c in h_cycles))
-               for r in cone.rays)
+    gj, hj = [c // 2 for c in g_cycles], [c // 2 for c in h_cycles]
+    rays = [functools.partial(even_cycle_ray_entry, i) for i in range(1, k)] + [lambda j: -j]
+    sums = [(sum(map(r, gj)), sum(map(r, hj))) for r in rays]
+    return Fraction(*max(sums, key=functools.cmp_to_key(lambda r, q: r[0] * q[1] - q[0] * r[1])))
 
 
 def _closes_cycle(masks, v, rest):

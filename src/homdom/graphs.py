@@ -347,6 +347,22 @@ def star_graph(m):
     return SimpleGraph(m + 1, frozenset((0, j) for j in range(1, m + 1)))
 
 
+# shorthand and edge-JSON graphs past these are refused before they are built: as a
+# target, hom_exists holds a dense n x n matrix; elimination plans K200 in about 1 s
+MAX_QUERY_N, MAX_QUERY_EDGES = 2000, 20_000
+MAX_ECHO = 40  # a refusal quotes at most this many characters of its input
+
+
+def elide(text):
+    """repr(text), past MAX_ECHO characters that of its head and its length."""
+    return repr(text) if len(text) <= MAX_ECHO else f"{text[:MAX_ECHO]!r}... ({len(text)} chars)"
+
+
+def _check_query_size(n, m):
+    if n > MAX_QUERY_N or m > MAX_QUERY_EDGES:
+        raise GraphError(f"query graph capped at {MAX_QUERY_N} vertices, {MAX_QUERY_EDGES} edges")
+
+
 def from_shorthand(text):
     """Parse inline shorthand such as K4, C5, P13, K2,3, K4-e, C5+, paw."""
     s = text.strip()
@@ -356,23 +372,21 @@ def from_shorthand(text):
         return triangle_pendant()
     try:
         if s.startswith("C") and s.endswith("+") and (m := int(s[1:-1])) % 2:
+            _check_query_size(m, m + 1)
             return cycle_with_chord((m - 1) // 2, 1)  # refuses m < 5
         if s.startswith("K") and "," in s:
-            a, b = s[1:].split(",")
-            return complete_bipartite(int(a), int(b))
-        if s.startswith("K"):
-            return complete_graph(int(s[1:]))
-        if s.startswith("C"):
-            return cycle_graph(int(s[1:]))
-        if s.startswith("P"):
-            return path_graph(int(s[1:]))
-        if s.startswith("S"):
-            return star_graph(int(s[1:]))
+            a, b = map(int, s[1:].split(","))
+            _check_query_size(a + b, a * b)
+            return complete_bipartite(a, b)
+        if s[:1] in ("K", "C", "P", "S"):  # K_m and C_m on m vertices, P_m and S_m on m + 1
+            m = int(s[1:])
+            _check_query_size(m + (s[0] in "PS"), m * (m - 1) // 2 if s[0] == "K" else m)
+            return dict(K=complete_graph, C=cycle_graph, P=path_graph, S=star_graph)[s[0]](m)
     except GraphError as exc:  # the builder's own refusal, such as S0's
-        raise GraphError(f"graph shorthand {text!r}: {exc}") from None
+        raise GraphError(f"graph shorthand {elide(text)}: {exc}") from None
     except ValueError:  # int() refused the text
         pass
-    raise GraphError(f"cannot parse graph shorthand {text!r}")
+    raise GraphError(f"cannot parse graph shorthand {elide(text)}")
 
 
 # ---------------------------------------------------------------------------
@@ -546,6 +560,7 @@ def _decode_edge_json(text):
         raise GraphError("n must be an integer")
     if not isinstance(edges, list):
         raise GraphError("edges must be a list")
+    _check_query_size(n, len(edges))
     seen = set()
     for e in edges:
         if not (isinstance(e, list) and len(e) == 2 and all(map(_is_int, e))):

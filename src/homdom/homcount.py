@@ -152,15 +152,12 @@ def _bfs_order(g, comp):
     """BFS order of one component starting from a max-degree vertex."""
     start = max(comp, key=g.degree)
     adj = g.adjacency_lists()
-    order = [start]
-    seen = {start}
-    i = 0
-    while i < len(order):
-        for w in sorted(adj[order[i]], key=lambda x: -g.degree(x)):
+    order, seen = [start], {start}
+    for v in order:  # the loop reaches the vertices appended as it runs
+        for w in sorted(adj[v], key=lambda x: -g.degree(x)):
             if w not in seen:
                 seen.add(w)
                 order.append(w)
-        i += 1
     return order
 
 
@@ -257,14 +254,6 @@ def _clique_within(masks, cand, need):
     return False
 
 
-def _clique_number(masks):
-    """The order of a largest clique of the graph with bitmasks ``masks``."""
-    r = 0
-    while _has_clique(masks, r + 1):
-        r += 1
-    return r
-
-
 def hom_exists(h, t):
     """Whether some homomorphism H -> T exists.
 
@@ -278,7 +267,8 @@ def hom_exists(h, t):
     Every other pair goes by elimination when its plan fits (polynomial
     where a search is not), else by a backtracker that stops at its first
     map. A homomorphism maps a clique of H injectively onto a clique of T,
-    so when T lacks a K_r that H has, the answer is no without the search."""
+    so when T lacks a K_r that H has (r = 1, 2, ... in turn, no deeper than
+    the smaller clique number), the answer is no without the search."""
     if h.is_bipartite():
         if t.num_edges:
             return True
@@ -287,9 +277,13 @@ def hom_exists(h, t):
     counts = _eliminate(h, t.adjacency_matrix(np.float32)[None])
     if counts is not None:
         return counts[0] > 0
-    if not _has_clique(t.adjacency_masks(), _clique_number(h.adjacency_masks())):
-        return False
-    return _backtrack(h, t.adjacency_masks(), None, first=True) > 0
+    h_masks, t_masks = h.adjacency_masks(), t.adjacency_masks()
+    r = 1
+    while _has_clique(h_masks, r):
+        if not _has_clique(t_masks, r):
+            return False
+        r += 1
+    return _backtrack(h, t_masks, None, first=True) > 0
 
 
 def hom_count(h, t, max_steps=None):
@@ -357,8 +351,7 @@ class WeightedTarget:
             raise GraphError("empty target")
         dens = [[Fraction(0)] * t.n for _ in range(t.n)]
         for u, v in t.edges:
-            dens[u][v] = Fraction(1)
-            dens[v][u] = Fraction(1)
+            dens[u][v] = dens[v][u] = Fraction(1)
         return cls(tuple(Fraction(1) for _ in range(t.n)), tuple(map(tuple, dens)))
 
 

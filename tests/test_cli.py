@@ -511,7 +511,7 @@ class TestErrorExits:
         (("exponent", "--g", "Cx+", "--h", "K2"), "cannot parse graph shorthand 'Cx+'"),
         (("exponent", "--g", "C+", "--h", "K2"), "cannot parse graph shorthand 'C+'"),
         pytest.param(("exponent", "--g", "C" + "9" * 5000 + "+", "--h", "K2"),
-                     f"cannot parse graph shorthand {'C' + '9' * 5000 + '+'!r}",
+                     f"cannot parse graph shorthand {'C' + '9' * 39!r}... (5002 chars)",
                      id="argv28-cannot parse a 5000-digit shorthand"),
         (("exponent", "--g", '{"n": 2, "edges": ' + "[" * 100000, "--h", "K2"),
          "malformed graph JSON: nested too deeply"),
@@ -594,6 +594,40 @@ class TestErrorExits:
         code, out, err = run(capsys, *argv)
         assert time.perf_counter() - start < 1
         assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("text", [
+        "K1000", "P10000000", "K5000", "K2,10001", "C" + "9" * 300 + "+",
+        '{"n": 100000000, "edges": [[0, 1]]}',
+        json.dumps({"n": 300, "edges": [[i, j] for i in range(201) for j in range(i)]}),
+    ])
+    def test_query_graph_past_the_caps_refused_before_building(self, capsys, text):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "exponent", "--g", text, "--h", "K3")
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "") and err.count("\n") == 1 and len(err) < 150
+        assert err.endswith("query graph capped at 2000 vertices, 20000 edges\n")
+
+    def test_query_caps_admit_up_to_them(self):
+        # K200 has 19900 edges and P1999 has 2000 vertices; one more is refused
+        assert (parse_graph_arg("K200").num_edges, parse_graph_arg("P1999").n) == (19900, 2000)
+        assert parse_graph_arg('{"n": 2000, "edges": []}').n == 2000
+        for text in ("K201", "P2000", "S2000", "C2001", '{"n": 2001, "edges": []}'):
+            with pytest.raises(GraphError, match="capped at 2000 vertices, 20000 edges"):
+                parse_graph_arg(text)
+
+    @pytest.mark.parametrize("text", ["nofile.txt", "graphs/c5.g6", "./K3", "x" + "/" * 5000])
+    def test_missing_file_named_as_such(self, capsys, text):
+        # "/" and "." are neither graph6 nor shorthand characters, so such a
+        # text that names no file is a path, not a graph
+        code, out, err = run(capsys, "exponent", "--g", text, "--h", "K2")
+        assert (code, out) == (2, "") and err.startswith("error: no such file: ")
+        assert err.count("\n") == 1 and len(err) < 100
+
+    def test_long_shorthand_refusal_is_elided(self, capsys):
+        code, out, err = run(capsys, "exponent", "--g", "C" + "9" * 5000 + "+", "--h", "K2")
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot parse graph shorthand {'C' + '9' * 39!r}... (5002 chars)\n"
+        assert len(err) < 100
 
     @pytest.mark.parametrize("entry", ["1e5000", "1e10000000"])
     def test_lp_file_decimal_exponent(self, capsys, tmp_path, entry):

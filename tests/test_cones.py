@@ -127,8 +127,9 @@ class TestEvenCycleCone:
             even_cycle_ray(3, 3)
 
     def test_tightness_pattern(self):
-        # each listed ray is tight on all rows but exactly one
-        for k in range(2, 7):
+        # each listed ray, built from its closed form, lies in the cone and is
+        # tight on all rows but exactly one: the proof union_exponent_lp rests on
+        for k in range(2, 61):
             cone = even_cycle_cone(k)
             report = verify_rays(cone)
             assert report["all_member"]

@@ -646,22 +646,39 @@ class TestCliqueGuard:
 
     def test_guard_agrees_with_backtracker(self, monkeypatch):
         # with the 2-colouring step and elimination switched off, every pair
-        # reaches the guard; each pair it refuses has no map, and hom_exists
-        # agrees with the search
+        # reaches the guard; it refuses exactly the pairs whose pattern has a
+        # larger clique number than the target (each has no map), and
+        # hom_exists agrees with the search
         monkeypatch.setattr(SimpleGraph, "is_bipartite", lambda self: False)
         monkeypatch.setattr(homcount, "_eliminate", lambda *args, **kwargs: None)
+        searched, real = [], homcount._backtrack
+        monkeypatch.setattr(homcount, "_backtrack",
+                            lambda *args, **kwargs: searched.append(args) or real(*args, **kwargs))
         rng = random.Random(29)
         refused = 0
         for _ in range(300):
             h = random_graph(rng, rng.randint(1, 6), rng.random())
             t = random_graph(rng, rng.randint(1, 7), rng.random())
-            want = _backtrack(h, t.adjacency_masks(), None, first=True) > 0
-            r = homcount._clique_number(h.adjacency_masks())
-            fits = homcount._has_clique(t.adjacency_masks(), r)
-            refused += not fits
-            assert fits or not want, (h, t)
+            want = real(h, t.adjacency_masks(), None, first=True) > 0
+            before = len(searched)
             assert hom_exists(h, t) == want, (h, t)
+            guarded = len(searched) == before
+            assert guarded == (clique_number(h) > clique_number(t)), (h, t)
+            assert not (guarded and want), (h, t)
+            refused += guarded
         assert refused > 20
+
+    def test_guard_depth_is_the_smaller_clique_number(self, monkeypatch):
+        # K1100 against K3 stops at r = 4; searching K1100's whole clique
+        # number would take one recursion frame per vertex
+        monkeypatch.setattr(homcount, "_eliminate", lambda *args, **kwargs: None)
+        assert hom_exists(complete_graph(1100), complete_graph(3)) is False
+
+
+def clique_number(g):
+    """The order of a largest clique of g, by brute force over vertex sets."""
+    return max(r for r in range(g.n + 1) for s in itertools.combinations(range(g.n), r)
+               if all(g.has_edge(u, v) for u, v in itertools.combinations(s, 2)))
 
 
 class TestTwoColouring:

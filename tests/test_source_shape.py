@@ -75,6 +75,15 @@ def test_formulas_solve_no_lp():
     assert names & {"make_lp", "solve_lp"} == set()
 
 
+def test_formulas_build_no_cone():
+    # the union rule reads the even-cycle rays off their closed forms, so
+    # formulas names neither the cone nor its per-call ray check
+    tree = ast.parse((SRC / "formulas.py").read_text())
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    assert imported & {"Cone", "even_cycle_cone", "verify_rays"} == set()
+
+
 def _parsed():
     return [(path, ast.parse(path.read_text(), filename=str(path)))
             for path in sorted(SRC.glob("*.py"))]
