@@ -38,7 +38,7 @@ def _int(text, what):
     try:
         return int(text)
     except ValueError:
-        raise GraphError(f"{what} must be an integer, got {text!r}") from None
+        raise GraphError(f"{what} must be an integer, got {elide(text)}") from None
 
 
 def _effective_seed(args):
@@ -87,13 +87,13 @@ def _parse_graph_text(stripped):
 def parse_fraction(text):
     """A rational from "p/q" or decimal text."""
     if rational_too_long(text):
-        raise GraphError(f"rational {text!r} needs {MAX_RATIONAL_DIGITS} or more digits")
+        raise GraphError(f"rational {elide(text)} needs {MAX_RATIONAL_DIGITS} or more digits")
     try:
         return Fraction(text)
     except ZeroDivisionError as exc:
-        raise GraphError(f"zero denominator in {text!r}") from exc
+        raise GraphError(f"zero denominator in {elide(text)}") from exc
     except ValueError:
-        raise GraphError(f"not a rational number: {text!r}") from None
+        raise GraphError(f"not a rational number: {elide(text)}") from None
 
 
 # the spellings of the corpus spec's constructions flag
@@ -108,7 +108,7 @@ def _key_values(text, what):
         key, _, val = part.partition("=")
         key = key.strip()
         if key in pairs:
-            raise GraphError(f"{what} repeats key {key!r}")
+            raise GraphError(f"{what} repeats key {elide(key)}")
         pairs[key] = val.strip()
     return pairs
 
@@ -125,16 +125,16 @@ def parse_corpus_spec(text):
         elif key == "constructions":
             if val not in CORPUS_FLAGS:
                 raise GraphError(f"corpus spec constructions must be one of "
-                                 f"{', '.join(CORPUS_FLAGS)}, got {val!r}")
+                                 f"{', '.join(CORPUS_FLAGS)}, got {elide(val)}")
             kwargs["include_constructions"] = CORPUS_FLAGS[val]
         else:
-            raise GraphError(f"unknown corpus spec key {key!r}")
+            raise GraphError(f"unknown corpus spec key {elide(key)}")
     return verifier.CorpusSpec(**kwargs)
 
 
 def parse_params(text):
     """key=value CSV of integer family parameters, e.g. 'k=3,l=2,m=1'."""
-    return {key: _int(val, f"parameter {key!r}")
+    return {key: _int(val, f"parameter {elide(key)}")
             for key, val in _key_values(text, "parameter list").items()}
 
 
@@ -149,9 +149,68 @@ def _print(text):
         os.close(devnull)
 
 
+# json's escaper in C; json.dumps with an indent runs json's pure-Python encoder
+_ENCODE_STRING = json.encoder.encode_basestring_ascii
+_LITERALS = {None: "null", True: "true", False: "false"}
+
+
+def _json_text(doc):
+    """``json.dumps(doc, indent=2)``, byte for byte: the one JSON encoder of
+    the CLI. Containers, strings, ints, bools and None are written here,
+    any other value (a float, say) by json itself."""
+    out = []
+    _write_json(doc, "\n", out)
+    return "".join(out)
+
+
+def _write_json(x, indent, out):
+    """Append the indented JSON text of x to ``out``; ``indent`` is the line
+    break and indent of the line x starts on."""
+    if isinstance(x, str):
+        out.append(_ENCODE_STRING(x))
+    elif x is None or x is True or x is False:
+        out.append(_LITERALS[x])
+    elif isinstance(x, int):
+        out.append(int.__repr__(x))
+    elif isinstance(x, dict):
+        if not x:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        sep = "{" + inner
+        for key, item in x.items():
+            out.append(f"{sep}{_json_key(key)}: ")
+            _write_json(item, inner, out)
+            sep = "," + inner
+        out.append(indent + "}")
+    elif isinstance(x, (list, tuple)):
+        if not x:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        sep = "[" + inner
+        for item in x:
+            out.append(sep)
+            _write_json(item, inner, out)
+            sep = "," + inner
+        out.append(indent + "]")
+    else:
+        out.append(json.dumps(x))
+
+
+def _json_key(key):
+    """json's own rule for a key: a str as it is, a float, int, bool or None
+    as the string of its JSON text."""
+    if isinstance(key, str):
+        return _ENCODE_STRING(key)
+    if isinstance(key, (int, float)) or key is None:
+        return _ENCODE_STRING(json.dumps(key))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
 def _emit(config, payload, out_path):
     """Print or write the config and a verb's plain-data result: the one JSON writer."""
-    text = json.dumps({"config": config, "result": payload}, indent=2)
+    text = _json_text({"config": config, "result": payload})
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text + "\n")
@@ -304,11 +363,12 @@ def _parser():
     return build_parser()
 
 
-def _read_options(argv, i, options, where):
+def _read_options(argv, i, options, verb=None):
     """The options given from argv[i] on, as {option: value}, and the index
-    of the first token that is no option. Each option is ``--opt value`` or
-    ``--opt=value``; the token after an option is its value, whatever it
-    looks like, and a repeated option keeps its last value."""
+    of the first token that is no option: the global ones, or those of
+    ``verb``. Each option is ``--opt value`` or ``--opt=value``; the token
+    after an option is its value, whatever it looks like, and a repeated
+    option keeps its last value."""
     given = {}
     while i < len(argv) and argv[i].startswith("-") and argv[i] not in HELP_TOKENS:
         token = argv[i]
@@ -316,12 +376,12 @@ def _read_options(argv, i, options, where):
         if name not in options:
             if name in GLOBAL_OPTIONS:
                 raise GraphError(f"{name} goes before the verb, not after it")
-            raise GraphError(f"unknown option {token!r} {where}; "
-                             f"the options are {', '.join(options)}")
+            where, helper = ("before the verb", "homdom") if verb is None else (f"for {verb}", verb)
+            raise GraphError(f"unknown option {elide(token)} {where}; see {helper} --help")
         kind = options[name][1]
         if kind is bool:
             if eq:
-                raise GraphError(f"{name} takes no value, got {token!r}")
+                raise GraphError(f"{name} takes no value, got {elide(token)}")
             value = True
         elif not eq:
             i += 1
@@ -360,19 +420,19 @@ def _help(table, verb=None):
 def _read_args(argv):
     """The parsed argv as a namespace, or the help text it asks for."""
     table = _parser()
-    before, i = _read_options(argv, 0, GLOBAL_OPTIONS, "before the verb")
+    before, i = _read_options(argv, 0, GLOBAL_OPTIONS)
     if i < len(argv) and argv[i] in HELP_TOKENS:
         return _help(table)
     if i == len(argv) or argv[i] not in table:
-        got = f"unknown verb {argv[i]!r}" if i < len(argv) else "missing verb"
-        raise GraphError(f"{got}; the verbs are {', '.join(table)}")
+        got = f"unknown verb {elide(argv[i])}" if i < len(argv) else "missing verb"
+        raise GraphError(f"{got}; see homdom --help")
     verb = argv[i]
     _, options, required, group = table[verb]
-    after, i = _read_options(argv, i + 1, options, f"for {verb}")
+    after, i = _read_options(argv, i + 1, options, verb)
     if i < len(argv):
         if argv[i] in HELP_TOKENS:
             return _help(table, verb)
-        raise GraphError(f"unexpected argument {argv[i]!r} for {verb}")
+        raise GraphError(f"unexpected argument {elide(argv[i])} for {verb}")
     for opt in required:
         if opt not in after:
             raise GraphError(f"{verb} needs {opt}")

@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 
 from .graphs import (Biadjacency, CliqueUnion, GraphError, SimpleGraph, complete_graph,
-                     cycle_graph, disjoint_union)
+                     cycle_graph, disjoint_union, elide)
 from .homcount import (
     ResourceLimitError,
     WeightedPattern,
@@ -333,7 +333,7 @@ class ScalingFamily:
     def build(self, size):
         p = self.params
         if self.kind not in FAMILY_PARAMS:
-            raise GraphError(f"unknown family kind {self.kind!r}")
+            raise GraphError(f"unknown family kind {elide(self.kind)}")
         needs = FAMILY_PARAMS[self.kind]
         missing = [key for key in needs if key not in p]
         if missing:

@@ -169,6 +169,46 @@ class SimpleGraph:
         """Whether the graph is 2-colourable (an edgeless graph included)."""
         return self._bipartite
 
+    @functools.cached_property
+    def _odd_girth(self):
+        """Length of a shortest odd cycle, decided once. From a vertex s, an
+        edge between two vertices at one BFS depth d closes an odd walk of
+        length 2d + 1, which holds an odd cycle no longer; and a shortest
+        odd cycle is isometric, so from each of its vertices the edge
+        opposite it joins two vertices at its depth."""
+        if self._bipartite:
+            return math.inf
+        adj = self._structure[0]
+        best = math.inf
+        for s in range(self.n):
+            depth = {s: 0}
+            queue = [s]
+            for v in queue:  # the loop reaches the vertices appended as it runs
+                d = depth[v]
+                if 2 * d + 1 >= best:
+                    break
+                for w in adj[v]:
+                    if w not in depth:
+                        depth[w] = d + 1
+                        queue.append(w)
+                    elif depth[w] == d:
+                        best = 2 * d + 1
+        return best
+
+    def odd_girth(self):
+        """Length of a shortest odd cycle; math.inf when 2-colourable."""
+        return self._odd_girth
+
+    @functools.cached_property
+    def _clique_number(self):
+        return _largest_clique(self._masks, (1 << self.n) - 1, 0)
+
+    def clique_number(self):
+        """Order of a largest clique, decided once by branch and bound over
+        the bitmasks: exponential in the worst case, and as deep in
+        recursion as the clique, so meant for small graphs."""
+        return self._clique_number
+
     def subgraph(self, vertices):
         """Induced subgraph, relabeled to 0..len(vertices)-1 in given order;
         built from the chosen vertices' neighbour sets."""
@@ -180,6 +220,18 @@ class SimpleGraph:
     def relabeled(self, perm):
         """Apply the permutation old -> perm[old] to the vertex labels."""
         return SimpleGraph(self.n, frozenset((perm[a], perm[b]) for a, b in self.edges))
+
+
+def _largest_clique(masks, cand, size):
+    """size plus the order of a largest clique among the vertices of bitmask
+    ``cand``, all adjacent to a clique of ``size`` vertices; a branch stops
+    once its candidates cannot beat the best clique found."""
+    best = size
+    while size + cand.bit_count() > best:
+        b = cand & -cand
+        cand ^= b
+        best = max(best, _largest_clique(masks, cand & masks[b.bit_length() - 1], size + 1))
+    return best
 
 
 @dataclass(frozen=True)
@@ -353,9 +405,14 @@ MAX_QUERY_N, MAX_QUERY_EDGES = 2000, 20_000
 MAX_ECHO = 40  # a refusal quotes at most this many characters of its input
 
 
-def elide(text):
-    """repr(text), past MAX_ECHO characters that of its head and its length."""
-    return repr(text) if len(text) <= MAX_ECHO else f"{text[:MAX_ECHO]!r}... ({len(text)} chars)"
+def elide(value):
+    """repr(value), past MAX_ECHO characters cut to its head and its length;
+    a string's head is quoted as its repr."""
+    if isinstance(value, str):
+        return repr(value) if len(value) <= MAX_ECHO else \
+            f"{value[:MAX_ECHO]!r}... ({len(value)} chars)"
+    text = repr(value)
+    return text if len(text) <= MAX_ECHO else f"{text[:MAX_ECHO]}... ({len(text)} chars)"
 
 
 def _check_query_size(n, m):
@@ -548,11 +605,11 @@ def _is_int(x):
 
 
 def _decode_edge_json(text):
-    try:
+    try:  # json.loads raises a bare ValueError on an integer past int's digit limit
         data = json.loads(text)
         n = data["n"]
         edges = data["edges"]
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         raise GraphError(f"malformed graph JSON: {exc}") from exc
     except RecursionError:
         raise GraphError("malformed graph JSON: nested too deeply") from None
@@ -564,10 +621,10 @@ def _decode_edge_json(text):
     seen = set()
     for e in edges:
         if not (isinstance(e, list) and len(e) == 2 and all(map(_is_int, e))):
-            raise GraphError(f"bad edge {e}")
+            raise GraphError(f"bad edge {elide(e)}")
         key = (min(e), max(e))
         if key in seen:
-            raise GraphError(f"duplicate edge {e}")
+            raise GraphError(f"duplicate edge {elide(e)}")
         seen.add(key)
     return SimpleGraph(n, frozenset((e[0], e[1]) for e in edges))
 

@@ -254,6 +254,10 @@ def _clique_within(masks, cand, need):
     return False
 
 
+SMALL_ORDER = 16  # pairs of graphs on at most this many vertices are searched before elimination
+SMALL_BUDGET = 20_000  # candidate expansions of that search, past which elimination answers
+
+
 def hom_exists(h, t):
     """Whether some homomorphism H -> T exists.
 
@@ -264,16 +268,32 @@ def hom_exists(h, t):
     * an H that is not 2-colourable and a 2-colourable T give no, since
       H -> T -> K2 would 2-colour H.
 
-    Every other pair goes by elimination when its plan fits (polynomial
-    where a search is not), else by a backtracker that stops at its first
-    map. A homomorphism maps a clique of H injectively onto a clique of T,
-    so when T lacks a K_r that H has (r = 1, 2, ... in turn, no deeper than
-    the smaller clique number), the answer is no without the search."""
+    A pair of graphs on at most ``SMALL_ORDER`` vertices each goes next to
+    two guards, read off facts decided once per graph, and then to a
+    backtracker that stops at its first map:
+
+    * an odd cycle of H maps to an odd closed walk of T, which holds an odd
+      cycle no longer, so a T of larger odd girth than H's gives no;
+    * a homomorphism maps a clique of H injectively onto a clique of T, so
+      a T of smaller clique number than H's gives no.
+
+    A search that expands more than ``SMALL_BUDGET`` candidates gives way
+    to elimination. Every other pair goes by elimination when its plan
+    fits (polynomial where a search is not), else by the unbudgeted
+    backtracker, after the clique guard: r = 1, 2, ... in turn, no deeper
+    than the smaller clique number, T lacking a K_r that H has gives no."""
     if h.is_bipartite():
         if t.num_edges:
             return True
     elif t.is_bipartite():
         return False
+    if h.n <= SMALL_ORDER and t.n <= SMALL_ORDER:
+        if t.odd_girth() > h.odd_girth() or h.clique_number() > t.clique_number():
+            return False
+        try:
+            return _backtrack(h, t.adjacency_masks(), SMALL_BUDGET, first=True) > 0
+        except ResourceLimitError:
+            pass
     counts = _eliminate(h, t.adjacency_matrix(np.float32)[None])
     if counts is not None:
         return counts[0] > 0

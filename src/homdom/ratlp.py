@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .graphs import HomdomError
+from .graphs import HomdomError, elide
 
 
 class LPError(HomdomError):
@@ -436,7 +436,7 @@ def _key(d, key, kind=object, default=None):
         raise LPError(f"LP JSON: missing key {key!r}")
     value = d.get(key, default)
     if not isinstance(value, kind):
-        raise LPError(f"LP JSON: key {key!r} must be a {kind.__name__}, got {value!r}")
+        raise LPError(f"LP JSON: key {key!r} must be a {kind.__name__}, got {elide(value)}")
     return value
 
 
@@ -444,24 +444,24 @@ def _number(value, key):
     """A JSON number or numeric string as a Fraction, else LPError naming the
     key; a JSON boolean is no number."""
     if isinstance(value, str) and rational_too_long(value):
-        raise LPError(f"LP JSON: key {key!r} holds {value!r}, {MAX_RATIONAL_DIGITS}+ digits")
+        raise LPError(f"LP JSON: key {key!r} holds {elide(value)}, {MAX_RATIONAL_DIGITS}+ digits")
     try:
         return Fraction(value if type(value) in (int, float, str) else None)
     except (TypeError, ValueError, OverflowError, ZeroDivisionError):
-        raise LPError(f"LP JSON: key {key!r} holds {value!r}, not a number") from None
+        raise LPError(f"LP JSON: key {key!r} holds {elide(value)}, not a number") from None
 
 
 def _flag(value, key):
     """A JSON boolean, else LPError naming the key."""
     if not isinstance(value, bool):
-        raise LPError(f"LP JSON: key {key!r} holds {value!r}, not a boolean")
+        raise LPError(f"LP JSON: key {key!r} holds {elide(value)}, not a boolean")
     return value
 
 
 def lp_from_json(text):
     try:
         d = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer past int's digit limit
         raise LPError(f"LP JSON: {exc}") from None
     except RecursionError:
         raise LPError("LP JSON: nested too deeply") from None

@@ -810,6 +810,43 @@ class TestErrorExits:
         assert code == 2 and out == ""
         assert err == f"error: LP JSON: {message}\n"
 
+    LONG = "x" * 5000
+
+    @pytest.mark.parametrize("argv, message", [
+        (("exponent", "--g", '{"n": 2, "edges": [[0, 1' + ", 1" * 3000 + "]]}", "--h", "K2"),
+         "bad edge [0, 1, 1, 1, 1"),
+        (("verify", "--g", "K2", "--h", "K3", "--c", "1", "--corpus-spec", LONG + "=1"),
+         "unknown corpus spec key 'xxx"),
+        (("verify", "--g", "K2", "--h", "K3", "--c", LONG), "not a rational number: 'xxx"),
+        (("verify", "--g", "K2", "--h", "K3", "--c", "1" * 5000),
+         "not a rational number: '111"),
+        (("construct", "--family", LONG, "--size", "4"), "unknown family kind 'xxx"),
+        (("exponent", "--" + LONG, "--g", "K2", "--h", "K2"), "unknown option '--xxx"),
+        (("--" + LONG, "exponent", "--g", "K2", "--h", "K2"), "unknown option '--xxx"),
+        ((LONG,), "unknown verb 'xxx"),
+        (("lp", "--kr", LONG), "--kr must be an integer, got 'xxx"),
+        (("construct", "--family", "projective", "--params", "k=" + LONG, "--size", "5"),
+         "parameter 'k' must be an integer, got 'xxx"),
+        (("exponent", "--g", "K2", "--h", "K2", LONG), "unexpected argument 'xxx"),
+    ])
+    def test_refusal_of_a_long_input_is_elided(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+        assert len(err.rstrip("\n")) <= 120 and "chars)" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("exponent", "--g", '{"n": 2, "edges": [[0, ' + "1" * 5000 + "]]}", "--h", "K2"),
+        ("lp", "--file", "{lp}"),
+    ])
+    def test_integer_past_the_digit_limit_refused(self, capsys, tmp_path, argv):
+        # json.loads refuses an integer of more than 4300 digits with a bare ValueError
+        f = tmp_path / "lp.json"
+        f.write_text('{"sense": "max", "objective": [' + "1" * 5000 + '], "rows": []}')
+        code, out, err = run(capsys, *(a.replace("{lp}", str(f)) for a in argv))
+        assert (code, out) == (2, "") and err.count("\n") == 1
+        assert "Exceeds the limit (4300 digits)" in err and "Traceback" not in err
+
     def test_bad_seed_env(self, capsys, monkeypatch):
         monkeypatch.setenv("HOMDOM_SEED", "abc")
         code, out, err = run(capsys, "exponent", "--g", "K2", "--h", "K3")
@@ -820,6 +857,57 @@ class TestErrorExits:
         monkeypatch.setenv("HOMDOM_SEED", "-5")
         code, out, err = run(capsys, "exponent", "--g", "K2", "--h", "K3")
         assert (code, out, err) == (2, "", "error: HOMDOM_SEED must be nonnegative, got -5\n")
+
+
+class TestJsonWriter:
+    """main writes each document through one indented writer, whose text is
+    exactly ``json.dumps(doc, indent=2)``."""
+
+    @pytest.mark.parametrize("argv", [
+        ("exponent", "--g", "C5", "--h", "K3"),
+        ("exponent", "--g", "K3", "--h", "C4"),
+        ("exponent", "--g", "P3", "--h", "C5", "--harvest"),
+        ("verify", "--g", "K2", "--h", "C3", "--c", "1", "--corpus-spec", "exhaustive_n=3"),
+        ("verify", "--g", "C4", "--h", "K2", "--c", "5", "--corpus-spec", "exhaustive_n=3"),
+        ("search-p6", "--i", "2", "--j", "1", "--corpus-spec", "exhaustive_n=3"),
+        ("construct", "--family", "projective", "--params", "k=2", "--size", "3"),
+        ("construct", "--family", "behrend", "--size", "5", "--emit"),
+        ("construct", "--family", "path_blowup", "--params", "k=3,l=2,m=1", "--size", "10"),
+        ("cone", "--even", "3"),
+        ("cone", "--all", "4"),
+        ("lp", "--kr", "3"),
+        ("lp", "--file", "{lp}"),
+        ("estimate", "--g", "C4", "--h", "K2", "--family", "two_cliques", "--sizes", "4,5"),
+    ])
+    def test_every_verb_payload(self, capsys, monkeypatch, tmp_path, argv):
+        f = tmp_path / "lp.json"
+        f.write_text('{"sense": "min", "objective": ["1/2", 1], '
+                     '"rows": [{"coeffs": [1, 1], "rel": ">=", "rhs": 1}]}')
+        docs, real = [], cli._json_text
+        monkeypatch.setattr(cli, "_json_text", lambda doc: docs.append(doc) or real(doc))
+        main([a.replace("{lp}", str(f)) for a in argv])
+        out, err = capsys.readouterr()
+        assert err == "" and len(docs) == 1
+        assert out == json.dumps(docs[0], indent=2) + "\n"
+
+    @pytest.mark.parametrize("doc", [
+        {}, [], (), {"a": {}, "b": [], "c": ()}, [[[]], [{}], {"x": [[], {}]}],
+        {"nested": {"deeper": {"deepest": [1, [2, [3, ["four"]]]]}}},
+        {"text": "h\u00e9llo \u2603 \ud83d\ude00 \"quoted\" \\ \n\t\x00", "\u00e9": "key"},
+        {"floats": [0.1, 1e300, -0.0, float("inf"), float("-inf"), float("nan")]},
+        [None, True, False, 0, -1, 10 ** 40, [None, [True, False]]],
+        {1: "int key", 2.5: "float key", True: "bool key", None: "null key"},
+        "scalar", 7, None, False, 1.5,
+    ])
+    def test_matches_json_dumps(self, doc):
+        assert cli._json_text(doc) == json.dumps(doc, indent=2)
+
+    @pytest.mark.parametrize("doc", [{"x": Fraction(1, 2)}, {(1, 2): 3}, [object()]])
+    def test_refuses_what_json_refuses(self, doc):
+        with pytest.raises(TypeError):
+            json.dumps(doc, indent=2)
+        with pytest.raises(TypeError):
+            cli._json_text(doc)
 
 
 class TestConeCommand:

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import math
 import random
 
 import numpy as np
@@ -28,6 +29,7 @@ from homdom.graphs import (
     star_graph,
     triangle_pendant,
 )
+from homdom import graphs as graphs_module
 from homdom.graphs import _graph_to_int, _image_weights, _int_to_graph
 
 
@@ -348,6 +350,32 @@ class TestCachedStructure:
                 want.setdefault(find(v), []).append(v)
             assert g.components() == tuple(sorted(tuple(c) for c in want.values()))
             assert g.is_connected() == (n <= 1 or len(want) == 1)
+
+    def test_odd_girth_and_clique_number_match_brute_force(self):
+        # the odd girth is the least odd length of a closed walk, read off
+        # the integer powers of the adjacency matrix
+        rng = random.Random(37)
+        graphs = [random_graph(rng, rng.randint(0, 9), rng.random() * 0.6) for _ in range(150)]
+        graphs += [cycle_graph(m) for m in range(3, 12)] + [SimpleGraph(0), complete_graph(6)]
+        graphs += [disjoint_union(cycle_graph(5), cycle_graph(3)), cycle_with_chord(4, 1)]
+        for g in graphs:
+            a = g.adjacency_matrix(object)
+            walks, odd = a, math.inf
+            for k in range(1, g.n + 1, 2):
+                if walks.trace() > 0:
+                    odd = k
+                    break
+                walks = walks @ a @ a
+            assert g.odd_girth() == odd, g
+            want = max(r for r in range(g.n + 1) for s in itertools.combinations(range(g.n), r)
+                       if all(g.has_edge(u, v) for u, v in itertools.combinations(s, 2)))
+            assert g.clique_number() == want, g
+
+    def test_clique_number_decided_once(self, monkeypatch):
+        g = cycle_with_chord(7, 3)
+        assert (g.odd_girth(), g.clique_number()) == (7, 2)
+        monkeypatch.setattr(graphs_module, "_largest_clique", None)
+        assert g.clique_number() == 2
 
     def test_components_built_once_and_immutable(self):
         g = disjoint_union(path_graph(2), cycle_graph(3))

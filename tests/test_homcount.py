@@ -1,6 +1,8 @@
+import collections
 import gc
 import itertools
 import random
+import time
 import weakref
 from fractions import Fraction
 
@@ -16,6 +18,7 @@ from homdom.graphs import (
     complete_bipartite,
     complete_graph,
     cycle_graph,
+    cycle_with_chord,
     disjoint_union,
     enumerate_graphs,
     from_shorthand,
@@ -725,7 +728,103 @@ class TestTwoColouring:
         assert hom_exists(cycle_graph(6), complete_graph(4))
         assert hom_exists(path_graph(4), disjoint_union(SimpleGraph(3), complete_graph(2)))
         with pytest.raises(AssertionError, match="elimination reached"):
-            hom_exists(path_graph(1), SimpleGraph(3))
+            hom_exists(path_graph(1), SimpleGraph(homcount.SMALL_ORDER + 1))
+
+
+def odd_graph(rng, lo, hi, p_lo, p_hi):
+    """A seeded random graph on lo..hi vertices that is not 2-colourable."""
+    while True:
+        g = random_graph(rng, rng.randint(lo, hi), rng.uniform(p_lo, p_hi))
+        if not g.is_bipartite():
+            return g
+
+
+def mycielskian(g):
+    """Mycielski's graph of g: a copy u_v of each vertex v, adjacent to v's
+    neighbours, and one vertex adjacent to every copy (of C5: the Groetzsch
+    graph, triangle-free and not 3-colourable)."""
+    n = g.n
+    edges = set(g.edges) | {(v, n + w) for a, b in g.edges for v, w in ((a, b), (b, a))}
+    return SimpleGraph(2 * n + 1, frozenset(edges | {(n + v, 2 * n) for v in range(n)}))
+
+
+class TestSmallPairs:
+    """A pair of graphs on at most SMALL_ORDER vertices each that the
+    2-colourings leave open goes to the odd-girth and clique guards, then to
+    a backtracker budgeted at SMALL_BUDGET expansions, which gives way to
+    elimination when the budget runs out."""
+
+    def test_matches_elimination(self):
+        rng = random.Random(83)
+        cycles = [cycle_graph(m) for m in range(3, 16)]
+        small = [odd_graph(rng, 3, 8, 0.2, 0.9) for _ in range(50)]
+        sparse = [odd_graph(rng, 12, 16, 0.1, 0.2) for _ in range(40)]
+        # triangle-free and 4-chromatic: searched, and no map into K3 or C5
+        groetzsch = mycielskian(cycle_graph(5))
+        patterns = cycles + small + sparse[:10] + [groetzsch] * 2
+        targets = (cycles + small + sparse + [complete_graph(m) for m in range(1, 6)]
+                   + [random_graph(rng, 14, 0.2), SimpleGraph(16), groetzsch])
+        routes = collections.Counter()
+        for _ in range(5500):
+            h, t = rng.choice(patterns), rng.choice(targets)
+            counts = homcount._eliminate(h, t.adjacency_matrix(np.float32)[None])
+            if counts is None:  # a wide plan on a 16-vertex target
+                continue
+            assert hom_exists(h, t) == (counts[0] > 0), (h, t)
+            if h.is_bipartite() or t.is_bipartite():
+                routes["2-colouring"] += 1
+            elif t.odd_girth() > h.odd_girth():
+                routes["odd girth"] += 1
+            elif h.clique_number() > t.clique_number():
+                routes["clique"] += 1
+            else:
+                routes["yes" if counts[0] else "no", "search"] += 1
+        assert sum(routes.values()) >= 5000
+        assert min(routes.values()) >= 20, routes
+        assert routes.keys() == {"2-colouring", "odd girth", "clique", ("yes", "search"),
+                                 ("no", "search")}
+
+    def test_budget_exhaustion_falls_back_to_elimination(self, monkeypatch):
+        eliminated, real = [], homcount._eliminate
+        monkeypatch.setattr(homcount, "_eliminate",
+                            lambda *args: eliminated.append(args) or real(*args))
+        monkeypatch.setattr(homcount, "SMALL_BUDGET", 1)
+        groetzsch = mycielskian(cycle_graph(5))
+        pairs = [(cycle_graph(5), cycle_graph(5), True), (cycle_graph(9), cycle_graph(7), True),
+                 (groetzsch, complete_graph(3), False), (groetzsch, complete_graph(4), True),
+                 (complete_graph(3), cycle_with_chord(2, 1), True)]
+        for h, t, want in pairs:
+            before = len(eliminated)
+            assert hom_exists(h, t) is want, (h, t)
+            assert len(eliminated) == before + 1, (h, t)
+
+    def test_odd_girth_guard_refuses_without_a_search(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("searched")
+
+        monkeypatch.setattr(homcount, "_backtrack", refuse)
+        monkeypatch.setattr(homcount, "_eliminate", refuse)
+        assert hom_exists(cycle_graph(9), cycle_graph(11)) is False
+        assert hom_exists(cycle_graph(13), disjoint_union(cycle_graph(15), SimpleGraph(1))) is False
+        with pytest.raises(AssertionError, match="searched"):
+            hom_exists(cycle_graph(11), cycle_graph(9))
+
+    def test_equal_odd_girths_are_searched(self):
+        # C_m -> C_m is the identity, and an odd cycle with a triangle chord
+        # 3-colours: a guard that refused equal odd girths would answer no
+        for m in range(3, 17, 2):
+            assert hom_exists(cycle_graph(m), cycle_graph(m))
+        assert hom_exists(cycle_with_chord(7, 1), complete_graph(3))
+
+    def test_large_pattern_skips_the_small_route(self, monkeypatch):
+        # K1100 has more than SMALL_ORDER vertices, so neither its odd girth
+        # nor its clique number is computed; the clique guard stops at r = 4
+        g, t = complete_graph(1100), complete_graph(3)
+        monkeypatch.setattr(homcount, "_eliminate", lambda *args, **kwargs: None)
+        start = time.perf_counter()
+        assert hom_exists(g, t) is False
+        assert time.perf_counter() - start < 1
+        assert "_odd_girth" not in vars(g) and "_clique_number" not in vars(g)
 
 
 class TestWalkRouting:

@@ -44,15 +44,21 @@ def test_no_imports_inside_functions():
 
 
 def test_cli_encodes_json_once():
-    # main hands each verb's plain data to _emit; nothing is encoded to be parsed back
+    # main hands each verb's plain data to _emit, whose writer is the one
+    # JSON encoder: json is called only inside the writer, nothing is
+    # parsed back, and _emit is the writer's one caller
     tree = ast.parse((SRC / "cli.py").read_text())
-    calls = []
+    calls, writer_callers = [], []
     for func in ast.walk(tree):
         if isinstance(func, FUNCTIONS):
             calls += [(func.name, node.attr) for node in ast.walk(func)
                       if isinstance(node, ast.Attribute) and node.attr in ("dumps", "loads")
                       and isinstance(node.value, ast.Name) and node.value.id == "json"]
-    assert calls == [("_emit", "dumps")]
+            writer_callers += [func.name for node in ast.walk(func)
+                               if isinstance(node, ast.Name) and node.id == "_json_text"]
+    assert calls and {name for name, _ in calls} <= {"_write_json", "_json_key"}
+    assert {attr for _, attr in calls} == {"dumps"}
+    assert writer_callers == ["_emit"]
 
 
 def test_cones_name_no_fraction():
