@@ -10,10 +10,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
-from .graphs import (Biadjacency, CliqueUnion, GraphError, SimpleGraph, complete_graph,
-                     cycle_graph, disjoint_union, elide)
+from .graphs import (MAX_ECHO, Biadjacency, CliqueUnion, GraphError, SimpleGraph,
+                     complete_graph, cycle_graph, disjoint_union, elide, np)
 from .homcount import (
     ResourceLimitError,
     WeightedPattern,
@@ -338,9 +336,10 @@ class ScalingFamily:
         missing = [key for key in needs if key not in p]
         if missing:
             raise GraphError(f"family {self.kind!r} needs parameter(s) {', '.join(missing)}")
-        extra = [key for key in p if key not in needs]
+        extra = ", ".join(key for key in p if key not in needs)
         if extra:
-            raise GraphError(f"family {self.kind!r} reads no parameter(s) {', '.join(extra)}")
+            extra = extra if len(extra) <= MAX_ECHO else elide(extra)
+            raise GraphError(f"family {self.kind!r} reads no parameter(s) {extra}")
         if self.kind == "path_blowup":
             pattern = path_blowup_pattern(p["k"], p["l"], p["m"])
             return instantiate_weighted(pattern, size)

@@ -17,12 +17,41 @@ Vertex numbering conventions are frozen (tests depend on them):
 from __future__ import annotations
 
 import functools
+import importlib.util
 import itertools
 import json
 import math
+import sys
 from dataclasses import dataclass
 
-import numpy as np
+
+def _lazy_module(name):
+    """The module ``name``, whose code runs on its first attribute access.
+
+    A module already in ``sys.modules`` is returned as it is, so importing
+    numpy before homdom leaves numpy's eager import in place. Otherwise the
+    module is bound through ``importlib.util.LazyLoader`` and entered in
+    ``sys.modules``: a later ``import numpy`` (``perfbench/workloads.py``
+    imports it after homdom) returns the same object, loaded by that
+    import, so either order runs the same numpy. The first access must come
+    from one thread, since ``LazyLoader`` before Python 3.12 is not
+    thread-safe on it; homdom starts no threads.
+    """
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    if spec is None:
+        raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+# every module takes np from here, so a query that builds no array (small-pair
+# existence, the closed forms, lp, cone) never runs numpy's import
+np = _lazy_module("numpy")
 
 
 class HomdomError(Exception):
@@ -121,7 +150,7 @@ class SimpleGraph:
         """Neighbourhoods as bitmasks (bit v set iff v is a neighbour), built once."""
         return self._masks
 
-    def adjacency_matrix(self, dtype=np.int64):
+    def adjacency_matrix(self, dtype="int64"):
         a = np.zeros((self.n, self.n), dtype=dtype)
         uv = np.fromiter(itertools.chain.from_iterable(self.edges), dtype=np.intp,
                          count=2 * len(self.edges)).reshape(-1, 2)
@@ -272,7 +301,7 @@ class CliqueUnion:
     def num_edges(self):
         return sum(len(c) * (len(c) - 1) // 2 for c in self.cliques)
 
-    def incidence_matrix(self, dtype=np.int64):
+    def incidence_matrix(self, dtype="int64"):
         """The n x r matrix N with N[v, i] = 1 iff vertex v lies on clique i."""
         sizes = [len(c) for c in self.cliques]
         inc = np.zeros((self.n, len(sizes)), dtype=dtype)

@@ -31,10 +31,8 @@ import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .graphs import (Biadjacency, CliqueUnion, GraphError, HomdomError, SimpleGraph,
-                     exact_dtype)
+                     exact_dtype, np)
 
 
 class ResourceLimitError(HomdomError, RuntimeError):

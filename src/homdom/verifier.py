@@ -15,8 +15,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
 from .constructions import ProjectivePlaneSpec, behrend_graph, red_line_graph, simple_family
 from .graphs import (
     MAX_DEDUP_N,
@@ -28,6 +26,7 @@ from .graphs import (
     disjoint_union,
     encode_graph,
     enumerate_graphs,
+    np,
 )
 from .homcount import WALK_MIN_ORDER, ResourceLimitError, WalkCounter, hom_counts, hom_density
 from .ratlp import frac_to_str

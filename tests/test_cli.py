@@ -828,6 +828,10 @@ class TestErrorExits:
         (("construct", "--family", "projective", "--params", "k=" + LONG, "--size", "5"),
          "parameter 'k' must be an integer, got 'xxx"),
         (("exponent", "--g", "K2", "--h", "K2", LONG), "unexpected argument 'xxx"),
+        (("construct", "--family", "two_cliques", "--params", LONG + "=1", "--size", "4"),
+         "family 'two_cliques' reads no parameter(s) 'xxx"),
+        (("estimate", "--g", "C4", "--h", "K2", "--family", "two_cliques:" + LONG + "=1",
+          "--sizes", "4"), "family 'two_cliques' reads no parameter(s) 'xxx"),
     ])
     def test_refusal_of_a_long_input_is_elided(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)
@@ -1004,3 +1008,58 @@ class TestConfigPlumbing:
         _, out2, _ = run(capsys, "verify", "--g", "C4", "--h", "K2",
                          "--c", "4", "--corpus-spec", "exhaustive_n=4,gnp_count=3")
         assert out1 == out2
+
+
+def fresh_python(code, *argv):
+    """The JSON document ``code`` prints, run in a new interpreter on this
+    checkout's source."""
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "-c", code, *argv], cwd=root,
+                          env=dict(os.environ, PYTHONPATH=str(root / "src")),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+class TestLazyNumpy:
+    # after each step: the exit code and the numpy submodules loaded; the
+    # lazily bound numpy itself is in sys.modules from the import on
+    STEPS = """
+import contextlib, io, json, sys
+import homdom, homdom.cli
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith("numpy."))
+steps = [[None, loaded()]]
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        steps.append([homdom.cli.main(argv), loaded()])
+print(json.dumps(steps))
+"""
+
+    def test_small_queries_load_no_numpy(self):
+        queries = [["exponent", "--g", "C5", "--h", "K3"], ["exponent", "--g", "K3", "--h", "C5"],
+                   ["lp", "--kr", "5"], ["cone", "--even", "4"],
+                   ["verify", "--g", "C4", "--h", "K2", "--c", "4"]]
+        steps = fresh_python(self.STEPS, json.dumps(queries))
+        assert steps[:-1] == [[None, []], [0, []], [3, []], [0, []], [0, []]]
+        code, loaded = steps[-1]
+        assert code == 0 and loaded  # verify counts with arrays, so numpy loads
+
+    ORDERS = {
+        "numpy-first": "import numpy\nbefore = numpy\nimport homdom.graphs as graphs\n",
+        "homdom-first": "import homdom.graphs as graphs\nbefore = graphs.np\nimport numpy\n",
+    }
+    CHECK = """import json, sys
+a = graphs.from_shorthand("K2").adjacency_matrix()
+print(json.dumps([graphs.np is before is numpy, sys.modules["numpy"] is numpy,
+                  any(m.startswith("numpy.") for m in sys.modules),
+                  a.tolist(), a.dtype == numpy.int64]))
+"""
+
+    @pytest.mark.parametrize("order", sorted(ORDERS))
+    def test_one_numpy_in_either_import_order(self, order):
+        # a numpy imported before homdom is kept, not replaced by a lazy one;
+        # one imported after homdom (as perfbench/workloads.py does) is the
+        # lazily bound module, loaded by that import
+        assert fresh_python(self.ORDERS[order] + self.CHECK) == [
+            True, True, True, [[0, 1], [1, 0]], True]

@@ -280,6 +280,11 @@ class TestEstimator:
         ("projective", {"k": 2, "p": 7}, "family 'projective' reads no parameter(s) p"),
         ("bipartite_power", {"i": 1, "k": 2}, "family 'bipartite_power' reads no parameter(s) k"),
         ("nope", {"k": 3}, "unknown family kind 'nope'"),
+        # the names are echoed whole up to MAX_ECHO characters, then elided
+        ("two_cliques", {"x" * 40: 1}, "family 'two_cliques' reads no parameter(s) " + "x" * 40),
+        ("two_cliques", {"x" * 20: 1, "y" * 19: 2},
+         "family 'two_cliques' reads no parameter(s) '" + "x" * 20 + ", " + "y" * 18
+         + "'... (41 chars)"),
     ])
     def test_unread_parameters_refused(self, kind, params, message):
         with pytest.raises(GraphError) as err:

@@ -43,6 +43,36 @@ def test_no_imports_inside_functions():
     assert sorted(set(found)) == []
 
 
+def _names_numpy(statement):
+    """Whether a module-level statement imports numpy or binds it by name."""
+    if isinstance(statement, ast.Import):
+        return any(alias.name.split(".")[0] == "numpy" for alias in statement.names)
+    if isinstance(statement, ast.ImportFrom):
+        return statement.level == 0 and statement.module.split(".")[0] == "numpy"
+    return any(isinstance(node, ast.Constant) and node.value == "numpy"
+               for node in ast.walk(statement))
+
+
+def test_numpy_loads_through_graphs_alone():
+    # how numpy loads (lazily, on first array use) is decided in one place:
+    # graphs' header alone names numpy, and every other module that uses np
+    # takes it from graphs
+    naming, borrowing, using = [], [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        if any(_names_numpy(node) for node in tree.body):
+            naming.append(path.name)
+        if any(isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "graphs"
+               and any(alias.name == "np" and alias.asname is None for alias in node.names)
+               for node in tree.body):
+            borrowing.append(path.name)
+        if any(isinstance(node, ast.Name) and node.id == "np" for node in ast.walk(tree)):
+            using.append(path.name)
+    assert naming == ["graphs.py"]
+    assert sorted(set(using) - {"graphs.py"}) == borrowing
+    assert {"homcount.py", "constructions.py", "verifier.py"} <= set(borrowing)
+
+
 def test_cli_encodes_json_once():
     # main hands each verb's plain data to _emit, whose writer is the one
     # JSON encoder: json is called only inside the writer, nothing is
