@@ -112,25 +112,27 @@ class SimpleGraph:
         return tuple(map(frozenset, adj)), tuple(map(len, adj))
 
     @functools.cached_property
-    def _components(self):
-        """Vertex sets of the connected components, each sorted, built once."""
+    def _forest(self):
+        """The sorted vertex tuples of the connected components, and each
+        vertex's depth parity in the spanning forest of the one DFS that
+        finds them (a vertex is pushed once, by its parent), built once."""
         adj = self._structure[0]
-        seen = [False] * self.n
+        parity = [-1] * self.n
         comps = []
         for s in range(self.n):
-            if seen[s]:
+            if parity[s] >= 0:
                 continue
             stack, comp = [s], []
-            seen[s] = True
+            parity[s] = 0
             while stack:
                 v = stack.pop()
                 comp.append(v)
                 for w in adj[v]:
-                    if not seen[w]:
-                        seen[w] = True
+                    if parity[w] < 0:
+                        parity[w] = 1 - parity[v]
                         stack.append(w)
             comps.append(tuple(sorted(comp)))
-        return tuple(comps)
+        return tuple(comps), parity
 
     def degree(self, v):
         return self._structure[1][v]
@@ -160,10 +162,10 @@ class SimpleGraph:
 
     def components(self):
         """Connected components as a tuple of sorted vertex tuples."""
-        return self._components
+        return self._forest[0]
 
     def is_connected(self):
-        return self.n <= 1 or len(self._components) == 1
+        return self.n <= 1 or len(self._forest[0]) == 1
 
     def is_tree(self):
         return self.is_connected() and self.num_edges == self.n - 1
@@ -178,21 +180,11 @@ class SimpleGraph:
 
     @functools.cached_property
     def _bipartite(self):
-        """2-colourability, decided once: each component is coloured by BFS
-        parity from its least vertex, and an edge inside a colour refutes it."""
-        adj = self._structure[0]
-        side = [-1] * self.n
-        for comp in self._components:
-            side[comp[0]] = 0
-            queue = [comp[0]]
-            for v in queue:
-                for w in adj[v]:
-                    if side[w] < 0:
-                        side[w] = 1 - side[v]
-                        queue.append(w)
-                    elif side[w] == side[v]:
-                        return False
-        return True
+        """2-colourability, decided once: a 2-colouring of a component is
+        fixed by any spanning tree, so the depth parities of the forest
+        2-colour the graph iff every edge joins opposite parities."""
+        parity = self._forest[1]
+        return all(parity[u] != parity[v] for u, v in self.edges)
 
     def is_bipartite(self):
         """Whether the graph is 2-colourable (an edgeless graph included)."""
@@ -228,14 +220,22 @@ class SimpleGraph:
         """Length of a shortest odd cycle; math.inf when 2-colourable."""
         return self._odd_girth
 
+    def has_clique(self, r):
+        """Whether the graph holds a K_r, by the branch and bound of
+        ``_clique_within``: exponential in the worst case, and r deep in
+        recursion, so meant for small r."""
+        return _clique_within(self._masks, (1 << self.n) - 1, r)
+
     @functools.cached_property
     def _clique_number(self):
-        return _largest_clique(self._masks, (1 << self.n) - 1, 0)
+        r = 0
+        while self.has_clique(r + 1):
+            r += 1
+        return r
 
     def clique_number(self):
-        """Order of a largest clique, decided once by branch and bound over
-        the bitmasks: exponential in the worst case, and as deep in
-        recursion as the clique, so meant for small graphs."""
+        """Order of a largest clique, decided once: the largest r for which
+        ``has_clique(r)`` holds, so meant for small graphs."""
         return self._clique_number
 
     def subgraph(self, vertices):
@@ -251,16 +251,28 @@ class SimpleGraph:
         return SimpleGraph(self.n, frozenset((perm[a], perm[b]) for a, b in self.edges))
 
 
-def _largest_clique(masks, cand, size):
-    """size plus the order of a largest clique among the vertices of bitmask
-    ``cand``, all adjacent to a clique of ``size`` vertices; a branch stops
-    once its candidates cannot beat the best clique found."""
-    best = size
-    while size + cand.bit_count() > best:
+def _clique_within(masks, cand, need):
+    """Whether the vertices of bitmask ``cand`` hold a K_need: branch and
+    bound, first dropping candidates with fewer than need - 1 neighbours
+    among the others until none is left to drop."""
+    if need <= 0:
+        return True
+    while True:
+        keep = rest = cand
+        while rest:
+            b = rest & -rest
+            if (masks[b.bit_length() - 1] & cand).bit_count() < need - 1:
+                keep ^= b
+            rest ^= b
+        if keep == cand:
+            break
+        cand = keep
+    while cand.bit_count() >= need:
         b = cand & -cand
         cand ^= b
-        best = max(best, _largest_clique(masks, cand & masks[b.bit_length() - 1], size + 1))
-    return best
+        if _clique_within(masks, cand & masks[b.bit_length() - 1], need - 1):
+            return True
+    return False
 
 
 @dataclass(frozen=True)
@@ -664,8 +676,6 @@ def _encode_edge_json(g):
 
 
 def _encode_g6_size(n):
-    if n < 0:
-        raise GraphError("negative order")
     if n <= 62:
         return chr(n + 63)
     if n <= 258047:

@@ -223,35 +223,6 @@ def hom_counts(h, adjs, max_steps=None):
     return counts
 
 
-def _has_clique(masks, r):
-    """Whether the graph with neighbourhood bitmasks ``masks`` has a K_r."""
-    return _clique_within(masks, (1 << len(masks)) - 1, r)
-
-
-def _clique_within(masks, cand, need):
-    """Whether the vertices of bitmask ``cand`` hold a K_need: branch and
-    bound, first dropping candidates with fewer than need - 1 neighbours
-    among the others until none is left to drop."""
-    if need == 0:
-        return True
-    while True:
-        keep = rest = cand
-        while rest:
-            b = rest & -rest
-            if (masks[b.bit_length() - 1] & cand).bit_count() < need - 1:
-                keep ^= b
-            rest ^= b
-        if keep == cand:
-            break
-        cand = keep
-    while cand.bit_count() >= need:
-        b = cand & -cand
-        cand ^= b
-        if _clique_within(masks, cand & masks[b.bit_length() - 1], need - 1):
-            return True
-    return False
-
-
 SMALL_ORDER = 16  # pairs of graphs on at most this many vertices are searched before elimination
 SMALL_BUDGET = 20_000  # candidate expansions of that search, past which elimination answers
 
@@ -295,13 +266,12 @@ def hom_exists(h, t):
     counts = _eliminate(h, t.adjacency_matrix(np.float32)[None])
     if counts is not None:
         return counts[0] > 0
-    h_masks, t_masks = h.adjacency_masks(), t.adjacency_masks()
     r = 1
-    while _has_clique(h_masks, r):
-        if not _has_clique(t_masks, r):
+    while h.has_clique(r):
+        if not t.has_clique(r):
             return False
         r += 1
-    return _backtrack(h, t_masks, None, first=True) > 0
+    return _backtrack(h, t.adjacency_masks(), None, first=True) > 0
 
 
 def hom_count(h, t, max_steps=None):

@@ -259,6 +259,15 @@ class TestExactRays:
             with pytest.raises(ConeError, match="point entries must be ints"):
                 Cone(2, ((1, 0),), ()).evaluate((bad, 1))
 
+    @pytest.mark.parametrize("call, what", [
+        (lambda: Cone(2, ((1, 0, 0),), ()), "halfspace"),
+        (lambda: Cone(2, ((1, 0),), ((1,),)), "ray"),
+        (lambda: Cone(2, ((1, 0),), ()).evaluate((1, 0, 0)), "point"),
+    ])
+    def test_dimension_mismatch_rejected(self, call, what):
+        with pytest.raises(ConeError, match=f"^{what} dimension mismatch$"):
+            call()
+
     def test_not_pointed(self):
         # (0, 1, 0) lies in the cone x >= 0 but is no multiple of (1, 0, 0)
         cone = Cone(3, ((1, 0, 0),), ((1, 0, 0),))

@@ -8,7 +8,7 @@ import pytest
 
 from homdom.graphs import (CliqueUnion, GraphError, SimpleGraph, complete_graph, cycle_graph,
                            k4_minus_e)
-from homdom.homcount import hom_count, hom_density, weighted_hom_density
+from homdom.homcount import WeightedPattern, hom_count, hom_density, weighted_hom_density
 from homdom.constructions import (
     ProjectivePlaneSpec,
     ScalingFamily,
@@ -69,6 +69,16 @@ class TestPathBlowupPattern:
     def test_instantiate_guard(self):
         with pytest.raises(GraphError):
             instantiate_weighted(path_blowup_pattern(1, 1, 1), 1)
+
+    @pytest.mark.parametrize("vexp, eexp, message", [
+        ((Fraction(1, 2), 1), 1, "non-integer exponents need an integer-power scale"),
+        ((1, 1), Fraction(5, 2), "non-integer exponents need an integer-power scale"),
+        ((0, 0), 1, r"density > 1 on edge \(0, 1\) at n=10; n too small"),
+    ])
+    def test_instantiate_refusals(self, vexp, eexp, message):
+        pattern = WeightedPattern(complete_graph(2), vexp, {(0, 1): eexp})
+        with pytest.raises(GraphError, match=message):
+            instantiate_weighted(pattern, 10)
 
 
 def projective_plane_by_scan(p):

@@ -2,6 +2,7 @@ import functools
 import itertools
 import math
 import random
+import time
 
 import numpy as np
 import pytest
@@ -371,10 +372,19 @@ class TestCachedStructure:
                        if all(g.has_edge(u, v) for u, v in itertools.combinations(s, 2)))
             assert g.clique_number() == want, g
 
+    def test_has_clique_matches_brute_force(self):
+        rng = random.Random(23)
+        for _ in range(60):
+            g = random_graph(rng, rng.randint(0, 9), rng.random())
+            for r in range(g.n + 2):
+                want = any(all(g.has_edge(u, v) for u, v in itertools.combinations(s, 2))
+                           for s in itertools.combinations(range(g.n), r))
+                assert g.has_clique(r) == want, (g, r)
+
     def test_clique_number_decided_once(self, monkeypatch):
         g = cycle_with_chord(7, 3)
         assert (g.odd_girth(), g.clique_number()) == (7, 2)
-        monkeypatch.setattr(graphs_module, "_largest_clique", None)
+        monkeypatch.setattr(graphs_module, "_clique_within", None)
         assert g.clique_number() == 2
 
     def test_components_built_once_and_immutable(self):
@@ -408,6 +418,7 @@ class TestCliqueUnion:
         (4, [(-1, 2)], "out of range"),
         (4, [(0, 1), (3, 3)], "at least 2 distinct vertices"),
         (4, [(2,)], "at least 2 distinct vertices"),
+        (-1, [], "negative vertex count"),
     ])
     def test_rejects(self, n, cliques, message):
         with pytest.raises(GraphError, match=message):
@@ -479,6 +490,21 @@ class TestShapeRecognisers:
 
 
 class TestIO:
+    @pytest.mark.parametrize("call, message", [
+        (lambda: decode_graph("B w", "graph6"), "invalid graph6 character ' '"),
+        # the header of a 258046-vertex graph with no body: refused on its
+        # length, before any of its ~3.3e10 pairs is read
+        (lambda: decode_graph("~}}}", "graph6"), "graph6 body length mismatch"),
+        (lambda: decode_graph("Bw", "dot"), "unknown format 'dot'"),
+        (lambda: encode_graph(complete_graph(3), "dot"), "unknown format 'dot'"),
+    ])
+    def test_refusals(self, call, message):
+        start = time.perf_counter()
+        with pytest.raises(GraphError) as exc:
+            call()
+        assert str(exc.value) == message
+        assert time.perf_counter() - start < 1
+
     def test_edge_json(self):
         g = decode_graph('{"n":3,"edges":[[0,1],[1,2],[0,2]]}', "edge_json")
         assert g == complete_graph(3)

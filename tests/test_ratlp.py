@@ -340,6 +340,33 @@ def lp_fractional_matching(h):
     return sol.optimum
 
 
+class TestVerifyOptimal:
+    """solve_lp's exact self-check refuses every kind of corrupted solution
+    of max a + b, a + 2b <= 4, 3a + b <= 6, a >= 0 (b free or b >= 0), whose
+    certificate is primal (8/5, 6/5), dual (2/5, 1/5) and optimum 14/5."""
+
+    X, Y, OPT = (Fraction(8, 5), Fraction(6, 5)), (Fraction(2, 5), Fraction(1, 5)), Fraction(14, 5)
+
+    @pytest.mark.parametrize("b_free, x, y, opt, message", [
+        (False, (-1, 0), None, None, "primal sign violation"),
+        (False, (4, 4), None, None, "primal row violation"),
+        (False, None, (-1, 1), None, "dual sign violation"),
+        (False, None, (0, 0), None, "dual row violation"),
+        (True, None, (Fraction(1, 2), Fraction(1, 6)), None, "dual row violation (free var)"),
+        (False, None, (1, 1), None, "complementary slackness violation"),
+        (False, None, None, 3, "strong duality violation"),
+    ])
+    def test_corrupted_solution_refused(self, b_free, x, y, opt, message):
+        lp = make_lp("max", [1, 1], [([1, 2], "<=", 4), ([3, 1], "<=", 6)],
+                     nonneg=(True, not b_free))
+        sol = solve_lp(lp)
+        assert (sol.primal, sol.dual, sol.optimum) == (self.X, self.Y, self.OPT)
+        x, y = tuple(map(Fraction, x or self.X)), tuple(map(Fraction, y or self.Y))
+        with pytest.raises(AssertionError) as exc:
+            ratlp._verify_optimal(lp, x, y, self.OPT if opt is None else Fraction(opt))
+        assert str(exc.value) == message
+
+
 class TestFractionalMatchingLP:
     """fractional_matching reads nu* off a matching of the double cover;
     the LP it replaced stays here as the oracle."""
@@ -389,6 +416,13 @@ class TestFractionalMatchingLP:
         monkeypatch.setattr(formulas, "_double_cover_matching", lambda adj: [1, 0, 0, 0])
         with pytest.raises(AssertionError, match="overloads"):
             fractional_matching(star_graph(3))
+
+    def test_certificate_rejects_a_short_cover(self, monkeypatch):
+        # a cover that takes neither copy of any vertex covers no edge
+        monkeypatch.setattr(formulas, "_konig_cover",
+                            lambda adj, mate: ([False] * len(adj), [False] * len(adj)))
+        with pytest.raises(AssertionError, match="fractional cover misses edge"):
+            fractional_matching(cycle_graph(5))
 
 
 class TestKRFamily:

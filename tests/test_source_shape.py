@@ -43,6 +43,30 @@ def test_no_imports_inside_functions():
     assert sorted(set(found)) == []
 
 
+def _private(name):
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def test_no_private_cross_module_imports():
+    # a module reads another module's public names only, so a fact such as
+    # the clique search has one owner that the rest call through its API:
+    # no `from .x import _y`, and no `x._y` on a module bound by `from . import x`
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        modules = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                names = [alias.name for alias in node.names]
+                found += [f"{path.name}:{node.lineno} imports {n}" for n in names if _private(n)]
+                if node.module is None:
+                    modules |= {alias.asname or alias.name for alias in node.names}
+        found += [f"{path.name}:{node.lineno} reads {ast.unparse(node)}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and _private(node.attr)
+                  and isinstance(node.value, ast.Name) and node.value.id in modules]
+    assert found == []
+
+
 def _names_numpy(statement):
     """Whether a module-level statement imports numpy or binds it by name."""
     if isinstance(statement, ast.Import):
